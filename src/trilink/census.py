@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -22,6 +23,7 @@ from .diagram import (
     CrossingAssignment,
     LinkDiagram,
     all_assignments,
+    assignment_from_text,
     build_canonical_projection,
     builtin_diagram,
     flip_all_crossings,
@@ -175,8 +177,6 @@ def census_to_csv(records: tuple[CensusRecord, ...]) -> str:
 
 def parse_census_csv(text: str) -> tuple[CensusRecord, ...]:
     """Re-parse the CSV export back into records (round-trips exactly)."""
-    from .diagram import assignment_from_text
-
     reader = csv.DictReader(io.StringIO(text))
     records = []
     for row in reader:
@@ -226,8 +226,6 @@ def census_to_json(
 
 
 def parse_census_json(text: str) -> tuple[tuple[CensusRecord, ...], CensusSummary]:
-    from .diagram import assignment_from_text
-
     doc = json.loads(text)
     if doc.get("schema_version") != CENSUS_SCHEMA_VERSION:
         raise InputError(
@@ -521,15 +519,15 @@ def verify_claims(segments: int = 512) -> VerificationReport:
     )
 
     # 11. Geometry round trips.
+    def curve_pair_linking(r: geometry.Realization3D) -> dict[tuple[int, int], int]:
+        return {
+            (i, j): geometry.linking_number_3d(r.curves[i], r.curves[j])
+            for i, j in itertools.combinations(range(len(r.curves)), 2)
+        }
+
     villarceau = geometry.realize("torus-villarceau", segments=segments)
-    R = villarceau.params["R"]
     roundness = max(geometry.roundness_deviation(c) for c in villarceau.curves)
-    v_lks = {}
-    for i in range(3):
-        for j in range(i + 1, 3):
-            v_lks[(i, j)] = geometry.linking_number_3d(
-                villarceau.curves[i], villarceau.curves[j]
-            )
+    v_lks = curve_pair_linking(villarceau)
     v_class = classify(geometry.diagram_from_curves(villarceau))
     add(
         "villarceau-roundtrip",
@@ -543,12 +541,7 @@ def verify_claims(segments: int = 512) -> VerificationReport:
     ellipses = geometry.realize("borromean-ellipses", segments=segments)
     a, b = ellipses.params["a"], ellipses.params["b"]
     ratio = min(geometry.noncircularity_ratio(c) for c in ellipses.curves)
-    e_lks = {}
-    for i in range(3):
-        for j in range(i + 1, 3):
-            e_lks[(i, j)] = geometry.linking_number_3d(
-                ellipses.curves[i], ellipses.curves[j]
-            )
+    e_lks = curve_pair_linking(ellipses)
     e_diagram = geometry.diagram_from_curves(ellipses)
     e_class = classify(e_diagram)
     add(

@@ -23,6 +23,7 @@ from .diagram import (
 )
 from .errors import CapacityError, DegeneracyError, InputError
 from .invariants import (
+    classify,
     kauffman_bracket,
     linking_numbers,
     normalized_invariant,
@@ -153,8 +154,6 @@ def _cmd_classify(args) -> int:
     asg = assignment_from_text(args.bitword)
     proj = build_canonical_projection()
     d = to_diagram(proj, asg)
-    from .invariants import classify
-
     orbit = orbit_of(asg)
     profile = pairwise_linking(d)
     lines = [
@@ -200,8 +199,7 @@ def _cmd_render(args) -> int:
         style = render.RenderStyle(
             colors=_parse_colors(args.color) if args.color else dict(render.DEFAULT_COLORS)
         )
-        d = to_diagram(build_canonical_projection(), assignment_from_text(args.bitword))
-        text = render.svg_diagram(d, style)
+        text = render.svg_diagram(_diagram_from_args(args), style)
     _write_output(text, args.output)
     return 0
 

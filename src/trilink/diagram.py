@@ -47,18 +47,11 @@ _CIRCLE_PATH_POINTS = 240
 
 
 class CircleId(enum.Enum):
-    """Label of one of the three projected circles, ordered A < B < C."""
+    """Label of one of the three projected circles."""
 
     A = 0
     B = 1
     C = 2
-
-    def __lt__(self, other: "CircleId") -> bool:
-        return self.value < other.value
-
-    @property
-    def label(self) -> str:
-        return self.name
 
 
 #: Pairs in site order; the first entry of each pair is the bit-reference circle.
@@ -70,7 +63,6 @@ SITE_PAIRS: tuple[tuple[CircleId, CircleId], ...] = (
 
 CENTER_DISTANCE = 1.0
 CIRCLE_RADIUS = 1.2
-_CENTER_ANGLES_DEG = {CircleId.A: 90.0, CircleId.B: 210.0, CircleId.C: 330.0}
 
 
 @dataclass(frozen=True)
@@ -82,14 +74,6 @@ class CrossingSite:
     depth: str  # "inner" | "outer"
     position: tuple[float, float]
 
-    @property
-    def lead(self) -> CircleId:
-        return self.pair[0]
-
-    @property
-    def partner(self) -> CircleId:
-        return self.pair[1]
-
 
 @dataclass(frozen=True)
 class CanonicalProjection:
@@ -97,7 +81,6 @@ class CanonicalProjection:
 
     circles: dict[CircleId, tuple[tuple[float, float], float]]
     sites: tuple[CrossingSite, ...]
-    visit_order: dict[CircleId, tuple[int, int, int, int]]
 
     def center(self, c: CircleId) -> tuple[float, float]:
         return self.circles[c][0]
@@ -146,13 +129,7 @@ def build_canonical_projection() -> CanonicalProjection:
         sites.append(
             CrossingSite(2 * pair_index + 1, (lead, partner), "outer", outer)
         )
-    visit_order: dict[CircleId, tuple[int, int, int, int]] = {}
-    for c in CircleId:
-        cx, cy = centers[c]
-        mine = [s for s in sites if c in s.pair]
-        mine.sort(key=lambda s: math.atan2(s.position[1] - cy, s.position[0] - cx))
-        visit_order[c] = tuple(s.site_index for s in mine)  # type: ignore[assignment]
-    return CanonicalProjection(circles=circles, sites=tuple(sites), visit_order=visit_order)
+    return CanonicalProjection(circles=circles, sites=tuple(sites))
 
 
 # ---------------------------------------------------------------------------
@@ -346,118 +323,58 @@ def _circle_path(
     return tuple(pts)
 
 
+def _circle_diagram(
+    circles: Sequence[tuple[str, tuple[float, float], float]],
+    meetings: Sequence[tuple[str, str, tuple[float, float], int | None]],
+) -> LinkDiagram:
+    """Diagram of labelled round circles, each traversed counterclockwise from angle -pi.
+
+    ``meetings`` lists ``(over, under, point, site)`` per crossing; crossing
+    ids follow its order.
+    """
+    centers = {label: center for label, center, _ in circles}
+    crossings = [
+        Crossing(
+            over_entry_slot=_over_entry_slot(
+                _ccw_tangent(point, centers[under]), _ccw_tangent(point, centers[over])
+            ),
+            position=point,
+            site_index=site,
+        )
+        for over, under, point, site in meetings
+    ]
+    components: list[Component] = []
+    for label, center, radius in circles:
+        passages = []
+        for idx, (over, under, point, _) in enumerate(meetings):
+            if label in (over, under):
+                angle = math.atan2(point[1] - center[1], point[0] - center[0])
+                slot = crossings[idx].over_entry_slot if over == label else 0
+                param = radius * ((angle + math.pi) % (2.0 * math.pi))
+                passages.append((angle, Visit(idx, slot, param)))
+        passages.sort(key=lambda item: item[0])
+        components.append(
+            Component(
+                label=label,
+                visits=tuple(visit for _, visit in passages),
+                path=_circle_path(center, radius, -math.pi, _CIRCLE_PATH_POINTS),
+            )
+        )
+    return LinkDiagram(components=tuple(components), crossings=tuple(crossings))
+
+
 def to_diagram(proj: CanonicalProjection, asg: CrossingAssignment) -> LinkDiagram:
     """Build the depiction of ``asg`` over the fixed projection.
 
     Crossing ids coincide with site indices.  Components are the circles
     A, B, C, each traversed counterclockwise from angle -pi.
     """
-    over_circle: dict[int, CircleId] = {}
+    meetings = []
     for site in proj.sites:
-        over_circle[site.site_index] = (
-            site.lead if asg.bit(site.site_index) else site.partner
-        )
-
-    crossings: list[Crossing] = []
-    for site in proj.sites:
-        over = over_circle[site.site_index]
-        under = site.partner if over is site.lead else site.lead
-        t_over = _ccw_tangent(site.position, proj.center(over))
-        t_under = _ccw_tangent(site.position, proj.center(under))
-        crossings.append(
-            Crossing(
-                over_entry_slot=_over_entry_slot(t_under, t_over),
-                position=site.position,
-                site_index=site.site_index,
-            )
-        )
-
-    components: list[Component] = []
-    for c in CircleId:
-        center = proj.center(c)
-        radius = proj.radius(c)
-        visits: list[Visit] = []
-        for site_index in proj.visit_order[c]:
-            site = proj.sites[site_index]
-            angle = math.atan2(
-                site.position[1] - center[1], site.position[0] - center[0]
-            )
-            param = radius * ((angle + math.pi) % (2.0 * math.pi))
-            if over_circle[site_index] is c:
-                slot = crossings[site_index].over_entry_slot
-            else:
-                slot = 0
-            visits.append(Visit(site_index, slot, param))
-        components.append(
-            Component(
-                label=c.name,
-                visits=tuple(visits),
-                path=_circle_path(center, radius, -math.pi, _CIRCLE_PATH_POINTS),
-            )
-        )
-    return LinkDiagram(components=tuple(components), crossings=tuple(crossings))
-
-
-def _diagram_from_circles(
-    circles: Sequence[tuple[str, tuple[float, float], float]],
-    over_of: Callable[[str, str, tuple[float, float]], str],
-) -> LinkDiagram:
-    """Diagram of a family of pairwise crossing/disjoint round circles.
-
-    ``over_of(label1, label2, point)`` names the circle passing over at the
-    given intersection point.
-    """
-    meetings: list[tuple[str, str, tuple[float, float]]] = []
-    for i in range(len(circles)):
-        for j in range(i + 1, len(circles)):
-            li, ci, ri = circles[i]
-            lj, cj, rj = circles[j]
-            d = math.hypot(cj[0] - ci[0], cj[1] - ci[1])
-            if d >= ri + rj or d <= abs(ri - rj):
-                continue
-            if ri != rj:
-                raise InputError("mixed radii are not supported here")
-            for p in _circle_intersections(ci, cj, ri):
-                meetings.append((li, lj, p))
-    centers = {label: center for label, center, _ in circles}
-    radii = {label: radius for label, _, radius in circles}
-
-    crossings: list[Crossing] = []
-    for li, lj, point in meetings:
-        over = over_of(li, lj, point)
-        under = lj if over == li else li
-        t_over = _ccw_tangent(point, centers[over])
-        t_under = _ccw_tangent(point, centers[under])
-        crossings.append(
-            Crossing(over_entry_slot=_over_entry_slot(t_under, t_over), position=point)
-        )
-
-    components: list[Component] = []
-    for label, center, radius in circles:
-        visited = [
-            (idx, meeting)
-            for idx, meeting in enumerate(meetings)
-            if label in (meeting[0], meeting[1])
-        ]
-        def _angle(item):
-            point = item[1][2]
-            return math.atan2(point[1] - center[1], point[0] - center[0])
-        visited.sort(key=_angle)
-        visits = []
-        for idx, (li, lj, point) in visited:
-            over = over_of(li, lj, point)
-            slot = crossings[idx].over_entry_slot if over == label else 0
-            angle = math.atan2(point[1] - center[1], point[0] - center[0])
-            param = radius * ((angle + math.pi) % (2.0 * math.pi))
-            visits.append(Visit(idx, slot, param))
-        components.append(
-            Component(
-                label=label,
-                visits=tuple(visits),
-                path=_circle_path(center, radius, -math.pi, _CIRCLE_PATH_POINTS),
-            )
-        )
-    return LinkDiagram(components=tuple(components), crossings=tuple(crossings))
+        over, under = site.pair if asg.bit(site.site_index) else site.pair[::-1]
+        meetings.append((over.name, under.name, site.position, site.site_index))
+    circles = [(c.name, proj.center(c), proj.radius(c)) for c in CircleId]
+    return _circle_diagram(circles, meetings)
 
 
 # ---------------------------------------------------------------------------
@@ -566,7 +483,8 @@ def diagram_from_strands(
     is over) unless ``over_rule`` is given, in which case it returns True
     when the first passage of the meeting is the over-strand.  Raises
     :class:`DegeneracyError` for non-generic pictures (tangency, vertex
-    hits, near-coincident crossings, ambiguous depths).
+    hits, near-coincident crossings, ambiguous depths, two distinct
+    strands crossing an odd number of times).
     """
     arrays = [np.asarray(s.points, dtype=float) for s in strands]
     depth_arrays = [
@@ -580,6 +498,12 @@ def diagram_from_strands(
             recs = _segment_meetings(
                 arrays[i], depth_arrays[i], arrays[j], depth_arrays[j], i == j, tol
             )
+            if i != j and len(recs) % 2:
+                # Two closed curves in general position cross an even number of times.
+                raise DegeneracyError(
+                    f"strands {strands[i].label!r} and {strands[j].label!r} "
+                    f"cross {len(recs)} times, an odd number"
+                )
             for seg_a, t_a, seg_b, t_b, point, depth_a, depth_b in recs:
                 na, nb = len(arrays[i]), len(arrays[j])
                 ta = arrays[i][(seg_a + 1) % na] - arrays[i][seg_a]
@@ -671,11 +595,11 @@ def _unlink(n: int) -> LinkDiagram:
 def _hopf() -> LinkDiagram:
     # Circle A is over at the upper crossing, B at the lower one.
     circles = [("A", (-0.5, 0.0), 0.8), ("B", (0.5, 0.0), 0.8)]
-
-    def over_of(l1: str, l2: str, point: tuple[float, float]) -> str:
-        return "A" if point[1] > 0 else "B"
-
-    return _diagram_from_circles(circles, over_of)
+    meetings = [
+        ("A", "B", p, None) if p[1] > 0 else ("B", "A", p, None)
+        for p in _circle_intersections((-0.5, 0.0), (0.5, 0.0), 0.8)
+    ]
+    return _circle_diagram(circles, meetings)
 
 
 def _twist_unknot() -> LinkDiagram:
@@ -816,30 +740,40 @@ def diagram_from_text(text: str) -> LinkDiagram:
         raise InputError(f"expected header {EXPORT_SCHEMA!r}")
     components: list[Component] = []
     crossings: list[Crossing] = []
+    counts: dict[str, int] = {}
     for line in lines[1:]:
         head, _, rest = line.partition(" ")
-        if head == "components" or head == "crossings":
-            continue
-        if head == "component":
-            label, _, cycle = rest.partition(":")
-            visits = []
-            for token in cycle.split():
-                cr, _, slot = token.partition(".")
-                visits.append(Visit(int(cr), int(slot)))
-            components.append(Component(label.strip(), tuple(visits)))
-        elif head == "crossing":
-            fields = rest.split()
-            over_entry = int(fields[fields.index("over-entry") + 1])
-            site = None
-            position = None
-            if "site" in fields:
-                site = int(fields[fields.index("site") + 1])
-            if "pos" in fields:
-                k = fields.index("pos")
-                position = (float(fields[k + 1]), float(fields[k + 2]))
-            crossings.append(Crossing(over_entry, position, site))
-        else:
+        if head not in ("components", "crossings", "component", "crossing"):
             raise InputError(f"unrecognized record {line!r}")
+        try:
+            if head == "component":
+                label, _, cycle = rest.partition(":")
+                visits = []
+                for token in cycle.split():
+                    cr, _, slot = token.partition(".")
+                    visits.append(Visit(int(cr), int(slot)))
+                components.append(Component(label.strip(), tuple(visits)))
+            elif head == "crossing":
+                fields = rest.split()
+                over_entry = int(fields[fields.index("over-entry") + 1])
+                if over_entry not in (1, 3):
+                    raise ValueError("over-entry slot must be 1 or 3")
+                site = None
+                position = None
+                if "site" in fields:
+                    site = int(fields[fields.index("site") + 1])
+                if "pos" in fields:
+                    k = fields.index("pos")
+                    position = (float(fields[k + 1]), float(fields[k + 2]))
+                crossings.append(Crossing(over_entry, position, site))
+            else:
+                counts[head] = int(rest)
+        except (ValueError, IndexError) as exc:
+            raise InputError(f"malformed record {line!r}: {exc}") from exc
+    found = {"components": len(components), "crossings": len(crossings)}
+    for head, count in counts.items():
+        if count != found[head]:
+            raise InputError(f"record says {head} {count}, but {found[head]} are listed")
     d = LinkDiagram(components=tuple(components), crossings=tuple(crossings))
     validate_diagram(d)
     return d

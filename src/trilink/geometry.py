@@ -11,6 +11,7 @@ Projection directions are drawn from a seeded generator
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -19,6 +20,7 @@ import numpy as np
 
 from .diagram import LinkDiagram, PlanarStrand, diagram_from_strands
 from .errors import DegeneracyError, InputError
+from .invariants import linking_sign_sums
 
 DIRECTION_SEED = 61803
 MIN_CURVE_SEPARATION = 1e-6
@@ -496,47 +498,12 @@ def linking_number_3d(
 ) -> int:
     """Signed linking number via signed crossings of a generic projection.
 
-    With ``direction="auto"`` the seeded candidate stream is consumed until
-    a generic direction is found (at most ``MAX_DIRECTION_RETRIES``).
+    The pair is projected by :func:`diagram_from_curves`, which with
+    ``direction="auto"`` retries seeded candidate directions on degeneracy.
     """
-    _check_separation(a, b)
-    if isinstance(direction, str):
-        if direction != "auto":
-            raise InputError(f"direction must be a vector or 'auto', got {direction!r}")
-        candidates = _direction_candidates()
-        budget = MAX_DIRECTION_RETRIES
-    else:
-        candidates = iter([np.asarray(direction, dtype=float)])
-        budget = 1
-    last_error: Exception | None = None
-    for _ in range(budget):
-        try:
-            d = next(candidates)
-        except StopIteration:
-            break
-        try:
-            diagram = diagram_from_strands(
-                _project_curves([a, b], d), tol=GENERIC_TOL
-            )
-        except DegeneracyError as exc:
-            last_error = exc
-            continue
-        total = 0
-        through = {i: [] for i in range(diagram.crossing_count)}
-        for comp in diagram.components:
-            for visit in comp.visits:
-                through[visit.crossing].append(comp.label)
-        for idx, crossing in enumerate(diagram.crossings):
-            labels = through[idx]
-            if labels[0] != labels[1]:
-                total += crossing.sign
-        if total % 2 != 0:
-            last_error = DegeneracyError("odd inter-curve crossing sign sum")
-            continue
-        return total // 2
-    raise DegeneracyError(
-        f"no generic projection direction found: {last_error}"
-    )
+    pair = Realization3D(curves=(a, b), kind="curve-pair")
+    sums = linking_sign_sums(diagram_from_curves(pair, direction))
+    return sums[frozenset((a.label, b.label))] // 2
 
 
 def gauss_linking_integral(a: PolyCurve3, b: PolyCurve3) -> float:
@@ -572,20 +539,13 @@ def diagram_from_curves(
     if isinstance(direction, str):
         if direction != "auto":
             raise InputError(f"direction must be a vector or 'auto', got {direction!r}")
-        candidates = _direction_candidates()
-        budget = MAX_DIRECTION_RETRIES
+        candidates = itertools.islice(_direction_candidates(), MAX_DIRECTION_RETRIES)
     else:
-        candidates = iter([np.asarray(direction, dtype=float)])
-        budget = 1
+        candidates = [np.asarray(direction, dtype=float)]
     last_error: Exception | None = None
-    for _ in range(budget):
-        try:
-            d = next(candidates)
-        except StopIteration:
-            break
+    for d in candidates:
         try:
             return diagram_from_strands(_project_curves(r.curves, d), tol=GENERIC_TOL)
         except DegeneracyError as exc:
             last_error = exc
-            continue
     raise DegeneracyError(f"no generic projection direction found: {last_error}")

@@ -72,30 +72,30 @@ def writhe(d: LinkDiagram) -> int:
     return sum(c.sign for c in d.crossings)
 
 
-def crossing_component_map(d: LinkDiagram) -> dict[int, list[str]]:
-    """Labels of the components passing through each crossing (two per crossing)."""
-    out: dict[int, list[str]] = {i: [] for i in range(d.crossing_count)}
+def linking_sign_sums(d: LinkDiagram) -> dict[frozenset[str], int]:
+    """Signed crossing sum of every unordered pair of distinct components.
+
+    Half the sum is the pair's signed linking number.
+    """
+    sums: dict[frozenset[str], int] = {
+        frozenset(pair): 0
+        for pair in itertools.combinations(d.component_labels(), 2)
+    }
+    first_label: dict[int, str] = {}
     for comp in d.components:
         for visit in comp.visits:
-            out[visit.crossing].append(comp.label)
-    return out
+            other = first_label.setdefault(visit.crossing, comp.label)
+            if other != comp.label:
+                sums[frozenset((other, comp.label))] += d.crossings[visit.crossing].sign
+    return sums
 
 
 def linking_numbers(d: LinkDiagram) -> dict[frozenset[str], int]:
     """Absolute linking number of every unordered component pair."""
     if d.component_count < 2:
         raise InputError("linking numbers need at least two components")
-    sums: dict[frozenset[str], int] = {
-        frozenset(pair): 0
-        for pair in itertools.combinations(d.component_labels(), 2)
-    }
-    through = crossing_component_map(d)
-    for idx, crossing in enumerate(d.crossings):
-        labels = through[idx]
-        if len(labels) == 2 and labels[0] != labels[1]:
-            sums[frozenset(labels)] += crossing.sign
     out = {}
-    for pair, total in sums.items():
+    for pair, total in linking_sign_sums(d).items():
         if total % 2 != 0:
             raise AssertionError("inter-component sign sum must be even")
         out[pair] = abs(total) // 2

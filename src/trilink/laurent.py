@@ -85,18 +85,9 @@ class LaurentPoly:
     def items(self) -> Iterator[tuple[int, int]]:
         return iter(sorted(self._terms.items()))
 
-    def coefficient(self, exp: int) -> int:
-        return self._terms.get(exp, 0)
-
     @property
     def is_zero(self) -> bool:
         return not self._terms
-
-    def min_exponent(self) -> int | None:
-        return min(self._terms) if self._terms else None
-
-    def max_exponent(self) -> int | None:
-        return max(self._terms) if self._terms else None
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, LaurentPoly):

@@ -52,6 +52,12 @@ def _crossing_angles_oracle(proj, circle, other):
     return roots
 
 
+def _visit_order(proj, circle):
+    """Crossing (= site) ids in the order the census diagram traverses ``circle``."""
+    d = to_diagram(proj, assignment_from_index(0))
+    return tuple(v.crossing for v in d.component(circle).visits)
+
+
 class TestCanonicalProjection:
     def test_site_and_circle_counts(self, projection):
         assert len(projection.sites) == 6
@@ -77,7 +83,7 @@ class TestCanonicalProjection:
     def test_visit_orders_alternate_partners(self, projection):
         for c in CircleId:
             partners = []
-            for idx in projection.visit_order[c]:
+            for idx in _visit_order(projection, c):
                 site = projection.sites[idx]
                 partners.append(site.pair[0] if site.pair[1] is c else site.pair[1])
             assert partners[0] is partners[2]
@@ -99,7 +105,7 @@ class TestCanonicalProjection:
         )
         # The implementation's visit order agrees with the scan.
         expected = []
-        for idx in projection.visit_order[CircleId.A]:
+        for idx in _visit_order(projection, CircleId.A):
             site = projection.sites[idx]
             expected.append(site.pair[0] if site.pair[1] is CircleId.A else site.pair[1])
         assert sequence == expected
@@ -308,3 +314,29 @@ class TestExportFormat:
     def test_rejects_unversioned_text(self):
         with pytest.raises(InputError, match="header"):
             diagram_from_text("components 1\n")
+
+
+_HOPF_TEXT = diagram_to_text(builtin_diagram("hopf"))
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        pytest.param("component A : 1.0 0.3", "component A : x.1 0.3", id="non-numeric-crossing"),
+        pytest.param("component A : 1.0 0.3", "component A : 1 0.3", id="visit-without-slot"),
+        pytest.param("crossing 0 : over-entry 3 pos", "crossing 0 : site 2 pos", id="no-over-entry"),
+        pytest.param(
+            "crossing 1 : over-entry 3 pos 0 -0.62449979984", "crossing 1 : over-entry",
+            id="over-entry-at-line-end",
+        ),
+        pytest.param("crossing 0 : over-entry 3", "crossing 0 : over-entry 2", id="over-entry-slot-2"),
+        pytest.param("pos 0 -0.62449979984", "pos 0", id="one-coordinate"),
+        pytest.param("components 2", "components two", id="non-numeric-count"),
+        pytest.param("components 2", "components 3", id="component-count-disagrees"),
+        pytest.param("crossings 2", "crossings 1", id="crossing-count-disagrees"),
+    ],
+)
+def test_malformed_text_raises_input_error(old, new):
+    assert old in _HOPF_TEXT
+    with pytest.raises(InputError):
+        diagram_from_text(_HOPF_TEXT.replace(old, new))

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from trilink import diagram as D
 from trilink import geometry as G
 from trilink.errors import DegeneracyError, InputError
 from trilink.invariants import EmbeddingType, classify, is_brunnian, linking_numbers
@@ -251,3 +252,49 @@ class TestPolyCurveValidation:
         pts[3] = pts[2]
         with pytest.raises(InputError, match="zero-length"):
             G.PolyCurve3("X", pts)
+
+
+class TestOddCrossingGuard:
+    """Two distinct closed strands must cross an even number of times."""
+
+    DIRECTION = np.array([0.3, 0.2, 0.93])
+
+    @pytest.fixture
+    def drop_one_meeting(self, monkeypatch):
+        """Make every strand-pair meeting search lose one meeting between distinct strands."""
+        original = D._segment_meetings
+
+        def dropping(pa, da, pb, db, same, tol):
+            meetings = original(pa, da, pb, db, same, tol)
+            return meetings if same else meetings[1:]
+
+        monkeypatch.setattr(D, "_segment_meetings", dropping)
+
+    @pytest.fixture
+    def torus(self):
+        r = G.realize("torus-villarceau", segments=64)
+        assert classify(G.diagram_from_curves(r, direction=self.DIRECTION)) is EmbeddingType.TorusLink33
+        return r
+
+    def test_diagram_from_strands_rejects(self, torus, drop_one_meeting):
+        strands = G._project_curves(torus.curves, self.DIRECTION)
+        with pytest.raises(DegeneracyError, match="odd"):
+            D.diagram_from_strands(strands, tol=G.GENERIC_TOL)
+
+    def test_diagram_from_curves_rejects(self, torus, drop_one_meeting):
+        with pytest.raises(DegeneracyError, match="odd"):
+            G.diagram_from_curves(torus, direction=self.DIRECTION)
+
+    def test_linking_number_retries_then_raises(self, monkeypatch, drop_one_meeting):
+        h = G.hopf_circles(64)
+        attempts = []
+        original = D.diagram_from_strands
+
+        def counting(*args, **kwargs):
+            attempts.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(G, "diagram_from_strands", counting)
+        with pytest.raises(DegeneracyError, match="no generic projection direction found"):
+            G.linking_number_3d(h.curves[0], h.curves[1])
+        assert len(attempts) == G.MAX_DIRECTION_RETRIES
