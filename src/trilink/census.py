@@ -332,6 +332,18 @@ def verify_claims(segments: int = 512) -> VerificationReport:
     def add(name: str, passed: bool, detail: str) -> None:
         checks.append(CheckResult(name, bool(passed), detail))
 
+    def add_exhaustive(
+        name: str, pass_detail: str, failures: list[str], observed: str
+    ) -> None:
+        """Pass with ``pass_detail``, or fail naming ``observed`` and the first failure."""
+        if failures:
+            add(name, False, f"{observed}; first failure: {failures[0]}")
+        else:
+            add(name, True, pass_detail)
+
+    def tally(failures: list[str], total: int, what: str) -> str:
+        return f"{total - len(failures)} of {total} {what} (expected {total})"
+
     records, summary = run_census()
     diagrams = _diagram_cache()
     orbits = orbit_partition()
@@ -369,7 +381,7 @@ def verify_claims(segments: int = 512) -> VerificationReport:
 
     # 4. Case mapping: linked-pairs count determines the type, with the
     # zero-linked case split by the bracket invariant.
-    case_ok = True
+    case_failures = []
     for r in records:
         lp = r.linking_profile.linked_pairs
         t = r.embedding_type
@@ -380,23 +392,26 @@ def verify_claims(segments: int = 512) -> VerificationReport:
             0: t in (EmbeddingType.Trivial3, EmbeddingType.Borromean),
         }[lp]
         if not expected_by_case:
-            case_ok = False
+            case_failures.append(f"{r.assignment.word} has {lp} linked pairs but type {t}")
     zero_linked = [r for r in records if r.linking_profile.linked_pairs == 0]
-    split_ok = all(
-        (
-            equal_up_to_inversion(
-                normalized_invariant(diagrams[r.assignment.index]),
-                THREE_UNLINK_BRACKET,
-            )
+    split_failures = []
+    for r in zero_linked:
+        trivial_bracket = equal_up_to_inversion(
+            normalized_invariant(diagrams[r.assignment.index]), THREE_UNLINK_BRACKET
         )
-        == (r.embedding_type is EmbeddingType.Trivial3)
-        for r in zero_linked
-    )
-    add(
+        if trivial_bracket != (r.embedding_type is EmbeddingType.Trivial3):
+            split_failures.append(
+                f"{r.assignment.word} is zero-linked with type {r.embedding_type}, "
+                f"but its bracket is {'' if trivial_bracket else 'not '}the 3-unlink's"
+            )
+    add_exhaustive(
         "case-mapping",
-        case_ok and split_ok,
         f"all 64 depictions follow the four linked-pair cases; "
         f"{len(zero_linked)} zero-linked depictions split by bracket",
+        case_failures + split_failures,
+        tally(case_failures, len(records), "depictions follow the four linked-pair cases")
+        + "; "
+        + tally(split_failures, len(zero_linked), "zero-linked depictions split by bracket"),
     )
 
     # 5. Hopf and trivial 2-link linking numbers.
@@ -468,15 +483,19 @@ def verify_claims(segments: int = 512) -> VerificationReport:
     )
 
     # 7. Brunnian detection matches the classification exactly.
-    brunnian_exact = all(
-        is_brunnian(diagrams[r.assignment.index])
-        == (r.embedding_type is EmbeddingType.Borromean)
-        for r in records
-    )
-    add(
+    brunnian_failures = []
+    for r in records:
+        brunnian = is_brunnian(diagrams[r.assignment.index])
+        if brunnian != (r.embedding_type is EmbeddingType.Borromean):
+            brunnian_failures.append(
+                f"{r.assignment.word} of type {r.embedding_type} is "
+                f"{'' if brunnian else 'not '}Brunnian"
+            )
+    add_exhaustive(
         "brunnian-exactness",
-        brunnian_exact,
         "the Brunnian test accepts exactly the woven depictions (64 checked)",
+        brunnian_failures,
+        tally(brunnian_failures, len(records), "depictions are Brunnian exactly when woven"),
     )
 
     # 8. Twist invariance.
@@ -490,32 +509,42 @@ def verify_claims(segments: int = 512) -> VerificationReport:
     )
 
     # 9. Mirror relation, exhaustively.
-    mirror_ok = all(
-        kauffman_bracket(flip_all_crossings(diagrams[i]))
-        == kauffman_bracket(diagrams[i]).substitute_inverse()
-        for i in range(64)
-    )
-    add(
+    mirror_failures = [
+        f"{asg.word}: bracket of its all-flips depiction is not the inverted bracket"
+        for asg in all_assignments()
+        if kauffman_bracket(flip_all_crossings(diagrams[asg.index]))
+        != kauffman_bracket(diagrams[asg.index]).substitute_inverse()
+    ]
+    add_exhaustive(
         "mirror-relation",
-        mirror_ok,
         "bracket of the all-flips depiction inverts the variable (64 checked)",
+        mirror_failures,
+        tally(mirror_failures, 64, "all-flips depictions invert the bracket's variable"),
     )
 
     # 10. Classification equivariance over all 64 x 12 pairs.
     type_of: dict[int, EmbeddingType] = {
         r.assignment.index: r.embedding_type for r in records
     }
-    equivariant = True
+    equivariance_failures = []
     for g in group_elements():
         action = site_action(g)
         for asg in all_assignments():
             image = apply_action(action, asg)
             if type_of[asg.index] is not type_of[image.index]:
-                equivariant = False
-    add(
+                equivariance_failures.append(
+                    f"{g} maps {asg.word} ({type_of[asg.index]}) "
+                    f"to {image.word} ({type_of[image.index]})"
+                )
+    add_exhaustive(
         "classification-equivariance",
-        equivariant,
         "embedding type is constant along every symmetry action (768 checks)",
+        equivariance_failures,
+        tally(
+            equivariance_failures,
+            len(group_elements()) * 64,
+            "symmetry actions keep the embedding type",
+        ),
     )
 
     # 11. Geometry round trips.
@@ -574,11 +603,19 @@ def verify_claims(segments: int = 512) -> VerificationReport:
 
     # 13. Census determinism.
     records2, summary2 = run_census()
-    add(
+    determinism_failures = [
+        f"the {name} exports of the two runs differ"
+        for name, first, second in (
+            ("JSON", census_to_json(records, summary), census_to_json(records2, summary2)),
+            ("CSV", census_to_csv(records), census_to_csv(records2)),
+        )
+        if first != second
+    ]
+    add_exhaustive(
         "census-determinism",
-        census_to_json(records, summary) == census_to_json(records2, summary2)
-        and census_to_csv(records) == census_to_csv(records2),
         "two consecutive census runs serialize byte-identically",
+        determinism_failures,
+        tally(determinism_failures, 2, "export formats serialize byte-identically"),
     )
 
     return VerificationReport(tuple(checks))

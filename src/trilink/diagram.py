@@ -272,8 +272,12 @@ class LinkDiagram:
 
 
 def validate_diagram(d: LinkDiagram) -> None:
-    """Raise if the structural invariants of the diagram model are violated."""
-    seen: dict[int, list[int]] = {i: [] for i in range(len(d.crossings))}
+    """Raise if the structural invariants of the diagram model are violated.
+
+    Besides the dart structure, two distinct components must share an even
+    number of crossings, as two closed curves in the plane do.
+    """
+    seen: dict[int, list[tuple[int, str]]] = {i: [] for i in range(len(d.crossings))}
     for comp in d.components:
         if len(comp.visits) % 2 != 0:
             raise InputError(
@@ -282,17 +286,28 @@ def validate_diagram(d: LinkDiagram) -> None:
         for visit in comp.visits:
             if visit.crossing not in seen:
                 raise InputError(f"visit references unknown crossing {visit.crossing}")
-            seen[visit.crossing].append(visit.entry_slot)
-    for idx, slots in seen.items():
+            seen[visit.crossing].append((visit.entry_slot, comp.label))
+    for idx, passes in seen.items():
+        slots = sorted(slot for slot, _ in passes)
         expected = sorted((0, d.crossings[idx].over_entry_slot))
-        if sorted(slots) != expected:
+        if slots != expected:
             raise InputError(
-                f"crossing {idx} has entry slots {sorted(slots)}, expected {expected}"
+                f"crossing {idx} has entry slots {slots}, expected {expected}"
             )
     mates = d.arc_mates()
     darts = {(i, s) for i in range(len(d.crossings)) for s in range(4)}
     if set(mates) != darts:
         raise InputError("arc structure does not cover every dart exactly once")
+    shared: dict[tuple[str, ...], int] = {}
+    for passes in seen.values():
+        pair = tuple(sorted(label for _, label in passes))
+        if pair[0] != pair[1]:
+            shared[pair] = shared.get(pair, 0) + 1
+    for (first, second), count in shared.items():
+        if count % 2:
+            raise InputError(
+                f"components {first} and {second} cross {count} times, an odd number"
+            )
 
 
 def _over_entry_slot(t_under: tuple[float, float], t_over: tuple[float, float]) -> int:
@@ -409,6 +424,58 @@ def _cumulative_lengths(points: np.ndarray) -> np.ndarray:
     return np.concatenate(([0.0], np.cumsum(lengths)))
 
 
+_BLOCK_SEGMENTS = 16
+
+
+def _box_gaps_squared(lo_a, hi_a, lo_b, hi_b) -> np.ndarray:
+    """Squared distances between every box of one list and every box of another."""
+    total = np.zeros((len(lo_a), len(lo_b)))
+    for k in range(lo_a.shape[1]):
+        gap = np.maximum(lo_a[:, None, k] - hi_b[None, :, k], lo_b[None, :, k] - hi_a[:, None, k])
+        np.maximum(gap, 0.0, out=gap)
+        total += gap * gap
+    return total
+
+
+def _near_segment_pairs(
+    pa: np.ndarray, pb: np.ndarray, reach: float | None, widen: float = 0.0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Segment index pairs (I, J) of two closed polylines that may lie within ``reach``.
+
+    Each polyline is cut into blocks of 16 consecutive segments (the last
+    block may be shorter).  A block's axis-aligned box holds its segments,
+    widened on every side by ``widen`` times its longest segment.  The
+    pairs of every block pair whose boxes are at most ``reach`` apart are
+    returned, grouped by block pair; every other segment pair is farther
+    apart than ``reach``.  ``reach=None`` stands for the smallest distance
+    between the blocks' first vertices, an upper bound on the polylines'
+    distance.  Memory is O(blocks² + returned pairs).
+    """
+    boxes = []
+    for p in (pa, pb):
+        q = np.roll(p, -1, axis=0)
+        starts = np.arange(0, len(p), _BLOCK_SEGMENTS)
+        lo = np.minimum.reduceat(np.minimum(p, q), starts)
+        hi = np.maximum.reduceat(np.maximum(p, q), starts)
+        if widen:
+            longest = np.maximum.reduceat(np.linalg.norm(q - p, axis=1), starts)
+            lo = lo - widen * longest[:, None]
+            hi = hi + widen * longest[:, None]
+        boxes.append((lo, hi))
+    (lo_a, hi_a), (lo_b, hi_b) = boxes
+    if reach is None:
+        firsts_a, firsts_b = pa[::_BLOCK_SEGMENTS], pb[::_BLOCK_SEGMENTS]
+        reach_squared = _box_gaps_squared(firsts_a, firsts_a, firsts_b, firsts_b).min()
+    else:
+        reach_squared = reach * reach
+    block_a, block_b = np.nonzero(_box_gaps_squared(lo_a, hi_a, lo_b, hi_b) <= reach_squared)
+    offsets = np.arange(_BLOCK_SEGMENTS)
+    I = block_a[:, None, None] * _BLOCK_SEGMENTS + offsets[:, None]
+    J = block_b[:, None, None] * _BLOCK_SEGMENTS + offsets
+    inside = (I < len(pa)) & (J < len(pb))
+    return np.broadcast_to(I, inside.shape)[inside], np.broadcast_to(J, inside.shape)[inside]
+
+
 def _segment_meetings(
     pa: np.ndarray,
     da: np.ndarray | None,
@@ -422,7 +489,11 @@ def _segment_meetings(
     Returns (seg_a, t_a, seg_b, t_b, point, depth_a, depth_b) records.
     Rejects (raises DegeneracyError) near-parallel meetings and meetings
     too close to a segment endpoint, so callers can retry another
-    projection direction.
+    projection direction.  Records come in (seg_a, seg_b) order.
+
+    Only segment pairs whose 16-segment blocks have overlapping boxes are
+    tested; each box is widened by ``tol`` times its longest segment, as
+    far as the ``t``/``u`` tolerance reaches past a segment's ends.
     """
     na, nb = len(pa), len(pb)
     a0 = pa
@@ -432,33 +503,29 @@ def _segment_meetings(
     r = a1 - a0
     s = b1 - b0
 
-    # Broadcast: rows index segments of a, cols segments of b.
-    denom = r[:, None, 0] * s[None, :, 1] - r[:, None, 1] * s[None, :, 0]
-    qp = b0[None, :, :] - a0[:, None, :]
-    t_num = qp[:, :, 0] * s[None, :, 1] - qp[:, :, 1] * s[None, :, 0]
-    u_num = qp[:, :, 0] * r[:, None, 1] - qp[:, :, 1] * r[:, None, 0]
+    I, J = _near_segment_pairs(pa, pb, 0.0, widen=tol)
+    if same:
+        # i < j, and a segment and its neighbors share endpoints.
+        keep = (I < J) & (J - I != 1) & (J - I != na - 1)
+        I, J = I[keep], J[keep]
+    rI, sJ = r[I], s[J]
+    denom = rI[:, 0] * sJ[:, 1] - rI[:, 1] * sJ[:, 0]
+    qp = b0[J] - a0[I]
+    t_num = qp[:, 0] * sJ[:, 1] - qp[:, 1] * sJ[:, 0]
+    u_num = qp[:, 0] * rI[:, 1] - qp[:, 1] * rI[:, 0]
 
     with np.errstate(divide="ignore", invalid="ignore"):
         t = np.where(denom != 0.0, t_num / denom, np.inf)
         u = np.where(denom != 0.0, u_num / denom, np.inf)
 
     hits = (t > -tol) & (t < 1.0 + tol) & (u > -tol) & (u < 1.0 + tol) & np.isfinite(t)
-    if same:
-        ii, jj = np.nonzero(hits)
-        keep = []
-        for i, j in zip(ii, jj):
-            if i == j or (j - i) % na == 1 or (i - j) % na == 1:
-                continue  # a segment and its neighbors share endpoints
-            if i < j:
-                keep.append((i, j))
-        pairs = keep
-    else:
-        ii, jj = np.nonzero(hits)
-        pairs = list(zip(ii.tolist(), jj.tolist()))
+    I, J, t, u = I[hits], J[hits], t[hits], u[hits]
+    order = np.lexsort((J, I))
 
     out = []
-    for i, j in pairs:
-        ti, uj = float(t[i, j]), float(u[i, j])
+    for i, j, ti, uj in zip(
+        I[order].tolist(), J[order].tolist(), t[order].tolist(), u[order].tolist()
+    ):
         if min(ti, uj) < tol or max(ti, uj) > 1.0 - tol:
             raise DegeneracyError("crossing too close to a polyline vertex")
         rn = r[i] / np.linalg.norm(r[i])
@@ -468,7 +535,7 @@ def _segment_meetings(
         point = a0[i] + ti * r[i]
         depth_a = 0.0 if da is None else float(da[i] + ti * (da[(i + 1) % na] - da[i]))
         depth_b = 0.0 if db is None else float(db[j] + uj * (db[(j + 1) % nb] - db[j]))
-        out.append((int(i), ti, int(j), uj, (float(point[0]), float(point[1])), depth_a, depth_b))
+        out.append((i, ti, j, uj, (float(point[0]), float(point[1])), depth_a, depth_b))
     return out
 
 

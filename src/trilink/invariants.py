@@ -26,8 +26,10 @@ from .laurent import LOOP_FACTOR, LaurentPoly, equal_up_to_inversion
 
 BRACKET_CROSSING_LIMIT = 16
 
-_A_SMOOTH_PAIRS = ((1, 2), (3, 0))
-_B_SMOOTH_PAIRS = ((0, 1), (2, 3))
+#: Slot joined to each slot by the A-smoothing (pairs (1,2), (3,0)) and
+#: by the B-smoothing (pairs (0,1), (2,3)).
+_A_SMOOTH_SLOT = (3, 2, 1, 0)
+_B_SMOOTH_SLOT = (1, 0, 3, 2)
 
 #: Bracket of the 2-component unlink.
 TWO_UNLINK_BRACKET = LOOP_FACTOR
@@ -117,47 +119,52 @@ def pairwise_linking(d: LinkDiagram) -> LinkingProfile:
 
 
 def kauffman_bracket(d: LinkDiagram) -> LaurentPoly:
-    """Bracket state sum of the diagram (exact integer arithmetic)."""
+    """Bracket state sum of the diagram (exact integer arithmetic).
+
+    Dart ``4k + slot`` is slot ``slot`` of crossing ``k``.  States are
+    tallied by (A-smoothing count, loop count), and each tally is
+    multiplied by its power of the loop factor once.
+    """
     c = d.crossing_count
     if c > BRACKET_CROSSING_LIMIT:
         raise CapacityError(
             f"bracket state sum limited to {BRACKET_CROSSING_LIMIT} crossings, got {c}"
         )
-    arc_mates = d.arc_mates()
+    if not d.components:
+        raise InputError("the bracket needs at least one component")
+    darts = 4 * c
+    arc_mate = [0] * darts
+    for (k, slot), (k2, slot2) in d.arc_mates().items():
+        arc_mate[4 * k + slot] = 4 * k2 + slot2
+    # A loop step crosses the smoothing, then follows the arc; per crossing,
+    # the next darts of its four slots under each smoothing.
+    steps_a = [[arc_mate[4 * k + m] for m in _A_SMOOTH_SLOT] for k in range(c)]
+    steps_b = [[arc_mate[4 * k + m] for m in _B_SMOOTH_SLOT] for k in range(c)]
     free_loops = d.free_component_count()
 
-    max_loops = c + d.component_count + 1
-    delta_powers = [LaurentPoly.one()]
-    for _ in range(max_loops):
-        delta_powers.append(delta_powers[-1] * LOOP_FACTOR)
+    tally: dict[tuple[int, int], int] = {}
+    for state in range(1 << c):
+        step: list[int] = []
+        for k in range(c):
+            step += steps_a[k] if (state >> k) & 1 else steps_b[k]
+        # A loop's darts split into two step cycles, one per direction of travel.
+        cycles = 0
+        visited = bytearray(darts)
+        for dart in range(darts):
+            if visited[dart]:
+                continue
+            cycles += 1
+            while not visited[dart]:
+                visited[dart] = 1
+                dart = step[dart]
+        key = (state.bit_count(), free_loops + cycles // 2)
+        tally[key] = tally.get(key, 0) + 1
 
     terms: dict[int, int] = {}
-    for state in range(1 << c):
-        smooth_mate: dict[tuple[int, int], tuple[int, int]] = {}
-        a_count = 0
-        for k in range(c):
-            pairs = _A_SMOOTH_PAIRS if (state >> k) & 1 else _B_SMOOTH_PAIRS
-            if (state >> k) & 1:
-                a_count += 1
-            for s1, s2 in pairs:
-                smooth_mate[(k, s1)] = (k, s2)
-                smooth_mate[(k, s2)] = (k, s1)
-        loops = free_loops
-        visited: set[tuple[int, int]] = set()
-        for dart in smooth_mate:
-            if dart in visited:
-                continue
-            loops += 1
-            current = dart
-            while current not in visited:
-                visited.add(current)
-                partner = smooth_mate[current]
-                visited.add(partner)
-                current = arc_mates[partner]
-        exponent_shift = a_count - (c - a_count)
-        for exp, coeff in delta_powers[loops - 1].items():
-            key = exp + exponent_shift
-            terms[key] = terms.get(key, 0) + coeff
+    for (a_count, loops), count in tally.items():
+        shift = a_count - (c - a_count)
+        for exp, coeff in (LOOP_FACTOR ** (loops - 1)).items():
+            terms[exp + shift] = terms.get(exp + shift, 0) + coeff * count
     return LaurentPoly(terms)
 
 

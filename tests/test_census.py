@@ -1,3 +1,6 @@
+import dataclasses
+
+from trilink import census
 from trilink.census import (
     EXPECTED_ORBITS_PER_TYPE,
     census_table,
@@ -7,6 +10,7 @@ from trilink.census import (
     parse_census_json,
     run_census,
 )
+from trilink.diagram import diagram_to_text
 from trilink.invariants import EmbeddingType
 
 
@@ -104,3 +108,109 @@ class TestCutChecks:
             assert check.passed, check.detail
             assert check.detail.startswith(f"{cuts} of {cuts} expected cuts ")
             assert f"({cuts} cuts made)" in check.detail
+
+
+class TestCheckDetails:
+    """Exhaustive checks keep their text on a pass and name the first failure."""
+
+    PASS_DETAILS = {
+        "case-mapping": "all 64 depictions follow the four linked-pair cases; "
+        "8 zero-linked depictions split by bracket",
+        "brunnian-exactness": "the Brunnian test accepts exactly the woven depictions (64 checked)",
+        "mirror-relation": "bracket of the all-flips depiction inverts the variable (64 checked)",
+        "classification-equivariance": "embedding type is constant along every symmetry "
+        "action (768 checks)",
+        "census-determinism": "two consecutive census runs serialize byte-identically",
+    }
+
+    @staticmethod
+    def details(report):
+        return {c.name: (c.passed, c.detail) for c in report.checks}
+
+    def test_pass_details_unchanged(self, verification_report):
+        found = self.details(verification_report)
+        for name, detail in self.PASS_DETAILS.items():
+            assert found[name] == (True, detail)
+
+    def test_brunnian_failure_names_the_word(self, monkeypatch, all_diagrams):
+        # Report the Trivial3 depiction 111100 as Brunnian.
+        stack = diagram_to_text(all_diagrams[0b111100])
+        real = census.is_brunnian
+        monkeypatch.setattr(
+            census, "is_brunnian", lambda d: real(d) or diagram_to_text(d) == stack
+        )
+        found = self.details(census.verify_claims(segments=64))
+        assert found["brunnian-exactness"] == (
+            False,
+            "63 of 64 depictions are Brunnian exactly when woven (expected 64); "
+            "first failure: 111100 of type Trivial3 is Brunnian",
+        )
+        for name in (
+            "case-mapping",
+            "mirror-relation",
+            "classification-equivariance",
+            "census-determinism",
+        ):
+            assert found[name] == (True, self.PASS_DETAILS[name])
+
+    def test_mirror_failure_names_the_word(self, monkeypatch, all_diagrams):
+        # Leave the crossings of 010101 unflipped; its bracket is not palindromic.
+        word = diagram_to_text(all_diagrams[0b010101])
+        real = census.flip_all_crossings
+        monkeypatch.setattr(
+            census,
+            "flip_all_crossings",
+            lambda d: d if diagram_to_text(d) == word else real(d),
+        )
+        passed, detail = self.details(census.verify_claims(segments=64))["mirror-relation"]
+        assert not passed
+        assert detail == (
+            "63 of 64 all-flips depictions invert the bracket's variable (expected 64); "
+            "first failure: 010101: bracket of its all-flips depiction is not the "
+            "inverted bracket"
+        )
+
+    def test_type_failure_names_word_and_action(self, monkeypatch):
+        # Retype the Trivial3 depiction 111100 as Borromean in the census.
+        real = census.run_census
+
+        def retyped():
+            records, summary = real()
+            records = [
+                dataclasses.replace(r, embedding_type=EmbeddingType.Borromean)
+                if r.assignment.word == "111100"
+                else r
+                for r in records
+            ]
+            return records, summary
+
+        monkeypatch.setattr(census, "run_census", retyped)
+        found = self.details(census.verify_claims(segments=64))
+        assert found["case-mapping"] == (
+            False,
+            "64 of 64 depictions follow the four linked-pair cases (expected 64); "
+            "7 of 8 zero-linked depictions split by bracket (expected 8); "
+            "first failure: 111100 is zero-linked with type Borromean, "
+            "but its bracket is the 3-unlink's",
+        )
+        # Ten of the twelve symmetries move 111100 within its orbit of six,
+        # each in both directions.
+        assert found["classification-equivariance"] == (
+            False,
+            "748 of 768 symmetry actions keep the embedding type (expected 768); "
+            "first failure: rot120 maps 110011 (Trivial3) to 111100 (Borromean)",
+        )
+
+    def test_determinism_failure_names_the_format(self, monkeypatch):
+        # Every CSV export comes out different from the one before.
+        real = census.census_to_csv
+        exports = iter(range(1000))
+        monkeypatch.setattr(
+            census, "census_to_csv", lambda records: real(records) + f"#{next(exports)}\n"
+        )
+        found = self.details(census.verify_claims(segments=64))
+        assert found["census-determinism"] == (
+            False,
+            "1 of 2 export formats serialize byte-identically (expected 2); "
+            "first failure: the CSV exports of the two runs differ",
+        )

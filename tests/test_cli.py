@@ -150,6 +150,14 @@ class TestRealizeCommand:
         assert code == 2
         assert "R > r > 0" in err
 
+    def test_segment_cap_exit_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, "realize", "torus-villarceau", "--segments", "1000000000"
+        )
+        assert code == 2
+        assert out == ""
+        assert "segments must be in 64..16384" in err
+
     def test_mixed_parameters_rejected(self, capsys):
         code, _, err = run_cli(
             capsys, "realize", "torus-villarceau", "--a", "1.0"

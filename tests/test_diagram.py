@@ -318,6 +318,18 @@ class TestExportFormat:
 
 _HOPF_TEXT = diagram_to_text(builtin_diagram("hopf"))
 
+# Three components that share one crossing per pair: every other rule holds.
+_ODD_SHARED_TEXT = """trilink-diagram v1
+components 3
+component A : 0.0 2.1
+component B : 0.1 1.0
+component C : 1.1 2.0
+crossings 3
+crossing 0 : over-entry 1
+crossing 1 : over-entry 1
+crossing 2 : over-entry 1
+"""
+
 
 @pytest.mark.parametrize(
     "old, new",
@@ -334,6 +346,7 @@ _HOPF_TEXT = diagram_to_text(builtin_diagram("hopf"))
         pytest.param("components 2", "components two", id="non-numeric-count"),
         pytest.param("components 2", "components 3", id="component-count-disagrees"),
         pytest.param("crossings 2", "crossings 1", id="crossing-count-disagrees"),
+        pytest.param(_HOPF_TEXT, _ODD_SHARED_TEXT, id="odd-crossings-between-components"),
     ],
 )
 def test_malformed_text_raises_input_error(old, new):

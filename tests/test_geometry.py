@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -68,6 +69,18 @@ class TestRealize:
             G.realize("granny-knot")
         with pytest.raises(InputError, match="unknown parameters"):
             G.realize("torus-villarceau", q=3.0)
+
+    def test_segment_cap_fails_before_allocating(self):
+        tracemalloc.start()
+        try:
+            for kind in G.REALIZE_KINDS:
+                with pytest.raises(InputError, match="64..16384"):
+                    G.realize(kind, segments=10**9)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert G.MAX_SEGMENTS == 16384
+        assert peak < 100_000
 
 
 class TestLinkingNumbers3D:

@@ -135,6 +135,11 @@ class TestBracketOracles:
         with pytest.raises(CapacityError):
             kauffman_bracket(big)
 
+    def test_empty_diagram_rejected(self):
+        # No loop at all: the state sum has no term to normalize by.
+        with pytest.raises(InputError, match="at least one component"):
+            kauffman_bracket(LinkDiagram(components=(), crossings=()))
+
 
 class TestWrithe:
     def test_unknot_writhe_zero(self):

@@ -1,0 +1,211 @@
+"""The block-pruned geometry kernels and the dart-array bracket against references.
+
+The references are the straightforward versions: every segment pair of
+the two polylines, and a state sum that rebuilds a dict of dart tuples
+per state.  The pruned kernels must give the same answers bit for bit.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from trilink import diagram as D
+from trilink import geometry as G
+from trilink.diagram import (
+    BUILTIN_NAMES,
+    all_assignments,
+    assignment_from_text,
+    build_canonical_projection,
+    builtin_diagram,
+    to_diagram,
+)
+from trilink.errors import DegeneracyError
+from trilink.invariants import kauffman_bracket
+from trilink.laurent import LOOP_FACTOR, LaurentPoly
+
+
+def dense_segment_meetings(pa, da, pb, db, same, tol):
+    """Every segment pair tested at once, on full (n, m) tables."""
+    na, nb = len(pa), len(pb)
+    a0, a1 = pa, np.roll(pa, -1, axis=0)
+    b0, b1 = pb, np.roll(pb, -1, axis=0)
+    r = a1 - a0
+    s = b1 - b0
+    denom = r[:, None, 0] * s[None, :, 1] - r[:, None, 1] * s[None, :, 0]
+    qp = b0[None, :, :] - a0[:, None, :]
+    t_num = qp[:, :, 0] * s[None, :, 1] - qp[:, :, 1] * s[None, :, 0]
+    u_num = qp[:, :, 0] * r[:, None, 1] - qp[:, :, 1] * r[:, None, 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.where(denom != 0.0, t_num / denom, np.inf)
+        u = np.where(denom != 0.0, u_num / denom, np.inf)
+    hits = (t > -tol) & (t < 1.0 + tol) & (u > -tol) & (u < 1.0 + tol) & np.isfinite(t)
+    pairs = []
+    for i, j in zip(*np.nonzero(hits)):
+        if same and (j <= i or (j - i) % na == 1 or (i - j) % na == 1):
+            continue
+        pairs.append((int(i), int(j)))
+    out = []
+    for i, j in pairs:
+        ti, uj = float(t[i, j]), float(u[i, j])
+        if min(ti, uj) < tol or max(ti, uj) > 1.0 - tol:
+            raise DegeneracyError("crossing too close to a polyline vertex")
+        rn = r[i] / np.linalg.norm(r[i])
+        sn = s[j] / np.linalg.norm(s[j])
+        if abs(rn[0] * sn[1] - rn[1] * sn[0]) < tol:
+            raise DegeneracyError("near-tangent crossing")
+        point = a0[i] + ti * r[i]
+        depth_a = 0.0 if da is None else float(da[i] + ti * (da[(i + 1) % na] - da[i]))
+        depth_b = 0.0 if db is None else float(db[j] + uj * (db[(j + 1) % nb] - db[j]))
+        out.append((i, ti, j, uj, (float(point[0]), float(point[1])), depth_a, depth_b))
+    return out
+
+
+def reference_bracket(d):
+    """State sum with a dict of (crossing, slot) darts rebuilt for every state."""
+    c = d.crossing_count
+    arc_mates = d.arc_mates()
+    terms = {}
+    for state in range(1 << c):
+        smooth_mate = {}
+        a_count = 0
+        for k in range(c):
+            if (state >> k) & 1:
+                a_count += 1
+                pairs = ((1, 2), (3, 0))
+            else:
+                pairs = ((0, 1), (2, 3))
+            for s1, s2 in pairs:
+                smooth_mate[(k, s1)] = (k, s2)
+                smooth_mate[(k, s2)] = (k, s1)
+        loops = d.free_component_count()
+        visited = set()
+        for dart in smooth_mate:
+            if dart in visited:
+                continue
+            loops += 1
+            current = dart
+            while current not in visited:
+                visited.add(current)
+                partner = smooth_mate[current]
+                visited.add(partner)
+                current = arc_mates[partner]
+        for exp, coeff in (LOOP_FACTOR ** (loops - 1)).items():
+            key = exp + 2 * a_count - c
+            terms[key] = terms.get(key, 0) + coeff
+    return LaurentPoly(terms)
+
+
+def outcome(fn, *args):
+    try:
+        return ("records", fn(*args))
+    except DegeneracyError as exc:
+        return ("error", str(exc))
+
+
+def polygon(rng, n, dim):
+    """A random closed polygon: a random walk or a noisy circle."""
+    if rng.random() < 0.5:
+        return np.cumsum(rng.normal(size=(n, dim)), axis=0)
+    t = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False) + rng.uniform(0, 0.1, n)
+    radius = 1.0 + 0.3 * rng.random(n)
+    pts = np.zeros((n, dim))
+    pts[:, 0], pts[:, 1] = radius * np.cos(t), radius * np.sin(t)
+    if dim == 3:
+        pts[:, 2] = 0.2 * rng.normal(size=n)
+    return pts
+
+
+def paired_polygon(rng, a, m, placement):
+    """A second polygon offset from ``a``, or with one vertex near a point of ``a``."""
+    b = polygon(rng, m, a.shape[1])
+    if placement == "offset":
+        return b + rng.normal(size=a.shape[1]) * rng.uniform(0.0, 4.0)
+    if placement == "copy":
+        # ``a`` itself, shifted a hair: every segment has a near-parallel twin.
+        return a + rng.normal(size=a.shape[1]) * 10.0 ** rng.uniform(-9, -3)
+    i = int(rng.integers(len(a)))
+    target = a[i] + rng.random() * (a[(i + 1) % len(a)] - a[i])
+    k = int(rng.integers(m))
+    nudge = rng.normal(size=a.shape[1]) * 10.0 ** rng.uniform(-9, -2)
+    return b - b[k] + target + nudge
+
+
+# Segment counts straddle whole numbers of 16-segment blocks.
+sizes = st.integers(min_value=8, max_value=300)
+placements = st.sampled_from(["offset", "near-touching", "copy"])
+
+
+# The VM's CPU speed switches between two levels about 1.6x apart, so these
+# tests run without a per-example deadline.
+@settings(deadline=None)
+@given(st.integers(0, 2**32 - 1), sizes, sizes, placements)
+def test_pruned_curve_distance_equals_dense_minimum(seed, n, m, placement):
+    rng = np.random.default_rng(seed)
+    a = polygon(rng, n, 3)
+    b = paired_polygon(rng, a, m if placement != "copy" else n, placement)
+    curve_a, curve_b = G.PolyCurve3("A", a), G.PolyCurve3("B", b)
+    a0, a1 = G._segments_of(curve_a)
+    b0, b1 = G._segments_of(curve_b)
+    dense = G._segment_pair_distances(a0[:, None], a1[:, None], b0[None], b1[None])
+    assert G.curve_distance(curve_a, curve_b) == dense.min()
+
+
+# See above: no per-example deadline on a VM whose speed switches 1.6x.
+@settings(deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    sizes,
+    sizes,
+    placements,
+    st.sampled_from([1e-9, 1e-4, 0.05]),
+)
+def test_pruned_meetings_match_dense(seed, n, m, placement, tol):
+    rng = np.random.default_rng(seed)
+    a = polygon(rng, n, 2)
+    b = paired_polygon(rng, a, m if placement != "copy" else n, placement)
+    da, db = rng.normal(size=len(a)), rng.normal(size=len(b))
+    for args in ((a, da, b, db, False, tol), (a, da, a, da, True, tol), (b, None, b, None, True, tol)):
+        assert outcome(D._segment_meetings, *args) == outcome(dense_segment_meetings, *args)
+
+
+def test_meeting_just_past_a_segment_end_is_seen():
+    # B's first segment stops 0.5 * tol short of A's top edge, so only the
+    # tolerance reaches the edge; the boxes overlap only once widened.
+    tol = 1e-3
+    a = np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, -1.0]])
+    b = np.array([[0.0, 1.0], [0.0, 0.5 * tol], [1.0, 1.0]])
+    args = (a, None, b, None, False, tol)
+    expected = ("error", "crossing too close to a polyline vertex")
+    assert outcome(dense_segment_meetings, *args) == expected
+    assert outcome(D._segment_meetings, *args) == expected
+
+
+def test_pruned_meetings_match_dense_on_realizations():
+    for kind in G.REALIZE_KINDS:
+        for segments in (64, 97, 256):
+            r = G.realize(kind, segments=segments)
+            direction = next(G._direction_candidates())
+            strands = G._project_curves(r.curves, direction)
+            arrays = [(np.asarray(s.points), np.asarray(s.depths)) for s in strands]
+            for i, (pa, da) in enumerate(arrays):
+                for j, (pb, db) in enumerate(arrays[i:], start=i):
+                    args = (pa, da, pb, db, i == j, G.GENERIC_TOL)
+                    assert outcome(D._segment_meetings, *args) == outcome(
+                        dense_segment_meetings, *args
+                    )
+
+
+@pytest.mark.parametrize(
+    "name", [a.word for a in all_assignments()] + list(BUILTIN_NAMES) + list(G.REALIZE_KINDS)
+)
+def test_bracket_matches_reference(name):
+    if name in BUILTIN_NAMES:
+        diagram = builtin_diagram(name)
+    elif name in G.REALIZE_KINDS:
+        diagram = G.diagram_from_curves(G.realize(name))
+    else:
+        diagram = to_diagram(build_canonical_projection(), assignment_from_text(name))
+    assert kauffman_bracket(diagram) == reference_bracket(diagram)

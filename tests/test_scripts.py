@@ -1,0 +1,60 @@
+"""Smoke tests: each script under scripts/ runs to completion and writes its outputs."""
+
+import os
+import re
+import subprocess
+import sys
+import xml.etree.ElementTree as ET
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_script(name, *args):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *map(str, args)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+
+
+def test_linking_convergence():
+    done = run_script("linking_convergence.py", "--doublings", "2")
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert [ln for ln in lines if ln.startswith("==")] == [
+        "== torus-villarceau",
+        "== borromean-ellipses",
+    ]
+    rows = [re.fullmatch(r"  segments=\s*(\d+)  max residual = (\S+)", ln) for ln in lines]
+    rows = [(int(m[1]), float(m[2])) for m in rows if m]
+    assert [n for n, _ in rows] == [64, 128, 64, 128]
+    assert all(residual < 1e-2 for _, residual in rows)
+
+
+def test_run_census_with_verify(tmp_path):
+    done = run_script("run_census.py", "-o", tmp_path, "--verify")
+    assert done.returncode == 0, done.stderr
+    assert "10 patterns, 64 depictions" in done.stdout
+    assert "ALL CHECKS PASSED" in done.stdout
+    for name in ("census.csv", "census.json", "census.txt", "verification.txt"):
+        assert (tmp_path / name).stat().st_size > 0
+    assert (tmp_path / "verification.txt").read_text().endswith("ALL CHECKS PASSED\n")
+
+
+def test_render_gallery(tmp_path):
+    done = run_script("render_gallery.py", "-o", tmp_path)
+    assert done.returncode == 0, done.stderr
+    written = sorted(p.name for p in tmp_path.iterdir())
+    assert len([n for n in written if n.startswith("orbit-")]) == 10
+    assert len([n for n in written if n.startswith("scene-")]) == 4
+    assert [n for n in written if n.startswith("realization-")] == [
+        "realization-borromean-ellipses.svg",
+        "realization-torus-villarceau.svg",
+    ]
+    for name in written:
+        assert ET.parse(tmp_path / name).getroot().tag == "{http://www.w3.org/2000/svg}svg"
+    assert done.stdout.count("wrote ") == len(written) == 16
