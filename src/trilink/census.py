@@ -42,6 +42,7 @@ from .invariants import (
     linking_numbers,
     normalized_invariant,
     pairwise_linking,
+    signed_linking_numbers,
 )
 from .laurent import LaurentPoly, equal_up_to_inversion
 from .symmetry import (
@@ -547,17 +548,13 @@ def verify_claims(segments: int = 512) -> VerificationReport:
         ),
     )
 
-    # 11. Geometry round trips.
-    def curve_pair_linking(r: geometry.Realization3D) -> dict[tuple[int, int], int]:
-        return {
-            (i, j): geometry.linking_number_3d(r.curves[i], r.curves[j])
-            for i, j in itertools.combinations(range(len(r.curves)), 2)
-        }
-
+    # 11. Geometry round trips: one projection per realization gives every
+    # pair's signed linking number and the classification.
     villarceau = geometry.realize("torus-villarceau", segments=segments)
     roundness = max(geometry.roundness_deviation(c) for c in villarceau.curves)
-    v_lks = curve_pair_linking(villarceau)
-    v_class = classify(geometry.diagram_from_curves(villarceau))
+    v_diagram = geometry.diagram_from_curves(villarceau)
+    v_lks = signed_linking_numbers(v_diagram)
+    v_class = classify(v_diagram)
     add(
         "villarceau-roundtrip",
         v_class is EmbeddingType.TorusLink33
@@ -570,8 +567,8 @@ def verify_claims(segments: int = 512) -> VerificationReport:
     ellipses = geometry.realize("borromean-ellipses", segments=segments)
     a, b = ellipses.params["a"], ellipses.params["b"]
     ratio = min(geometry.noncircularity_ratio(c) for c in ellipses.curves)
-    e_lks = curve_pair_linking(ellipses)
     e_diagram = geometry.diagram_from_curves(ellipses)
+    e_lks = signed_linking_numbers(e_diagram)
     e_class = classify(e_diagram)
     add(
         "ellipse-roundtrip",
@@ -587,10 +584,9 @@ def verify_claims(segments: int = 512) -> VerificationReport:
     integral_ok = True
     worst = 0.0
     for realization, lks in ((villarceau, v_lks), (ellipses, e_lks)):
-        for (i, j), combinatorial in lks.items():
-            integral = geometry.gauss_linking_integral(
-                realization.curves[i], realization.curves[j]
-            )
+        for a, b in itertools.combinations(realization.curves, 2):
+            combinatorial = lks[frozenset((a.label, b.label))]
+            integral = geometry.gauss_linking_integral(a, b)
             worst = max(worst, abs(integral - combinatorial))
             if abs(integral - combinatorial) >= 1e-3:
                 integral_ok = False

@@ -8,6 +8,7 @@ fails, 2 for invalid input (including unknown flags).
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 from pathlib import Path
 
@@ -28,6 +29,7 @@ from .invariants import (
     linking_numbers,
     normalized_invariant,
     pairwise_linking,
+    signed_linking_numbers,
     writhe,
 )
 from .symmetry import orbit_of
@@ -152,8 +154,7 @@ def _cmd_census(args) -> int:
 
 def _cmd_classify(args) -> int:
     asg = assignment_from_text(args.bitword)
-    proj = build_canonical_projection()
-    d = to_diagram(proj, asg)
+    d = _diagram_from_args(args)
     orbit = orbit_of(asg)
     profile = pairwise_linking(d)
     lines = [
@@ -205,31 +206,20 @@ def _cmd_render(args) -> int:
 
 
 def _cmd_realize(args) -> int:
-    params = {}
-    if args.kind == "torus-villarceau":
-        if args.R is not None:
-            params["R"] = args.R
-        if args.r is not None:
-            params["r"] = args.r
-        if args.a is not None or args.b is not None:
-            raise InputError("torus-villarceau takes --R and --r, not --a/--b")
-    else:
-        if args.a is not None:
-            params["a"] = args.a
-        if args.b is not None:
-            params["b"] = args.b
-        if args.R is not None or args.r is not None:
-            raise InputError("borromean-ellipses takes --a and --b, not --R/--r")
+    own, other = ("R", "r"), ("a", "b")
+    if args.kind == "borromean-ellipses":
+        own, other = other, own
+    if any(getattr(args, name) is not None for name in other):
+        raise InputError(
+            f"{args.kind} takes --{own[0]} and --{own[1]}, not --{other[0]}/--{other[1]}"
+        )
+    params = {name: getattr(args, name) for name in own if getattr(args, name) is not None}
     realization = geometry.realize(args.kind, segments=args.segments, **params)
     text = _curves_obj(realization) if args.obj else _curves_table(realization)
     _write_output(text, args.output)
-    curves = realization.curves
-    for i in range(len(curves)):
-        for j in range(i + 1, len(curves)):
-            lk = geometry.linking_number_3d(curves[i], curves[j])
-            sys.stdout.write(
-                f"lk({curves[i].label},{curves[j].label}) = {lk}\n"
-            )
+    lks = signed_linking_numbers(geometry.diagram_from_curves(realization))
+    for a, b in itertools.combinations(realization.curves, 2):
+        sys.stdout.write(f"lk({a.label},{b.label}) = {lks[frozenset((a.label, b.label))]}\n")
     sys.stdout.write(
         f"min pairwise curve distance = {geometry.validate_disjoint(realization):.6f}\n"
     )

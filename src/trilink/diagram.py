@@ -35,7 +35,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -397,13 +397,18 @@ def to_diagram(proj: CanonicalProjection, asg: CrossingAssignment) -> LinkDiagra
 # ---------------------------------------------------------------------------
 
 
+#: Tolerance of the genericity tests of a projected picture (vertex hits,
+#: tangency, coincident crossings, equal depths).
+GENERIC_TOL = 1e-9
+
+
 @dataclass(frozen=True)
 class PlanarStrand:
-    """A closed planar polyline, optionally with a depth value per vertex."""
+    """A closed planar polyline with a depth value per vertex."""
 
     label: str
     points: tuple[tuple[float, float], ...]
-    depths: tuple[float, ...] | None = None
+    depths: tuple[float, ...]
 
 
 class Meeting(NamedTuple):
@@ -539,31 +544,24 @@ def _segment_meetings(
     return out
 
 
-def diagram_from_strands(
-    strands: Sequence[PlanarStrand],
-    over_rule: Callable[[Meeting], bool] | None = None,
-    tol: float = 1e-9,
-) -> LinkDiagram:
+def diagram_from_strands(strands: Sequence[PlanarStrand]) -> LinkDiagram:
     """Assemble a diagram from closed planar polylines.
 
-    Over/under at each meeting comes from the vertex depths (larger depth
-    is over) unless ``over_rule`` is given, in which case it returns True
-    when the first passage of the meeting is the over-strand.  Raises
-    :class:`DegeneracyError` for non-generic pictures (tangency, vertex
-    hits, near-coincident crossings, ambiguous depths, two distinct
-    strands crossing an odd number of times).
+    At each meeting the passage of larger depth, interpolated along its
+    segment, goes over.  Raises :class:`DegeneracyError` for non-generic
+    pictures (tangency, vertex hits, near-coincident crossings, depths
+    equal within ``GENERIC_TOL``, two distinct strands crossing an odd
+    number of times).
     """
     arrays = [np.asarray(s.points, dtype=float) for s in strands]
-    depth_arrays = [
-        None if s.depths is None else np.asarray(s.depths, dtype=float) for s in strands
-    ]
+    depth_arrays = [np.asarray(s.depths, dtype=float) for s in strands]
     lengths = [_cumulative_lengths(p) for p in arrays]
 
     meetings: list[Meeting] = []
     for i in range(len(strands)):
         for j in range(i, len(strands)):
             recs = _segment_meetings(
-                arrays[i], depth_arrays[i], arrays[j], depth_arrays[j], i == j, tol
+                arrays[i], depth_arrays[i], arrays[j], depth_arrays[j], i == j, GENERIC_TOL
             )
             if i != j and len(recs) % 2:
                 # Two closed curves in general position cross an even number of times.
@@ -595,7 +593,7 @@ def diagram_from_strands(
     for a in range(len(meetings)):
         for b in range(a + 1, len(meetings)):
             pa_, pb_ = meetings[a].point, meetings[b].point
-            if math.hypot(pa_[0] - pb_[0], pa_[1] - pb_[1]) < tol:
+            if math.hypot(pa_[0] - pb_[0], pa_[1] - pb_[1]) < GENERIC_TOL:
                 raise DegeneracyError("two crossings nearly coincide")
 
     meetings.sort(key=lambda m: (m.strand_i, m.param_i, m.strand_j, m.param_j))
@@ -603,12 +601,9 @@ def diagram_from_strands(
     crossings: list[Crossing] = []
     passages: list[list[tuple[float, int, int]]] = [[] for _ in strands]
     for idx, m in enumerate(meetings):
-        if over_rule is not None:
-            first_over = bool(over_rule(m))
-        else:
-            if abs(m.depth_i - m.depth_j) < tol:
-                raise DegeneracyError("ambiguous depth at a crossing")
-            first_over = m.depth_i > m.depth_j
+        if abs(m.depth_i - m.depth_j) < GENERIC_TOL:
+            raise DegeneracyError("ambiguous depth at a crossing")
+        first_over = m.depth_i > m.depth_j
         if first_over:
             t_over, t_under = m.tangent_i, m.tangent_j
         else:
@@ -672,19 +667,18 @@ def _hopf() -> LinkDiagram:
 def _twist_unknot() -> LinkDiagram:
     """Single-kink unknot drawn as an inner-loop limacon.
 
-    The earlier passage through the crossing (smaller arclength from the
-    path start) goes over; the resulting writhe is +1.
+    Depth ``sin(theta)`` puts the earlier passage through the crossing
+    (theta = 2pi/3, before 4pi/3) over; the resulting writhe is +1.
     """
     n = 256
     pts = []
+    depths = []
     for k in range(n):
         theta = 2.0 * math.pi * k / n
         r = 0.5 + math.cos(theta)
         pts.append((r * math.cos(theta), r * math.sin(theta)))
-    strand = PlanarStrand("K", tuple(pts))
-    return diagram_from_strands(
-        strands=[strand], over_rule=lambda m: m.param_i < m.param_j
-    )
+        depths.append(math.sin(theta))
+    return diagram_from_strands([PlanarStrand("K", tuple(pts), tuple(depths))])
 
 
 def _trefoil() -> LinkDiagram:
@@ -697,7 +691,7 @@ def _trefoil() -> LinkDiagram:
         pts.append((math.sin(t) + 2.0 * math.sin(2.0 * t), math.cos(t) - 2.0 * math.cos(2.0 * t)))
         depths.append(-math.sin(3.0 * t))
     strand = PlanarStrand("K", tuple(pts), tuple(depths))
-    return diagram_from_strands(strands=[strand])
+    return diagram_from_strands([strand])
 
 
 def builtin_diagram(name: str) -> LinkDiagram:

@@ -18,13 +18,13 @@ from typing import Sequence
 
 import numpy as np
 
+from .diagram import GENERIC_TOL  # noqa: F401 (re-exported)
 from .diagram import LinkDiagram, PlanarStrand, _near_segment_pairs, diagram_from_strands
 from .errors import DegeneracyError, InputError
-from .invariants import linking_sign_sums
+from .invariants import signed_linking_numbers
 
 DIRECTION_SEED = 61803
 MIN_CURVE_SEPARATION = 1e-6
-GENERIC_TOL = 1e-9
 MAX_DIRECTION_RETRIES = 100
 DEFAULT_SEGMENTS = 256
 #: Largest ``segments`` that :func:`realize` accepts; the pruned kernels
@@ -37,7 +37,7 @@ SCENE_KINDS = ("tangent-circles", "great-circles", "horn-torus", "tangent-sphere
 
 @dataclass(frozen=True, eq=False)
 class PolyCurve3:
-    """A closed polygonal curve in 3-space (last point connects to first)."""
+    """A closed polygonal curve in 3-space (last point connects to first), finite throughout."""
 
     label: str
     points: np.ndarray  # (n, 3)
@@ -46,9 +46,14 @@ class PolyCurve3:
         pts = np.array(self.points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 8:
             raise InputError("a curve needs at least 8 points of dimension 3")
-        seg = np.roll(pts, -1, axis=0) - pts
-        if np.any(np.linalg.norm(seg, axis=1) == 0.0):
+        if not np.all(np.isfinite(pts)):
+            raise InputError("curve points must be finite")
+        with np.errstate(over="ignore"):
+            lengths = np.linalg.norm(np.roll(pts, -1, axis=0) - pts, axis=1)
+        if np.any(lengths == 0.0):
             raise InputError("curve has a zero-length segment")
+        if not np.all(np.isfinite(lengths)):
+            raise InputError("curve has a segment too long to measure")
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
 
@@ -159,39 +164,43 @@ def _ellipse_curves(a: float, b: float, segments: int) -> list[np.ndarray]:
     return [in_xy, in_yz, in_zx]
 
 
+#: Parameters of each realization kind and their defaults, larger first.
+_REALIZE_PARAMS = {
+    "torus-villarceau": {"R": 2.0, "r": 1.0},
+    "borromean-ellipses": {"a": 1.5, "b": 0.8},
+}
+
+
 def realize(kind: str, segments: int = DEFAULT_SEGMENTS, **params: float) -> Realization3D:
     """Build a named 3D realization.
 
     ``torus-villarceau`` accepts ``R`` and ``r`` (defaults 2, 1) with
     R > r > 0; ``borromean-ellipses`` accepts ``a`` and ``b`` (defaults
-    1.5, 0.8) with a > b > 0.  ``segments`` must lie in 64..MAX_SEGMENTS.
+    1.5, 0.8) with a > b > 0.  Parameters must be finite, and
+    ``segments`` must lie in 64..MAX_SEGMENTS.
     """
     if not 64 <= segments <= MAX_SEGMENTS:
         raise InputError(f"segments must be in 64..{MAX_SEGMENTS}, got {segments}")
-    if kind == "torus-villarceau":
-        R = float(params.pop("R", 2.0))
-        r = float(params.pop("r", 1.0))
-        if params:
-            raise InputError(f"unknown parameters: {sorted(params)}")
-        if not (R > r > 0):
-            raise InputError(f"constraint R > r > 0 violated (R={R}, r={r})")
-        curves = _villarceau_curves(R, r, segments)
-        used = {"R": R, "r": r}
-    elif kind == "borromean-ellipses":
-        a = float(params.pop("a", 1.5))
-        b = float(params.pop("b", 0.8))
-        if params:
-            raise InputError(f"unknown parameters: {sorted(params)}")
-        if not (a > b > 0):
-            raise InputError(f"constraint a > b > 0 violated (a={a}, b={b})")
-        curves = _ellipse_curves(a, b, segments)
-        used = {"a": a, "b": b}
-    else:
+    if kind not in _REALIZE_PARAMS:
         raise InputError(
             f"unknown realization {kind!r}; valid kinds: " + ", ".join(REALIZE_KINDS)
         )
+    defaults = _REALIZE_PARAMS[kind]
+    if set(params) - set(defaults):
+        raise InputError(f"unknown parameters: {sorted(set(params) - set(defaults))}")
+    used = {name: float(params.get(name, value)) for name, value in defaults.items()}
+    (big_name, big), (small_name, small) = used.items()
+    if not (math.isfinite(big) and math.isfinite(small)):
+        raise InputError(f"parameters must be finite ({big_name}={big}, {small_name}={small})")
+    if not (big > small > 0):
+        raise InputError(
+            f"constraint {big_name} > {small_name} > 0 violated "
+            f"({big_name}={big}, {small_name}={small})"
+        )
+    build = _villarceau_curves if kind == "torus-villarceau" else _ellipse_curves
     labeled = tuple(
-        PolyCurve3(label, pts) for label, pts in zip(("A", "B", "C"), curves)
+        PolyCurve3(label, pts)
+        for label, pts in zip(("A", "B", "C"), build(big, small, segments))
     )
     return Realization3D(curves=labeled, kind=kind, params=used)
 
@@ -405,22 +414,20 @@ def curve_distance(a: PolyCurve3, b: PolyCurve3) -> float:
     The closest pair of 16-segment blocks' first vertices bounds the
     answer from above, so only segment pairs whose blocks' boxes lie
     within that bound are measured; the minimum equals the full table's.
+    Curves too large to measure give a distance that is not finite.
     """
     a0, a1 = _segments_of(a)
     b0, b1 = _segments_of(b)
-    I, J = _near_segment_pairs(a0, b0, reach=None)
-    return float(_segment_pair_distances(a0[I], a1[I], b0[J], b1[J]).min())
+    with np.errstate(over="ignore", invalid="ignore"):
+        I, J = _near_segment_pairs(a0, b0, reach=None)
+        return float(_segment_pair_distances(a0[I], a1[I], b0[J], b1[J]).min())
 
 
 def validate_disjoint(r: Realization3D) -> float:
     """Minimum pairwise inter-curve distance (callers decide what is enough)."""
     if len(r.curves) < 2:
         raise InputError("disjointness needs at least two curves")
-    best = math.inf
-    for i in range(len(r.curves)):
-        for j in range(i + 1, len(r.curves)):
-            best = min(best, curve_distance(r.curves[i], r.curves[j]))
-    return best
+    return min(curve_distance(a, b) for a, b in itertools.combinations(r.curves, 2))
 
 
 def circularity_stats(curve: PolyCurve3) -> tuple[np.ndarray, float, float, float]:
@@ -499,6 +506,10 @@ def _project_curves(
 
 def _check_separation(a: PolyCurve3, b: PolyCurve3) -> None:
     dist = curve_distance(a, b)
+    if not math.isfinite(dist):
+        raise InputError(
+            f"distance of curves {a.label!r} and {b.label!r} is not finite ({dist})"
+        )
     if dist <= MIN_CURVE_SEPARATION:
         raise InputError(
             f"curves {a.label!r} and {b.label!r} are too close to link "
@@ -513,10 +524,12 @@ def linking_number_3d(
 
     The pair is projected by :func:`diagram_from_curves`, which with
     ``direction="auto"`` retries seeded candidate directions on degeneracy.
+    To link every pair of a realization, project it once instead and read
+    :func:`~trilink.invariants.signed_linking_numbers` of that diagram.
     """
     pair = Realization3D(curves=(a, b), kind="curve-pair")
-    sums = linking_sign_sums(diagram_from_curves(pair, direction))
-    return sums[frozenset((a.label, b.label))] // 2
+    lks = signed_linking_numbers(diagram_from_curves(pair, direction))
+    return lks[frozenset((a.label, b.label))]
 
 
 def gauss_linking_integral(a: PolyCurve3, b: PolyCurve3) -> float:
@@ -546,9 +559,8 @@ def diagram_from_curves(
     Over/under at each crossing comes from the projected depth.  With
     ``direction="auto"`` seeded candidates are retried on degeneracy.
     """
-    for i in range(len(r.curves)):
-        for j in range(i + 1, len(r.curves)):
-            _check_separation(r.curves[i], r.curves[j])
+    for a, b in itertools.combinations(r.curves, 2):
+        _check_separation(a, b)
     if isinstance(direction, str):
         if direction != "auto":
             raise InputError(f"direction must be a vector or 'auto', got {direction!r}")
@@ -558,7 +570,7 @@ def diagram_from_curves(
     last_error: Exception | None = None
     for d in candidates:
         try:
-            return diagram_from_strands(_project_curves(r.curves, d), tol=GENERIC_TOL)
+            return diagram_from_strands(_project_curves(r.curves, d))
         except DegeneracyError as exc:
             last_error = exc
     raise DegeneracyError(f"no generic projection direction found: {last_error}")

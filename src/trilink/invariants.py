@@ -74,10 +74,11 @@ def writhe(d: LinkDiagram) -> int:
     return sum(c.sign for c in d.crossings)
 
 
-def linking_sign_sums(d: LinkDiagram) -> dict[frozenset[str], int]:
-    """Signed crossing sum of every unordered pair of distinct components.
+def signed_linking_numbers(d: LinkDiagram) -> dict[frozenset[str], int]:
+    """Signed linking number of every unordered pair of distinct components.
 
-    Half the sum is the pair's signed linking number.
+    Each is half the signed sum of the crossings the pair shares; an odd
+    sum, which no closed planar curves can draw, raises :class:`InputError`.
     """
     sums: dict[frozenset[str], int] = {
         frozenset(pair): 0
@@ -89,19 +90,20 @@ def linking_sign_sums(d: LinkDiagram) -> dict[frozenset[str], int]:
             other = first_label.setdefault(visit.crossing, comp.label)
             if other != comp.label:
                 sums[frozenset((other, comp.label))] += d.crossings[visit.crossing].sign
-    return sums
+    for pair, total in sums.items():
+        if total % 2:
+            first, second = sorted(pair)
+            raise InputError(
+                f"components {first} and {second} have an odd crossing-sign sum {total}"
+            )
+    return {pair: total // 2 for pair, total in sums.items()}
 
 
 def linking_numbers(d: LinkDiagram) -> dict[frozenset[str], int]:
     """Absolute linking number of every unordered component pair."""
     if d.component_count < 2:
         raise InputError("linking numbers need at least two components")
-    out = {}
-    for pair, total in linking_sign_sums(d).items():
-        if total % 2 != 0:
-            raise AssertionError("inter-component sign sum must be even")
-        out[pair] = abs(total) // 2
-    return out
+    return {pair: abs(lk) for pair, lk in signed_linking_numbers(d).items()}
 
 
 def pairwise_linking(d: LinkDiagram) -> LinkingProfile:

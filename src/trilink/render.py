@@ -26,6 +26,8 @@ from .geometry import (
     Realization3D,
     Scene3D,
     SpherePrim,
+    _circle_frame,
+    _circle_points,
     _projection_frame,
 )
 
@@ -204,12 +206,8 @@ def _sample_primitive(prim: object) -> list[tuple[str, np.ndarray]]:
     """Turn a primitive into (tag, 3D polyline) pieces for projection."""
     out: list[tuple[str, np.ndarray]] = []
     if isinstance(prim, CirclePrim):
-        from .geometry import _circle_points
-
         out.append((prim.tag, _circle_points(prim, 96)))
     elif isinstance(prim, ArcPrim):
-        from .geometry import _circle_frame
-
         e1, e2 = _circle_frame(CirclePrim(prim.center, prim.normal, prim.radius))
         t = np.linspace(prim.angle_start, prim.angle_end, 48)
         pts = (

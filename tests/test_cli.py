@@ -1,5 +1,8 @@
 import json
+import warnings
 import xml.etree.ElementTree as ET
+
+import pytest
 
 from trilink.census import parse_census_csv, parse_census_json
 from trilink.cli import main
@@ -163,6 +166,25 @@ class TestRealizeCommand:
             capsys, "realize", "torus-villarceau", "--a", "1.0"
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # A parameter that is not finite.
+            (("torus-villarceau", "--R", "inf"), "parameters must be finite"),
+            # Finite parameters whose segments are too long to measure.
+            (("torus-villarceau", "--R", "1e308", "--r", "1"), "segment too long to measure"),
+            # Finite segments whose distance overflows the distance kernel.
+            (("borromean-ellipses", "--a", "1e150", "--b", "1e-150"), "is not finite"),
+        ],
+    )
+    def test_non_finite_input_exit_2(self, capsys, argv, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numeric overflow warning either
+            code, out, err = run_cli(capsys, "realize", *argv)
+        assert code == 2
+        assert err.startswith("error: ") and message in err
+        assert "lk(" not in out and "distance =" not in out
 
 
 class TestVerifyCommand:

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -7,7 +8,13 @@ import pytest
 from trilink import diagram as D
 from trilink import geometry as G
 from trilink.errors import DegeneracyError, InputError
-from trilink.invariants import EmbeddingType, classify, is_brunnian, linking_numbers
+from trilink.invariants import (
+    EmbeddingType,
+    classify,
+    is_brunnian,
+    linking_numbers,
+    signed_linking_numbers,
+)
 
 
 @pytest.fixture(scope="module")
@@ -70,6 +77,21 @@ class TestRealize:
         with pytest.raises(InputError, match="unknown parameters"):
             G.realize("torus-villarceau", q=3.0)
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_parameters(self, value):
+        with pytest.raises(InputError, match="parameters must be finite"):
+            G.realize("torus-villarceau", R=value)
+        with pytest.raises(InputError, match="parameters must be finite"):
+            G.realize("borromean-ellipses", b=value)
+
+    def test_unmeasurable_distance_rejected(self):
+        # Finite segments, but the distance kernel overflows.
+        r = G.realize("borromean-ellipses", segments=64, a=1e150, b=1e-150)
+        with pytest.raises(InputError, match="not finite"):
+            G.diagram_from_curves(r)
+        with pytest.raises(InputError, match="not finite"):
+            G.gauss_linking_integral(r.curves[0], r.curves[1])
+
     def test_segment_cap_fails_before_allocating(self):
         tracemalloc.start()
         try:
@@ -114,6 +136,39 @@ class TestLinkingNumbers3D:
             G.linking_number_3d(a, b)
         with pytest.raises(InputError, match="too close"):
             G.gauss_linking_integral(a, b)
+
+
+def mirrored(r):
+    """The realization reflected in the xy-plane (z negated)."""
+    curves = tuple(G.PolyCurve3(c.label, c.points * [1.0, 1.0, -1.0]) for c in r.curves)
+    return G.Realization3D(curves=curves, kind=r.kind, params=dict(r.params))
+
+
+class TestJointProjection:
+    """One projection of all curves gives each pair's own linking number."""
+
+    @pytest.mark.parametrize("name", ["villarceau", "ellipses", "hopf"])
+    def test_agrees_with_pairwise_route_and_mirror(self, request, name):
+        r = G.hopf_circles(256) if name == "hopf" else request.getfixturevalue(name)
+        pairwise = {
+            frozenset((a.label, b.label)): G.linking_number_3d(a, b)
+            for a, b in itertools.combinations(r.curves, 2)
+        }
+        rng = np.random.default_rng(4242)
+        generic = 0
+        for _ in range(8):
+            direction = rng.normal(size=3)
+            try:
+                joint = signed_linking_numbers(G.diagram_from_curves(r, direction))
+                mirror = signed_linking_numbers(G.diagram_from_curves(mirrored(r), direction))
+            except DegeneracyError:
+                continue
+            generic += 1
+            assert joint == pairwise
+            assert mirror == {pair: -lk for pair, lk in pairwise.items()}
+        assert generic >= 5
+        if name != "ellipses":
+            assert all(abs(lk) == 1 for lk in pairwise.values())
 
 
 class TestGaussIntegral:
@@ -266,6 +321,17 @@ class TestPolyCurveValidation:
         with pytest.raises(InputError, match="zero-length"):
             G.PolyCurve3("X", pts)
 
+    def test_non_finite_points(self):
+        pts = np.array([[math.cos(k), math.sin(k), 0.0] for k in range(8)])
+        pts[5, 1] = math.nan
+        with pytest.raises(InputError, match="points must be finite"):
+            G.PolyCurve3("X", pts)
+
+    def test_unmeasurable_segment(self):
+        pts = np.array([[math.cos(k), math.sin(k), 0.0] for k in range(8)]) * 1e308
+        with pytest.raises(InputError, match="segment too long to measure"):
+            G.PolyCurve3("X", pts)
+
 
 class TestOddCrossingGuard:
     """Two distinct closed strands must cross an even number of times."""
@@ -292,7 +358,7 @@ class TestOddCrossingGuard:
     def test_diagram_from_strands_rejects(self, torus, drop_one_meeting):
         strands = G._project_curves(torus.curves, self.DIRECTION)
         with pytest.raises(DegeneracyError, match="odd"):
-            D.diagram_from_strands(strands, tol=G.GENERIC_TOL)
+            D.diagram_from_strands(strands)
 
     def test_diagram_from_curves_rejects(self, torus, drop_one_meeting):
         with pytest.raises(DegeneracyError, match="odd"):

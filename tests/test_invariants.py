@@ -4,7 +4,9 @@ import pytest
 
 from trilink.diagram import (
     Component,
+    Crossing,
     LinkDiagram,
+    Visit,
     assignment_from_index,
     assignment_from_text,
     builtin_diagram,
@@ -23,6 +25,7 @@ from trilink.invariants import (
     linking_numbers,
     normalized_invariant,
     pairwise_linking,
+    signed_linking_numbers,
     writhe,
 )
 from trilink.laurent import LOOP_FACTOR, LaurentPoly, equal_up_to_inversion
@@ -201,6 +204,30 @@ class TestLinkingNumbers:
     def test_census_values_are_zero_or_one(self, all_diagrams):
         for d in all_diagrams.values():
             assert set(pairwise_linking(d).as_tuple()) <= {0, 1}
+
+    def test_signed_values_negate_under_crossing_flip(self, all_diagrams):
+        assert signed_linking_numbers(builtin_diagram("hopf")) == {frozenset("AB"): -1}
+        for d in all_diagrams.values():
+            lks = signed_linking_numbers(d)
+            assert signed_linking_numbers(flip_all_crossings(d)) == {
+                pair: -lk for pair, lk in lks.items()
+            }
+            assert linking_numbers(d) == {pair: abs(lk) for pair, lk in lks.items()}
+
+    def test_odd_sign_sum_raises_input_error(self):
+        # Components A and B share one crossing, which no closed planar
+        # curves can draw; the constructor does not validate it.
+        d = LinkDiagram(
+            components=(
+                Component("A", (Visit(0, 0),)),
+                Component("B", (Visit(0, 1),)),
+            ),
+            crossings=(Crossing(over_entry_slot=1),),
+        )
+        with pytest.raises(InputError, match="components A and B have an odd"):
+            signed_linking_numbers(d)
+        with pytest.raises(InputError, match="components A and B have an odd"):
+            linking_numbers(d)
 
     def test_linked_pairs_constant_on_orbits(self, all_diagrams):
         for orbit in orbit_partition():
