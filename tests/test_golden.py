@@ -2,7 +2,8 @@
 
 The files under ``tests/golden/`` hold the census JSON, CSV and table, the
 structured-text record of all 64 depictions and the 6 builtins, and the
-sha256 of the SVG of each orbit representative and of the Hopf builtin.
+sha256 of the SVG of each orbit representative, each builtin, each gallery
+scene and each default-parameter realization.
 Verify output is left out: its roundness and Gauss residual print floats
 that differ across platforms.
 
@@ -24,7 +25,8 @@ from trilink.diagram import (
     diagram_to_text,
     to_diagram,
 )
-from trilink.render import svg_diagram
+from trilink.geometry import REALIZE_KINDS, SCENE_KINDS, realize, scene
+from trilink.render import svg_diagram, svg_scene
 from trilink.symmetry import orbit_partition
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -40,13 +42,15 @@ def _diagram_records() -> str:
 def _svg_digests() -> str:
     proj = build_canonical_projection()
     named = [
-        (orbit.representative.word, to_diagram(proj, orbit.representative))
+        (orbit.representative.word, svg_diagram(to_diagram(proj, orbit.representative)))
         for orbit in orbit_partition()
     ]
-    named.append(("hopf", builtin_diagram("hopf")))
+    named += [(name, svg_diagram(builtin_diagram(name))) for name in BUILTIN_NAMES]
+    named += [(f"scene {kind}", svg_scene(scene(kind))) for kind in SCENE_KINDS]
+    named += [(f"realize {kind}", svg_scene(realize(kind))) for kind in REALIZE_KINDS]
     return "".join(
-        f"{hashlib.sha256(svg_diagram(d).encode('utf-8')).hexdigest()}  {name}\n"
-        for name, d in named
+        f"{hashlib.sha256(svg.encode('utf-8')).hexdigest()}  {name}\n"
+        for name, svg in named
     )
 
 
