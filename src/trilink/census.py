@@ -6,7 +6,10 @@ serialization uses fixed key order, so repeated runs emit byte-identical
 output.  A record's position is therefore not its word index: look records
 up by word through a map keyed on ``assignment.index``.  ``verify_claims``
 re-checks every headline property of the census and of the 3D realizations
-from scratch and returns a structured pass/fail report.
+and returns a structured pass/fail report.  Two fixed facts are computed
+once per process and shared by every run: the orbit partition
+(``symmetry.orbit_partition``) and the circles' draw paths; diagrams,
+invariants and realizations are derived anew on each call.
 """
 
 from __future__ import annotations
@@ -327,7 +330,11 @@ def _diagram_cache() -> dict[int, LinkDiagram]:
 
 
 def verify_claims(segments: int = 512) -> VerificationReport:
-    """Re-derive and check every headline property; nothing is cached between runs."""
+    """Re-derive and check every headline property.
+
+    Only the orbit partition and the circles' draw paths are shared with
+    earlier runs in the process; everything else is derived anew.
+    """
     checks: list[CheckResult] = []
 
     def add(name: str, passed: bool, detail: str) -> None:

@@ -197,10 +197,8 @@ def _cmd_render(args) -> int:
     elif args.realize_kind:
         text = render.svg_scene(geometry.realize(args.realize_kind))
     else:
-        style = render.RenderStyle(
-            colors=_parse_colors(args.color) if args.color else dict(render.DEFAULT_COLORS)
-        )
-        text = render.svg_diagram(_diagram_from_args(args), style)
+        colors = _parse_colors(args.color) if args.color else render.DEFAULT_COLORS
+        text = render.svg_diagram(_diagram_from_args(args), colors)
     _write_output(text, args.output)
     return 0
 
@@ -215,14 +213,14 @@ def _cmd_realize(args) -> int:
         )
     params = {name: getattr(args, name) for name in own if getattr(args, name) is not None}
     realization = geometry.realize(args.kind, segments=args.segments, **params)
+    # Project and measure before writing, so a failed realization leaves no table.
+    lks = signed_linking_numbers(geometry.diagram_from_curves(realization))
+    distance = geometry.validate_disjoint(realization)
     text = _curves_obj(realization) if args.obj else _curves_table(realization)
     _write_output(text, args.output)
-    lks = signed_linking_numbers(geometry.diagram_from_curves(realization))
     for a, b in itertools.combinations(realization.curves, 2):
         sys.stdout.write(f"lk({a.label},{b.label}) = {lks[frozenset((a.label, b.label))]}\n")
-    sys.stdout.write(
-        f"min pairwise curve distance = {geometry.validate_disjoint(realization):.6f}\n"
-    )
+    sys.stdout.write(f"min pairwise curve distance = {distance:.6f}\n")
     return 0
 
 

@@ -33,6 +33,7 @@ positive iff its over-entry slot is 1.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -328,12 +329,12 @@ def _ccw_tangent(point: tuple[float, float], center: tuple[float, float]) -> tup
     return (-ry, rx)
 
 
-def _circle_path(
-    center: tuple[float, float], radius: float, start_angle: float, n: int
-) -> tuple[tuple[float, float], ...]:
+@functools.cache
+def _circle_path(center: tuple[float, float], radius: float) -> tuple[tuple[float, float], ...]:
+    """Draw path of a round circle, counterclockwise from angle -pi; built once per circle."""
     pts = []
-    for k in range(n):
-        a = start_angle + 2.0 * math.pi * k / n
+    for k in range(_CIRCLE_PATH_POINTS):
+        a = -math.pi + 2.0 * math.pi * k / _CIRCLE_PATH_POINTS
         pts.append((center[0] + radius * math.cos(a), center[1] + radius * math.sin(a)))
     return tuple(pts)
 
@@ -372,7 +373,7 @@ def _circle_diagram(
             Component(
                 label=label,
                 visits=tuple(visit for _, visit in passages),
-                path=_circle_path(center, radius, -math.pi, _CIRCLE_PATH_POINTS),
+                path=_circle_path(center, radius),
             )
         )
     return LinkDiagram(components=tuple(components), crossings=tuple(crossings))
@@ -551,8 +552,14 @@ def diagram_from_strands(strands: Sequence[PlanarStrand]) -> LinkDiagram:
     segment, goes over.  Raises :class:`DegeneracyError` for non-generic
     pictures (tangency, vertex hits, near-coincident crossings, depths
     equal within ``GENERIC_TOL``, two distinct strands crossing an odd
-    number of times).
+    number of times), and :class:`InputError` for a strand whose depths
+    and points differ in number.
     """
+    for s in strands:
+        if len(s.depths) != len(s.points):
+            raise InputError(
+                f"strand {s.label!r} has {len(s.points)} points but {len(s.depths)} depths"
+            )
     arrays = [np.asarray(s.points, dtype=float) for s in strands]
     depth_arrays = [np.asarray(s.depths, dtype=float) for s in strands]
     lengths = [_cumulative_lengths(p) for p in arrays]
@@ -634,24 +641,12 @@ def diagram_from_strands(strands: Sequence[PlanarStrand]) -> LinkDiagram:
 BUILTIN_NAMES = ("unknot", "twist-unknot", "trefoil", "hopf", "unlink2", "unlink3")
 
 
-def _unknot() -> LinkDiagram:
-    return LinkDiagram(
-        components=(
-            Component("K", (), _circle_path((0.0, 0.0), 1.0, -math.pi, _CIRCLE_PATH_POINTS)),
-        ),
-        crossings=(),
-    )
-
-
-def _unlink(n: int) -> LinkDiagram:
-    labels = ("A", "B", "C")[:n]
-    comps = []
-    for k, label in enumerate(labels):
-        center = (2.0 * k - (n - 1), 0.0)
-        comps.append(
-            Component(label, (), _circle_path(center, 0.8, -math.pi, _CIRCLE_PATH_POINTS))
-        )
-    return LinkDiagram(components=tuple(comps), crossings=())
+#: Crossing-free builtins as ``(label, center, radius)`` round circles.
+_FREE_CIRCLES = {
+    "unknot": (("K", (0.0, 0.0), 1.0),),
+    "unlink2": (("A", (-1.0, 0.0), 0.8), ("B", (1.0, 0.0), 0.8)),
+    "unlink3": (("A", (-2.0, 0.0), 0.8), ("B", (0.0, 0.0), 0.8), ("C", (2.0, 0.0), 0.8)),
+}
 
 
 def _hopf() -> LinkDiagram:
@@ -696,18 +691,14 @@ def _trefoil() -> LinkDiagram:
 
 def builtin_diagram(name: str) -> LinkDiagram:
     """A fixed fixture diagram by name (see ``BUILTIN_NAMES``)."""
-    if name == "unknot":
-        return _unknot()
+    if name in _FREE_CIRCLES:
+        return _circle_diagram(_FREE_CIRCLES[name], [])
     if name == "twist-unknot":
         return _twist_unknot()
     if name == "trefoil":
         return _trefoil()
     if name == "hopf":
         return _hopf()
-    if name == "unlink2":
-        return _unlink(2)
-    if name == "unlink3":
-        return _unlink(3)
     raise InputError(
         f"unknown builtin {name!r}; valid names: " + ", ".join(BUILTIN_NAMES)
     )

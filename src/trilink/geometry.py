@@ -423,11 +423,21 @@ def curve_distance(a: PolyCurve3, b: PolyCurve3) -> float:
         return float(_segment_pair_distances(a0[I], a1[I], b0[J], b1[J]).min())
 
 
+def _finite_distance(a: PolyCurve3, b: PolyCurve3) -> float:
+    """:func:`curve_distance`, raising :class:`InputError` when it is not finite."""
+    dist = curve_distance(a, b)
+    if not math.isfinite(dist):
+        raise InputError(
+            f"distance of curves {a.label!r} and {b.label!r} is not finite ({dist})"
+        )
+    return dist
+
+
 def validate_disjoint(r: Realization3D) -> float:
     """Minimum pairwise inter-curve distance (callers decide what is enough)."""
     if len(r.curves) < 2:
         raise InputError("disjointness needs at least two curves")
-    return min(curve_distance(a, b) for a, b in itertools.combinations(r.curves, 2))
+    return min(_finite_distance(a, b) for a, b in itertools.combinations(r.curves, 2))
 
 
 def circularity_stats(curve: PolyCurve3) -> tuple[np.ndarray, float, float, float]:
@@ -505,11 +515,7 @@ def _project_curves(
 
 
 def _check_separation(a: PolyCurve3, b: PolyCurve3) -> None:
-    dist = curve_distance(a, b)
-    if not math.isfinite(dist):
-        raise InputError(
-            f"distance of curves {a.label!r} and {b.label!r} is not finite ({dist})"
-        )
+    dist = _finite_distance(a, b)
     if dist <= MIN_CURVE_SEPARATION:
         raise InputError(
             f"curves {a.label!r} and {b.label!r} are too close to link "

@@ -5,14 +5,13 @@ passes under a crossing its stroke is interrupted by a gap centered on
 the crossing, so the number of breaks equals the crossing count.  3D
 content is projected orthographically and painted back-to-front per
 segment.  Output is deterministic: fixed float formatting, fixed element
-order.
+order, and fixed measurements (gap, stroke, canvas, camera) below.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -35,25 +34,16 @@ from .geometry import (
 DEFAULT_COLORS = {"A": "#2e8b57", "B": "#27519f", "C": "#c23b22"}
 _FALLBACK_COLOR = "#444444"
 
+#: Diagram measurements in diagram units; the gap exceeds the stroke so
+#: under-strand breaks stay visible.
+_GAP_WIDTH = 0.22
+_STROKE_WIDTH = 0.055
+#: Side of the square diagram canvas, in pixels.
+_CANVAS_PX = 480
 
-@dataclass(frozen=True)
-class RenderStyle:
-    """Stroke colors and measurements for diagram rendering."""
-
-    colors: dict[str, str] = field(default_factory=lambda: dict(DEFAULT_COLORS))
-    gap_width: float = 0.22
-    stroke_width: float = 0.055
-    canvas: tuple[int, int] = (480, 480)
-
-    def __post_init__(self):
-        if self.gap_width <= self.stroke_width:
-            raise InputError(
-                f"gap_width ({self.gap_width}) must exceed stroke_width "
-                f"({self.stroke_width}) or under-strand breaks vanish"
-            )
-
-    def color(self, label: str) -> str:
-        return self.colors.get(label, _FALLBACK_COLOR)
+#: Viewing direction (toward the viewer) and canvas side of 3D renders.
+_CAMERA = (0.55, -1.0, 0.6)
+_SCENE_PX = 420
 
 
 def _fmt(x: float) -> str:
@@ -147,19 +137,20 @@ def _diagram_bounds(d: LinkDiagram) -> tuple[float, float, float, float]:
     return min(xs), min(ys), max(xs), max(ys)
 
 
-def svg_diagram(d: LinkDiagram, style: RenderStyle | None = None) -> str:
-    """Render a diagram with under-strand gaps; deterministic SVG 1.1 text."""
-    style = style or RenderStyle()
+def svg_diagram(d: LinkDiagram, colors: Mapping[str, str] = DEFAULT_COLORS) -> str:
+    """Render a diagram with under-strand gaps; deterministic SVG 1.1 text.
+
+    ``colors`` maps component labels to stroke colors; other labels are gray.
+    """
     x0, y0, x1, y1 = _diagram_bounds(d)
-    width, height = style.canvas
     margin = 0.08 * max(x1 - x0, y1 - y0)
     x0, y0, x1, y1 = x0 - margin, y0 - margin, x1 + margin, y1 + margin
-    scale = min(width / (x1 - x0), height / (y1 - y0))
+    scale = min(_CANVAS_PX / (x1 - x0), _CANVAS_PX / (y1 - y0))
 
     def to_px(p: tuple[float, float]) -> tuple[float, float]:
-        return ((p[0] - x0) * scale, height - (p[1] - y0) * scale)
+        return ((p[0] - x0) * scale, _CANVAS_PX - (p[1] - y0) * scale)
 
-    stroke_px = style.stroke_width * scale
+    stroke_px = _STROKE_WIDTH * scale
     groups: list[str] = []
     for comp in d.components:
         cuts = [
@@ -172,9 +163,9 @@ def svg_diagram(d: LinkDiagram, style: RenderStyle | None = None) -> str:
             raise InputError(
                 f"component {comp.label} lacks path parameters for its crossings"
             )
-        color = style.color(comp.label)
+        color = colors.get(comp.label, _FALLBACK_COLOR)
         if cuts:
-            arcs = _cut_closed_path(comp.path, cuts, style.gap_width)
+            arcs = _cut_closed_path(comp.path, cuts, _GAP_WIDTH)
             body = " ".join(
                 _path_from_points([to_px(p) for p in arc], close=False)
                 for arc in arcs
@@ -190,7 +181,7 @@ def svg_diagram(d: LinkDiagram, style: RenderStyle | None = None) -> str:
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">',
+        f'width="{_CANVAS_PX}" height="{_CANVAS_PX}" viewBox="0 0 {_CANVAS_PX} {_CANVAS_PX}">',
         *groups,
         "</svg>",
     ]
@@ -224,21 +215,14 @@ def _sample_primitive(prim: object) -> list[tuple[str, np.ndarray]]:
     return out
 
 
-def svg_scene(
-    subject: Scene3D | Realization3D,
-    camera: Sequence[float] = (0.55, -1.0, 0.6),
-    scale_px: int = 420,
-) -> str:
+def svg_scene(subject: Scene3D | Realization3D) -> str:
     """Orthographic projection of a scene or realization as SVG 1.1.
 
     Polyline content is split into segments and painted back-to-front;
     spheres become silhouette circles ordered by center depth; markers
-    become dots.  ``camera`` is the viewing direction (toward the viewer).
+    become dots.  The view is along the fixed camera direction.
     """
-    direction = np.asarray(camera, dtype=float)
-    if float(np.linalg.norm(direction)) < 1e-12:
-        raise InputError("camera direction must be a nonzero vector")
-    u, v, d = _projection_frame(direction)
+    u, v, d = _projection_frame(np.asarray(_CAMERA))
 
     curves: list[tuple[str, np.ndarray, bool]] = []  # (tag, points, closed)
     spheres: list[SpherePrim] = []
@@ -246,7 +230,7 @@ def svg_scene(
     if isinstance(subject, Realization3D):
         for curve in subject.curves:
             curves.append((f"curve-{curve.label}", curve.points, True))
-        colors = dict(DEFAULT_COLORS)
+        colors = DEFAULT_COLORS
     elif isinstance(subject, Scene3D):
         for prim in subject.primitives:
             if isinstance(prim, SpherePrim):
@@ -303,10 +287,10 @@ def svg_scene(
     span = max(x1 - x0, y1 - y0, 1e-9)
     margin = 0.08 * span
     x0, y0, span = x0 - margin, y0 - margin, span + 2 * margin
-    scale = scale_px / span
+    scale = _SCENE_PX / span
 
     def to_px(p: tuple[float, float]) -> tuple[float, float]:
-        return ((p[0] - x0) * scale, scale_px - (p[1] - y0) * scale)
+        return ((p[0] - x0) * scale, _SCENE_PX - (p[1] - y0) * scale)
 
     body: list[str] = []
     for depth, center_xy, radius in sorted(sphere_records, key=lambda rec: rec[0]):
@@ -334,7 +318,7 @@ def svg_scene(
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{scale_px}" height="{scale_px}" viewBox="0 0 {scale_px} {scale_px}">',
+        f'width="{_SCENE_PX}" height="{_SCENE_PX}" viewBox="0 0 {_SCENE_PX} {_SCENE_PX}">',
         *body,
         "</svg>",
     ]

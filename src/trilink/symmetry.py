@@ -18,6 +18,7 @@ and the interchange negates all six in place.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .diagram import SITE_PAIRS, CircleId, CrossingAssignment, all_assignments
@@ -158,8 +159,13 @@ class Orbit:
         return len(self.members)
 
 
+@functools.cache
 def orbit_partition() -> tuple[Orbit, ...]:
-    """Partition all 64 assignments into orbits, sorted by representative."""
+    """Partition all 64 assignments into orbits, sorted by representative.
+
+    The partition is a fixed fact, computed once per process; the frozen
+    orbits are shared by every caller.
+    """
     actions = [site_action(g) for g in group_elements()]
     seen: set[int] = set()
     orbits: list[Orbit] = []

@@ -184,7 +184,17 @@ class TestRealizeCommand:
             code, out, err = run_cli(capsys, "realize", *argv)
         assert code == 2
         assert err.startswith("error: ") and message in err
-        assert "lk(" not in out and "distance =" not in out
+        assert out == ""
+
+    def test_failed_realization_writes_no_file(self, capsys, tmp_path):
+        target = tmp_path / "curves.txt"
+        code, out, err = run_cli(
+            capsys, "realize", "borromean-ellipses", "--a", "1e150", "--b", "1e-150",
+            "-o", str(target),
+        )
+        assert code == 2
+        assert "is not finite" in err
+        assert out == "" and not target.exists()
 
 
 class TestVerifyCommand:

@@ -8,9 +8,11 @@ from trilink.diagram import (
     BUILTIN_NAMES,
     CIRCLE_RADIUS,
     CircleId,
+    PlanarStrand,
     assignment_from_index,
     assignment_from_text,
     builtin_diagram,
+    diagram_from_strands,
     diagram_from_text,
     diagram_to_text,
     flip_all_crossings,
@@ -270,6 +272,19 @@ class TestBuiltins:
         d = builtin_diagram("trefoil")
         roles = [v.role for v in d.components[0].visits]
         assert all(roles[i] != roles[(i + 1) % len(roles)] for i in range(len(roles)))
+
+
+class TestDiagramFromStrands:
+    def test_depth_count_must_match_points(self):
+        # An inner-loop limacon that crosses itself once, with too few depths.
+        thetas = [2.0 * math.pi * k / 64 for k in range(64)]
+        points = tuple(
+            ((0.5 + math.cos(t)) * math.cos(t), (0.5 + math.cos(t)) * math.sin(t))
+            for t in thetas
+        )
+        depths = tuple(math.sin(t) for t in thetas[:10])
+        with pytest.raises(InputError, match="strand 'K' has 64 points but 10 depths"):
+            diagram_from_strands([PlanarStrand("K", points, depths)])
 
 
 class TestFlipAllCrossings:

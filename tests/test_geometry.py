@@ -91,6 +91,8 @@ class TestRealize:
             G.diagram_from_curves(r)
         with pytest.raises(InputError, match="not finite"):
             G.gauss_linking_integral(r.curves[0], r.curves[1])
+        with pytest.raises(InputError, match="not finite"):
+            G.validate_disjoint(r)
 
     def test_segment_cap_fails_before_allocating(self):
         tracemalloc.start()
