@@ -437,9 +437,11 @@ def _box_gaps_squared(lo_a, hi_a, lo_b, hi_b) -> np.ndarray:
     """Squared distances between every box of one list and every box of another."""
     total = np.zeros((len(lo_a), len(lo_b)))
     for k in range(lo_a.shape[1]):
-        gap = np.maximum(lo_a[:, None, k] - hi_b[None, :, k], lo_b[None, :, k] - hi_a[:, None, k])
+        gap = lo_a[:, None, k] - hi_b[None, :, k]
+        np.maximum(gap, lo_b[None, :, k] - hi_a[:, None, k], out=gap)
         np.maximum(gap, 0.0, out=gap)
-        total += gap * gap
+        gap *= gap
+        total += gap
     return total
 
 
@@ -552,10 +554,14 @@ def diagram_from_strands(strands: Sequence[PlanarStrand]) -> LinkDiagram:
     segment, goes over.  Raises :class:`DegeneracyError` for non-generic
     pictures (tangency, vertex hits, near-coincident crossings, depths
     equal within ``GENERIC_TOL``, two distinct strands crossing an odd
-    number of times), and :class:`InputError` for a strand whose depths
-    and points differ in number.
+    number of times), and :class:`InputError` for a strand of fewer than
+    3 points or whose depths and points differ in number.
     """
     for s in strands:
+        if len(s.points) < 3:
+            raise InputError(
+                f"strand {s.label!r} has {len(s.points)} points; a closed strand needs at least 3"
+            )
         if len(s.depths) != len(s.points):
             raise InputError(
                 f"strand {s.label!r} has {len(s.points)} points but {len(s.depths)} depths"

@@ -11,6 +11,7 @@ Projection directions are drawn from a seeded generator
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -28,7 +29,7 @@ MIN_CURVE_SEPARATION = 1e-6
 MAX_DIRECTION_RETRIES = 100
 DEFAULT_SEGMENTS = 256
 #: Largest ``segments`` that :func:`realize` accepts; the pruned kernels
-#: hold it to about 150-170 MB peak RSS in ``trilink realize``.
+#: hold it to about 90 MB peak RSS in ``trilink realize``.
 MAX_SEGMENTS = 16384
 
 REALIZE_KINDS = ("torus-villarceau", "borromean-ellipses")
@@ -408,23 +409,39 @@ def _segment_pair_distances(a0, a1, b0, b1) -> np.ndarray:
     return np.linalg.norm(closest_a - closest_b, axis=-1)
 
 
+#: Candidate segment pairs measured at once by :func:`curve_distance`.
+_DISTANCE_CHUNK = 16384
+
+
 def curve_distance(a: PolyCurve3, b: PolyCurve3) -> float:
     """Minimum distance between two closed polygonal curves.
 
     The closest pair of 16-segment blocks' first vertices bounds the
     answer from above, so only segment pairs whose blocks' boxes lie
-    within that bound are measured; the minimum equals the full table's.
-    Curves too large to measure give a distance that is not finite.
+    within that bound are measured, in chunks of ``_DISTANCE_CHUNK``
+    pairs; the minimum equals the full table's.  Curves too large to
+    measure give a distance that is not finite.
     """
     a0, a1 = _segments_of(a)
     b0, b1 = _segments_of(b)
     with np.errstate(over="ignore", invalid="ignore"):
         I, J = _near_segment_pairs(a0, b0, reach=None)
-        return float(_segment_pair_distances(a0[I], a1[I], b0[J], b1[J]).min())
+        chunks = (slice(lo, lo + _DISTANCE_CHUNK) for lo in range(0, len(I), _DISTANCE_CHUNK))
+        minima = [
+            _segment_pair_distances(a0[I[k]], a1[I[k]], b0[J[k]], b1[J[k]]).min()
+            for k in chunks
+        ]
+        return float(np.min(minima))
 
 
+@functools.lru_cache(maxsize=16)
 def _finite_distance(a: PolyCurve3, b: PolyCurve3) -> float:
-    """:func:`curve_distance`, raising :class:`InputError` when it is not finite."""
+    """:func:`curve_distance`, raising :class:`InputError` when it is not finite.
+
+    Cached by curve identity (``PolyCurve3`` compares by identity and its
+    points are read-only), so the separation checks of a projection, of
+    :func:`validate_disjoint` and of the Gauss integral measure a pair once.
+    """
     dist = curve_distance(a, b)
     if not math.isfinite(dist):
         raise InputError(
@@ -538,23 +555,48 @@ def linking_number_3d(
     return lks[frozenset((a.label, b.label))]
 
 
+#: Segments of the first curve per block of :func:`gauss_linking_integral`.
+_GAUSS_ROW_BLOCK = 64
+
+
 def gauss_linking_integral(a: PolyCurve3, b: PolyCurve3) -> float:
     """Midpoint-rule double sum over segment pairs for the linking integral.
 
     Converges to the integer linking number as the curves are refined.
+    Both curves are first moved by one common point, so rounding scales
+    with their size, not with their distance from the origin.  A pair's
+    numerator (ma - mb) . (da x db) is ``cross(ma, da) . db - da .
+    cross(db, mb)``, a difference of two matrix products; the sum runs
+    over blocks of ``_GAUSS_ROW_BLOCK`` segments of ``a``, so memory is
+    O(block * m).
     """
     _check_separation(a, b)
+    origin = a.points[0]
     a0, a1 = _segments_of(a)
     b0, b1 = _segments_of(b)
-    ma = (a0 + a1) / 2.0
-    mb = (b0 + b1) / 2.0
+    ma = (a0 + a1) / 2.0 - origin
+    mb = (b0 + b1) / 2.0 - origin
     da = a1 - a0
     db = b1 - b0
-    diff = ma[:, None, :] - mb[None, :, :]
-    cross = np.cross(da[:, None, :], db[None, :, :])
-    numer = np.einsum("nmj,nmj->nm", diff, cross)
-    dist3 = np.linalg.norm(diff, axis=2) ** 3
-    return float(np.sum(numer / dist3) / (4.0 * math.pi))
+    cross_a = np.cross(ma, da)
+    cross_b = np.cross(db, mb)
+    mb_t = np.ascontiguousarray(mb.T)
+    total = 0.0
+    for lo in range(0, len(ma), _GAUSS_ROW_BLOCK):
+        rows = slice(lo, lo + _GAUSS_ROW_BLOCK)
+        numer = cross_a[rows] @ db.T
+        numer -= da[rows] @ cross_b.T
+        diff = ma[rows, 0, None] - mb_t[0]
+        dist2 = diff * diff
+        for k in (1, 2):
+            np.subtract(ma[rows, k, None], mb_t[k], out=diff)
+            diff *= diff
+            dist2 += diff
+        np.sqrt(dist2, out=diff)
+        diff *= dist2
+        numer /= diff
+        total += float(numer.sum())
+    return total / (4.0 * math.pi)
 
 
 def diagram_from_curves(

@@ -1,10 +1,13 @@
 """Link invariants: linking numbers, the bracket state sum, classification.
 
-The bracket of a diagram with c crossings is the sum over all 2^c
+The bracket of a diagram with c crossings is a sum over its 2^c
 smoothing states.  Each crossing contributes a factor of the variable
 (first smoothing) or its inverse (second smoothing), and a state that
 closes up into L loops contributes loop_factor^(L-1), where
 loop_factor = -A^2 - A^-2.  The empty-crossing unknot has bracket 1.
+The sum is not enumerated state by state: the crossings are contracted
+one at a time, and partial states that join the open ends of the placed
+crossings alike are counted together (Kauffman 1987; Bar-Natan 2007).
 
 Smoothing convention, matched to the slot layout of
 :mod:`trilink.diagram` (slots counterclockwise, under-strand on 0/2):
@@ -18,6 +21,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .diagram import CircleId, LinkDiagram, remove_component
@@ -123,9 +127,13 @@ def pairwise_linking(d: LinkDiagram) -> LinkingProfile:
 def kauffman_bracket(d: LinkDiagram) -> LaurentPoly:
     """Bracket state sum of the diagram (exact integer arithmetic).
 
-    Dart ``4k + slot`` is slot ``slot`` of crossing ``k``.  States are
-    tallied by (A-smoothing count, loop count), and each tally is
-    multiplied by its power of the loop factor once.
+    Dart ``4k + slot`` is slot ``slot`` of crossing ``k``.  The crossings
+    are contracted one at a time in :func:`_contraction_order`.  A partial
+    state is the pairing of the open darts (placed darts whose arc leads
+    to an unplaced crossing) by the paths through the placed smoothings;
+    for each pairing the states are tallied by (A-smoothing count, closed
+    loops).  Each final tally is multiplied by its power of the loop
+    factor once, so the result is the full 2^c state sum's.
     """
     c = d.crossing_count
     if c > BRACKET_CROSSING_LIMIT:
@@ -134,40 +142,90 @@ def kauffman_bracket(d: LinkDiagram) -> LaurentPoly:
         )
     if not d.components:
         raise InputError("the bracket needs at least one component")
-    darts = 4 * c
-    arc_mate = [0] * darts
+    arc_mate = [0] * (4 * c)
     for (k, slot), (k2, slot2) in d.arc_mates().items():
         arc_mate[4 * k + slot] = 4 * k2 + slot2
-    # A loop step crosses the smoothing, then follows the arc; per crossing,
-    # the next darts of its four slots under each smoothing.
-    steps_a = [[arc_mate[4 * k + m] for m in _A_SMOOTH_SLOT] for k in range(c)]
-    steps_b = [[arc_mate[4 * k + m] for m in _B_SMOOTH_SLOT] for k in range(c)]
-    free_loops = d.free_component_count()
 
-    tally: dict[tuple[int, int], int] = {}
-    for state in range(1 << c):
-        step: list[int] = []
-        for k in range(c):
-            step += steps_a[k] if (state >> k) & 1 else steps_b[k]
-        # A loop's darts split into two step cycles, one per direction of travel.
-        cycles = 0
-        visited = bytearray(darts)
-        for dart in range(darts):
-            if visited[dart]:
-                continue
-            cycles += 1
-            while not visited[dart]:
-                visited[dart] = 1
-                dart = step[dart]
-        key = (state.bit_count(), free_loops + cycles // 2)
-        tally[key] = tally.get(key, 0) + 1
+    # Pairing (partner position of each open dart) -> {(A count, loops): states}.
+    states: dict[tuple[int, ...], dict[tuple[int, int], int]] = {
+        (): {(0, d.free_component_count()): 1}
+    }
+    open_darts: list[int] = []
+    for k in _contraction_order(arc_mate):
+        # Nodes 0..n-1 are the open darts, n..n+3 the slots of crossing k.
+        # ``arc`` joins a slot to the open dart or slot at its arc's other
+        # end; the nodes left unjoined are the new open darts, ``ends``.
+        n = len(open_darts)
+        position = {dart: i for i, dart in enumerate(open_darts)}
+        arc = [-1] * (n + 4)
+        for slot in range(4):
+            mate = arc_mate[4 * k + slot]
+            if mate in position:
+                arc[n + slot], arc[position[mate]] = position[mate], n + slot
+            elif mate // 4 == k:
+                arc[n + slot] = n + mate % 4
+        ends = [v for v in range(n + 4) if arc[v] < 0]
+        joined = [v for v in range(n + 4) if arc[v] >= 0]
+        new_position = {v: i for i, v in enumerate(ends)}
+        open_darts = [open_darts[v] if v < n else 4 * k + v - n for v in ends]
+
+        contracted: dict[tuple[int, ...], dict[tuple[int, int], int]] = {}
+        for smooth_slot, a_step in ((_A_SMOOTH_SLOT, 1), (_B_SMOOTH_SLOT, 0)):
+            smooth = tuple(n + m for m in smooth_slot)
+            for pairing, tally in states.items():
+                # A path alternates inner edges (pairing or smoothing) and arcs.
+                inner = pairing + smooth
+                visited = bytearray(n + 4)
+                paired = [0] * len(ends)
+                for v in ends:
+                    if visited[v]:
+                        continue
+                    w = inner[v]
+                    while arc[w] >= 0:
+                        visited[w] = 1
+                        w = arc[w]
+                        visited[w] = 1
+                        w = inner[w]
+                    visited[v] = visited[w] = 1
+                    paired[new_position[v]] = new_position[w]
+                    paired[new_position[w]] = new_position[v]
+                closed = 0
+                for v in joined:
+                    if visited[v]:
+                        continue
+                    closed += 1
+                    while not visited[v]:
+                        visited[v] = 1
+                        v = arc[v]
+                        visited[v] = 1
+                        v = inner[v]
+                target = contracted.setdefault(tuple(paired), {})
+                for (a_count, loops), count in tally.items():
+                    key = (a_count + a_step, loops + closed)
+                    target[key] = target.get(key, 0) + count
+        states = contracted
 
     terms: dict[int, int] = {}
-    for (a_count, loops), count in tally.items():
+    for (a_count, loops), count in states[()].items():
         shift = a_count - (c - a_count)
         for exp, coeff in (LOOP_FACTOR ** (loops - 1)).items():
             terms[exp + shift] = terms.get(exp + shift, 0) + coeff * count
     return LaurentPoly(terms)
+
+
+def _contraction_order(arc_mate: list[int]) -> Iterator[int]:
+    """Crossings in contraction order: each next one has the most arcs into those placed.
+
+    Ties go to the lowest index.
+    """
+    links = [0] * (len(arc_mate) // 4)
+    unplaced = list(range(len(links)))
+    while unplaced:
+        k = max(unplaced, key=links.__getitem__)
+        unplaced.remove(k)
+        for dart in range(4 * k, 4 * k + 4):
+            links[arc_mate[dart] // 4] += 1
+        yield k
 
 
 def normalized_invariant(d: LinkDiagram) -> LaurentPoly:

@@ -286,6 +286,18 @@ class TestDiagramFromStrands:
         with pytest.raises(InputError, match="strand 'K' has 64 points but 10 depths"):
             diagram_from_strands([PlanarStrand("K", points, depths)])
 
+    @pytest.mark.parametrize("count", [0, 1, 2])
+    def test_strand_needs_three_points(self, count):
+        points = ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))[:count]
+        depths = (0.0, 0.5, 1.0)[:count]
+        circle = PlanarStrand(
+            "C",
+            tuple((math.cos(k / 3.0), math.sin(k / 3.0)) for k in range(19)),
+            tuple(0.0 for _ in range(19)),
+        )
+        with pytest.raises(InputError, match=f"strand 'K' has {count} points; a closed"):
+            diagram_from_strands([circle, PlanarStrand("K", points, depths)])
+
 
 class TestFlipAllCrossings:
     @pytest.mark.parametrize("index", range(0, 64, 5))

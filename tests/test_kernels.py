@@ -1,15 +1,18 @@
-"""The block-pruned geometry kernels and the dart-array bracket against references.
+"""The geometry kernels and the contracted bracket against references.
 
 The references are the straightforward versions: every segment pair of
-the two polylines, and a state sum that rebuilds a dict of dart tuples
-per state.  The pruned kernels must give the same answers bit for bit.
+the two polylines, the dense n x m x 3 Gauss sum, and a state sum over
+all 2^c states that rebuilds a dict of dart tuples per state.  The pruned
+kernels and the bracket must give the same answers bit for bit, the
+blocked Gauss sum the same value to 1e-12.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from trilink import diagram as D
@@ -19,11 +22,15 @@ from trilink.diagram import (
     all_assignments,
     assignment_from_text,
     build_canonical_projection,
+    Component,
+    LinkDiagram,
     builtin_diagram,
+    flip_all_crossings,
+    remove_component,
     to_diagram,
 )
 from trilink.errors import DegeneracyError
-from trilink.invariants import kauffman_bracket
+from trilink.invariants import BRACKET_CROSSING_LIMIT, kauffman_bracket
 from trilink.laurent import LOOP_FACTOR, LaurentPoly
 
 
@@ -96,6 +103,16 @@ def reference_bracket(d):
             key = exp + 2 * a_count - c
             terms[key] = terms.get(key, 0) + coeff
     return LaurentPoly(terms)
+
+
+def dense_gauss_integral(a, b):
+    """The midpoint-rule sum on full (n, m, 3) tables."""
+    a0, a1 = G._segments_of(a)
+    b0, b1 = G._segments_of(b)
+    diff = (a0 + a1)[:, None, :] / 2.0 - (b0 + b1)[None, :, :] / 2.0
+    cross = np.cross((a1 - a0)[:, None, :], (b1 - b0)[None, :, :])
+    numer = np.einsum("nmj,nmj->nm", diff, cross)
+    return float(np.sum(numer / np.linalg.norm(diff, axis=2) ** 3) / (4.0 * math.pi))
 
 
 def outcome(fn, *args):
@@ -198,6 +215,10 @@ def test_pruned_meetings_match_dense_on_realizations():
                     )
 
 
+def _word_diagram(word):
+    return to_diagram(build_canonical_projection(), assignment_from_text(word))
+
+
 @pytest.mark.parametrize(
     "name", [a.word for a in all_assignments()] + list(BUILTIN_NAMES) + list(G.REALIZE_KINDS)
 )
@@ -207,5 +228,92 @@ def test_bracket_matches_reference(name):
     elif name in G.REALIZE_KINDS:
         diagram = G.diagram_from_curves(G.realize(name))
     else:
-        diagram = to_diagram(build_canonical_projection(), assignment_from_text(name))
-    assert kauffman_bracket(diagram) == reference_bracket(diagram)
+        diagram = _word_diagram(name)
+    for d in (diagram, flip_all_crossings(diagram)):
+        assert kauffman_bracket(d) == reference_bracket(d)
+
+
+@pytest.mark.parametrize("word", [a.word for a in all_assignments()])
+def test_cut_brackets_match_reference(word):
+    for label in "ABC":
+        cut = remove_component(_word_diagram(word), label)
+        for d in (cut, flip_all_crossings(cut)):
+            assert kauffman_bracket(d) == reference_bracket(d)
+
+
+@pytest.mark.parametrize("name", ["twist-unknot", "trefoil", "hopf"])
+def test_bracket_with_a_free_circle_matches_reference(name):
+    d = builtin_diagram(name)
+    with_free = LinkDiagram(d.components + (Component("F", ()),), d.crossings)
+    assert kauffman_bracket(with_free) == reference_bracket(with_free)
+
+
+# See above: no per-example deadline on a VM whose speed switches 1.6x.
+@settings(deadline=None, max_examples=60)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(G.REALIZE_KINDS + ("hopf-circles",)),
+    st.sampled_from([0.0, 0.004, 0.02]),
+)
+def test_bracket_matches_reference_on_perturbed_projections(seed, kind, noise):
+    rng = np.random.default_rng(seed)
+    r = G.hopf_circles(64) if kind == "hopf-circles" else G.realize(kind, segments=64)
+    curves = tuple(
+        G.PolyCurve3(c.label, c.points + noise * rng.normal(size=c.points.shape))
+        for c in r.curves
+    )
+    try:
+        d = G.diagram_from_curves(G.Realization3D(curves, kind), rng.normal(size=3))
+    except DegeneracyError:
+        assume(False)
+    assume(d.crossing_count <= BRACKET_CROSSING_LIMIT)
+    for diagram in (d, flip_all_crossings(d)):
+        assert kauffman_bracket(diagram) == reference_bracket(diagram)
+
+
+def separated_pair(rng, n, m):
+    a = polygon(rng, n, 3)
+    b = polygon(rng, m, 3) + rng.normal(size=3) * rng.uniform(2.0, 6.0)
+    return G.PolyCurve3("A", a), G.PolyCurve3("B", b)
+
+
+# Segment counts straddle whole numbers of Gauss row blocks.
+# See above: no per-example deadline on a VM whose speed switches 1.6x.
+@settings(deadline=None)
+@given(st.integers(0, 2**32 - 1), sizes, sizes)
+def test_blocked_gauss_integral_matches_dense(seed, n, m):
+    a, b = separated_pair(np.random.default_rng(seed), n, m)
+    assume(G.curve_distance(a, b) > 0.5)
+    assert abs(G.gauss_linking_integral(a, b) - dense_gauss_integral(a, b)) < 1e-12
+
+
+def test_gauss_integral_of_a_far_translated_pair_matches_dense():
+    # Points on a 2^-30 grid stay exact when moved by 2^20 (about 1e6), so
+    # the translated pair is the same geometry far from the origin.
+    rng = np.random.default_rng(7)
+    for n, m in ((100, 77), (64, 130), (200, 200)):
+        a, b = separated_pair(rng, n, m)
+        exact = [np.round(c.points * 2.0**30) / 2.0**30 for c in (a, b)]
+        near = [G.PolyCurve3(label, p) for label, p in zip("AB", exact)]
+        far = [G.PolyCurve3(label, p + 2.0**20) for label, p in zip("AB", exact)]
+        assert G.gauss_linking_integral(*far) == G.gauss_linking_integral(*near)
+        assert abs(G.gauss_linking_integral(*far) - dense_gauss_integral(*near)) < 1e-12
+
+
+def _peak_mb(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def test_gauss_integral_memory_is_row_blocked():
+    a, b, _ = G.realize("torus-villarceau", segments=2048).curves
+    assert _peak_mb(G.gauss_linking_integral, a, b) < 40.0
+
+
+def test_curve_distance_memory_is_chunked():
+    a, b, _ = G.realize("torus-villarceau", segments=G.MAX_SEGMENTS).curves
+    assert _peak_mb(G.curve_distance, a, b) < 40.0

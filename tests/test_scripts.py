@@ -1,5 +1,6 @@
 """Smoke tests: each script under scripts/ runs to completion and writes its outputs."""
 
+import json
 import os
 import re
 import subprocess
@@ -58,3 +59,21 @@ def test_render_gallery(tmp_path):
     for name in written:
         assert ET.parse(tmp_path / name).getroot().tag == "{http://www.w3.org/2000/svg}svg"
     assert done.stdout.count("wrote ") == len(written) == 16
+
+
+def test_bench_series(tmp_path):
+    done = run_script(
+        "bench_series.py", "--label", "t", "--seeds", "2", "--seconds", "1",
+        "--workloads", "realize", "-o", tmp_path,
+    )
+    assert done.returncode == 0, done.stderr
+    report = json.loads((tmp_path / "BENCH_t.json").read_text())
+    assert report["seeds"] == [1, 2]
+    entry = report["trees"]["HEAD"]
+    assert entry["machine"]["nproc"] >= 1
+    realize = entry["end_to_end"]["realize"]
+    assert realize["ok"]
+    assert len(realize["op_p50_ms"]["values"]) == 2
+    assert realize["op_p50_ms"]["q1"] <= realize["op_p50_ms"]["median"] <= realize["op_p50_ms"]["q3"]
+    assert entry["traced"]["realize"]["geometry.curve_distance.calls"] == 6
+    assert "comparison" not in report
