@@ -290,10 +290,9 @@ class TestDiagramFromStrands:
     def test_strand_needs_three_points(self, count):
         points = ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))[:count]
         depths = (0.0, 0.5, 1.0)[:count]
+        thetas = [2.0 * math.pi * k / 16 for k in range(16)]
         circle = PlanarStrand(
-            "C",
-            tuple((math.cos(k / 3.0), math.sin(k / 3.0)) for k in range(19)),
-            tuple(0.0 for _ in range(19)),
+            "C", tuple((math.cos(t), math.sin(t)) for t in thetas), (0.0,) * 16
         )
         with pytest.raises(InputError, match=f"strand 'K' has {count} points; a closed"):
             diagram_from_strands([circle, PlanarStrand("K", points, depths)])

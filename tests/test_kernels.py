@@ -19,11 +19,11 @@ from trilink import diagram as D
 from trilink import geometry as G
 from trilink.diagram import (
     BUILTIN_NAMES,
+    Component,
+    LinkDiagram,
     all_assignments,
     assignment_from_text,
     build_canonical_projection,
-    Component,
-    LinkDiagram,
     builtin_diagram,
     flip_all_crossings,
     remove_component,
