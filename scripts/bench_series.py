@@ -28,6 +28,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 #: A run.py call ends within its own 180 s budget; allow some slack.
 RUN_TIMEOUT_S = 240
+#: The benchmark's workloads that a series measures.
+WORKLOADS = ("queries", "realize")
 
 
 def run_benchmark(tree: Path, workload: str, seed: int, seconds: int, trace: int) -> dict:
@@ -70,7 +72,6 @@ def main() -> int:
     parser.add_argument("--seeds", type=int, default=10, help="seeds per workload")
     parser.add_argument("--first-seed", type=int, default=1)
     parser.add_argument("--seconds", type=int, default=40, help="run.py --seconds")
-    parser.add_argument("--workloads", nargs="+", default=["queries", "realize"])
     parser.add_argument("--tree", action="append", default=[], metavar="NAME=PATH",
                         help="a checkout to measure (default: this one, named HEAD)")
     parser.add_argument("-o", "--outdir", type=Path, default=ROOT)
@@ -83,11 +84,11 @@ def main() -> int:
         trees[name] = Path(path).resolve()
     seeds = list(range(args.first_seed, args.first_seed + args.seeds))
 
-    runs: dict[str, dict[str, list[dict]]] = {name: {w: [] for w in args.workloads} for name in trees}
+    runs: dict[str, dict[str, list[dict]]] = {name: {w: [] for w in WORKLOADS} for name in trees}
     traced: dict[str, dict[str, dict]] = {name: {} for name in trees}
     machines: dict[str, dict] = {}
     try:
-        for workload in args.workloads:
+        for workload in WORKLOADS:
             for i, seed in enumerate(seeds):
                 order = list(trees) if i % 2 == 0 else list(reversed(trees))
                 for name in order:
@@ -133,7 +134,7 @@ def main() -> int:
                     }
                     for metric in better
                 }
-                for workload in args.workloads
+                for workload in WORKLOADS
             },
         }
     args.outdir.mkdir(parents=True, exist_ok=True)

@@ -434,13 +434,15 @@ def curve_distance(a: PolyCurve3, b: PolyCurve3) -> float:
         return float(np.min(minima))
 
 
-@functools.lru_cache(maxsize=16)
+@functools.lru_cache(maxsize=6)
 def _finite_distance(a: PolyCurve3, b: PolyCurve3) -> float:
     """:func:`curve_distance`, raising :class:`InputError` when it is not finite.
 
     Cached by curve identity (``PolyCurve3`` compares by identity and its
     points are read-only), so the separation checks of a projection, of
     :func:`validate_disjoint` and of the Gauss integral measure a pair once.
+    Six entries hold the pairs of two three-curve realizations, the most
+    ``trilink verify`` checks in turn.
     """
     dist = curve_distance(a, b)
     if not math.isfinite(dist):

@@ -63,17 +63,19 @@ def test_render_gallery(tmp_path):
 
 def test_bench_series(tmp_path):
     done = run_script(
-        "bench_series.py", "--label", "t", "--seeds", "2", "--seconds", "1",
-        "--workloads", "realize", "-o", tmp_path,
+        "bench_series.py", "--label", "t", "--seeds", "1", "--seconds", "1", "-o", tmp_path,
     )
     assert done.returncode == 0, done.stderr
     report = json.loads((tmp_path / "BENCH_t.json").read_text())
-    assert report["seeds"] == [1, 2]
+    assert report["seeds"] == [1]
     entry = report["trees"]["HEAD"]
     assert entry["machine"]["nproc"] >= 1
-    realize = entry["end_to_end"]["realize"]
-    assert realize["ok"]
-    assert len(realize["op_p50_ms"]["values"]) == 2
-    assert realize["op_p50_ms"]["q1"] <= realize["op_p50_ms"]["median"] <= realize["op_p50_ms"]["q3"]
+    assert sorted(entry["end_to_end"]) == sorted(entry["traced"]) == ["queries", "realize"]
+    for workload, series in entry["end_to_end"].items():
+        assert series["ok"], workload
+        p50 = series["op_p50_ms"]
+        assert len(p50["values"]) == 1
+        assert p50["q1"] <= p50["median"] <= p50["q3"]
+        assert entry["traced"][workload]["invariants.kauffman_bracket.calls"] > 0
     assert entry["traced"]["realize"]["geometry.curve_distance.calls"] == 6
     assert "comparison" not in report
