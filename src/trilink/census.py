@@ -21,7 +21,6 @@ import json
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from . import geometry
 from .diagram import (
     CrossingAssignment,
     LinkDiagram,
@@ -335,6 +334,8 @@ def verify_claims(segments: int = 512) -> VerificationReport:
     Only the orbit partition and the circles' draw paths are shared with
     earlier runs in the process; everything else is derived anew.
     """
+    from . import geometry  # numpy; only the realization checks need it
+
     checks: list[CheckResult] = []
 
     def add(name: str, passed: bool, detail: str) -> None:

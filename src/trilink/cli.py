@@ -11,11 +11,14 @@ import argparse
 import itertools
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import census as census_mod
-from . import geometry, render
 from .diagram import (
     BUILTIN_NAMES,
+    DEFAULT_SEGMENTS,
+    REALIZE_KINDS,
+    SCENE_KINDS,
     assignment_from_text,
     build_canonical_projection,
     builtin_diagram,
@@ -34,6 +37,9 @@ from .invariants import (
 )
 from .symmetry import orbit_of
 
+if TYPE_CHECKING:
+    from .geometry import Realization3D
+
 
 def _write_output(text: str, path: str | None) -> None:
     if path is None or path == "-":
@@ -43,7 +49,7 @@ def _write_output(text: str, path: str | None) -> None:
 
 
 def _parse_colors(spec: str) -> dict[str, str]:
-    colors = dict(render.DEFAULT_COLORS)
+    colors: dict[str, str] = {}
     for item in spec.split(","):
         if not item:
             continue
@@ -56,7 +62,7 @@ def _parse_colors(spec: str) -> dict[str, str]:
     return colors
 
 
-def _curves_table(r: geometry.Realization3D) -> str:
+def _curves_table(r: Realization3D) -> str:
     """Plain-text point table: one point per line, curve separator records."""
     lines = [f"trilink-curves v1 kind={r.kind}"]
     for key in sorted(r.params):
@@ -68,7 +74,7 @@ def _curves_table(r: geometry.Realization3D) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _curves_obj(r: geometry.Realization3D) -> str:
+def _curves_obj(r: Realization3D) -> str:
     """Wavefront OBJ with closed polylines (``l`` elements, 1-based indices)."""
     lines = ["# trilink curves"]
     offset = 1
@@ -110,18 +116,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p_render = sub.add_parser("render", help="emit SVG for a diagram, scene or realization")
     rgroup = p_render.add_mutually_exclusive_group(required=True)
     rgroup.add_argument("bitword", nargs="?")
-    rgroup.add_argument("--scene", choices=geometry.SCENE_KINDS)
-    rgroup.add_argument("--realize", choices=geometry.REALIZE_KINDS, dest="realize_kind")
+    rgroup.add_argument("--scene", choices=SCENE_KINDS)
+    rgroup.add_argument("--realize", choices=REALIZE_KINDS, dest="realize_kind")
     p_render.add_argument("-o", "--output", default=None, metavar="PATH")
     p_render.add_argument("--color", default=None, metavar="A=...,B=...,C=...")
 
     p_realize = sub.add_parser("realize", help="export 3D curves plus linking numbers")
-    p_realize.add_argument("kind", choices=geometry.REALIZE_KINDS)
+    p_realize.add_argument("kind", choices=REALIZE_KINDS)
     p_realize.add_argument("--R", type=float, default=None)
     p_realize.add_argument("--r", type=float, default=None)
     p_realize.add_argument("--a", type=float, default=None)
     p_realize.add_argument("--b", type=float, default=None)
-    p_realize.add_argument("--segments", type=int, default=geometry.DEFAULT_SEGMENTS)
+    p_realize.add_argument("--segments", type=int, default=DEFAULT_SEGMENTS)
     p_realize.add_argument(
         "--obj", action="store_true", help="emit Wavefront OBJ instead of the point table"
     )
@@ -192,18 +198,22 @@ def _cmd_invariants(args) -> int:
 
 
 def _cmd_render(args) -> int:
+    from . import geometry, render
+    if args.color is not None and (args.scene or args.realize_kind):
+        raise InputError("--color applies to a bitword diagram, not to --scene or --realize")
     if args.scene:
         text = render.svg_scene(geometry.scene(args.scene))
     elif args.realize_kind:
         text = render.svg_scene(geometry.realize(args.realize_kind))
     else:
-        colors = _parse_colors(args.color) if args.color else render.DEFAULT_COLORS
+        colors = {**render.DEFAULT_COLORS, **_parse_colors(args.color or "")}
         text = render.svg_diagram(_diagram_from_args(args), colors)
     _write_output(text, args.output)
     return 0
 
 
 def _cmd_realize(args) -> int:
+    from . import geometry
     own, other = ("R", "r"), ("a", "b")
     if args.kind == "borromean-ellipses":
         own, other = other, own

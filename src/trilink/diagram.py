@@ -38,8 +38,6 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-import numpy as np
-
 from .errors import DegeneracyError, InputError
 
 EXPORT_SCHEMA = "trilink-diagram v1"
@@ -425,6 +423,7 @@ class Meeting(NamedTuple):
 
 
 def _cumulative_lengths(points: np.ndarray) -> np.ndarray:
+    import numpy as np
     seg = np.roll(points, -1, axis=0) - points
     lengths = np.linalg.norm(seg, axis=1)
     return np.concatenate(([0.0], np.cumsum(lengths)))
@@ -435,6 +434,7 @@ _BLOCK_SEGMENTS = 16
 
 def _box_gaps_squared(lo_a, hi_a, lo_b, hi_b) -> np.ndarray:
     """Squared distances between every box of one list and every box of another."""
+    import numpy as np
     total = np.zeros((len(lo_a), len(lo_b)))
     for k in range(lo_a.shape[1]):
         gap = lo_a[:, None, k] - hi_b[None, :, k]
@@ -459,6 +459,7 @@ def _near_segment_pairs(
     between the blocks' first vertices, an upper bound on the polylines'
     distance.  Memory is O(blocks² + returned pairs).
     """
+    import numpy as np
     boxes = []
     for p in (pa, pb):
         q = np.roll(p, -1, axis=0)
@@ -503,6 +504,7 @@ def _segment_meetings(
     tested; each box is widened by ``tol`` times its longest segment, as
     far as the ``t``/``u`` tolerance reaches past a segment's ends.
     """
+    import numpy as np
     na, nb = len(pa), len(pb)
     a0 = pa
     a1 = np.roll(pa, -1, axis=0)
@@ -557,6 +559,7 @@ def diagram_from_strands(strands: Sequence[PlanarStrand]) -> LinkDiagram:
     number of times), and :class:`InputError` for a strand of fewer than
     3 points or whose depths and points differ in number.
     """
+    import numpy as np
     for s in strands:
         if len(s.points) < 3:
             raise InputError(
@@ -645,6 +648,12 @@ def diagram_from_strands(strands: Sequence[PlanarStrand]) -> LinkDiagram:
 # ---------------------------------------------------------------------------
 
 BUILTIN_NAMES = ("unknot", "twist-unknot", "trefoil", "hopf", "unlink2", "unlink3")
+
+# Names the CLI parser offers for ``geometry.realize`` and ``geometry.scene``;
+# they live here so that parsing a command imports no numpy.
+REALIZE_KINDS = ("torus-villarceau", "borromean-ellipses")
+SCENE_KINDS = ("tangent-circles", "great-circles", "horn-torus", "tangent-spheres")
+DEFAULT_SEGMENTS = 256
 
 
 #: Crossing-free builtins as ``(label, center, radius)`` round circles.

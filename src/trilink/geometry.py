@@ -20,20 +20,17 @@ from typing import Sequence
 import numpy as np
 
 from .diagram import GENERIC_TOL  # noqa: F401 (re-exported)
-from .diagram import LinkDiagram, PlanarStrand, _near_segment_pairs, diagram_from_strands
+from .diagram import DEFAULT_SEGMENTS, REALIZE_KINDS, SCENE_KINDS, LinkDiagram, PlanarStrand
+from .diagram import _near_segment_pairs, diagram_from_strands
 from .errors import DegeneracyError, InputError
 from .invariants import signed_linking_numbers
 
 DIRECTION_SEED = 61803
 MIN_CURVE_SEPARATION = 1e-6
 MAX_DIRECTION_RETRIES = 100
-DEFAULT_SEGMENTS = 256
 #: Largest ``segments`` that :func:`realize` accepts; the pruned kernels
 #: hold it to about 90 MB peak RSS in ``trilink realize``.
 MAX_SEGMENTS = 16384
-
-REALIZE_KINDS = ("torus-villarceau", "borromean-ellipses")
-SCENE_KINDS = ("tangent-circles", "great-circles", "horn-torus", "tangent-spheres")
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,17 +1,71 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
 from trilink.census import parse_census_csv, parse_census_json
 from trilink.cli import main
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_in_fresh_interpreter(*argv):
+    """``main(argv)`` in a new Python process (bare ``import trilink`` when argv is empty).
+
+    Returns the exit code and whether numpy was imported by the end.
+    """
+    probe = (
+        "import contextlib, io, sys\n"
+        "import trilink\n"
+        "code = 0\n"
+        "if sys.argv[1:]:\n"
+        "    import trilink.cli\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = trilink.cli.main(sys.argv[1:])\n"
+        "print(code, 'numpy' in sys.modules)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe, *argv],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    code, numpy_loaded = done.stdout.split()
+    return int(code), numpy_loaded == "True"
+
+
+NUMPY_CASES = [
+    ((), False),
+    (("classify", "000000"), False),
+    (("invariants", "101010"), False),
+    (("invariants", "--builtin", "hopf"), False),
+    (("export", "111100"), False),
+    (("census", "--format", "csv"), False),
+    # Geometry: the SVG path sampler, diagram_from_strands, realization.
+    (("render", "101010"), True),
+    (("invariants", "--builtin", "trefoil"), True),
+    (("realize", "torus-villarceau"), True),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, loads_numpy", NUMPY_CASES, ids=["-".join(argv) or "import" for argv, _ in NUMPY_CASES]
+)
+def test_numpy_is_imported_only_where_geometry_runs(argv, loads_numpy):
+    assert run_in_fresh_interpreter(*argv) == (0, loads_numpy)
 
 
 class TestCensusCommand:
@@ -119,6 +173,16 @@ class TestRenderCommand:
         code, _, err = run_cli(capsys, "render", "111100", "--color", "D=#101010")
         assert code == 2
         assert "color overrides" in err
+
+    @pytest.mark.parametrize(
+        "subject, spec",
+        [(("--scene", "horn-torus"), "bogus"), (("--realize", "torus-villarceau"), "A=#ff0000")],
+    )
+    def test_color_rejected_for_scene_and_realization(self, capsys, subject, spec):
+        code, out, err = run_cli(capsys, "render", *subject, "--color", spec)
+        assert code == 2
+        assert out == ""
+        assert "--color" in err
 
 
 class TestRealizeCommand:
