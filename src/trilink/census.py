@@ -335,7 +335,6 @@ def verify_claims(segments: int = 512) -> VerificationReport:
     earlier runs in the process; everything else is derived anew.
     """
     from . import geometry  # numpy; only the realization checks need it
-
     checks: list[CheckResult] = []
 
     def add(name: str, passed: bool, detail: str) -> None:

@@ -36,9 +36,12 @@ import enum
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .errors import DegeneracyError, InputError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 EXPORT_SCHEMA = "trilink-diagram v1"
 
@@ -649,8 +652,8 @@ def diagram_from_strands(strands: Sequence[PlanarStrand]) -> LinkDiagram:
 
 BUILTIN_NAMES = ("unknot", "twist-unknot", "trefoil", "hopf", "unlink2", "unlink3")
 
-# Names the CLI parser offers for ``geometry.realize`` and ``geometry.scene``;
-# they live here so that parsing a command imports no numpy.
+# The CLI parser's choices and default for ``geometry.realize`` and
+# ``geometry.scene``; they live here so that parsing a command imports no numpy.
 REALIZE_KINDS = ("torus-villarceau", "borromean-ellipses")
 SCENE_KINDS = ("tangent-circles", "great-circles", "horn-torus", "tangent-spheres")
 DEFAULT_SEGMENTS = 256
