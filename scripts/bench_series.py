@@ -14,15 +14,23 @@ falls on all trees alike.  The file holds each tree's machine and commit
 median and quartiles, and the traced per-layer values.  With exactly two
 trees it also counts, per metric, the seeds on which the second tree did
 better than the first (the metric's direction comes from BENCHMARK.json).
+
+Every ``run.py`` call gets ``PYTHONPYCACHEPREFIX`` set to a new empty
+directory and ``PYTHONDONTWRITEBYTECODE=1``, so no process reads bytecode
+that an earlier run left, whether in a tree's ``__pycache__`` or anywhere
+else: every process compiles what it imports, the standard library and
+numpy included, and ``setup_s`` counts that compilation on every tree alike.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -34,11 +42,13 @@ WORKLOADS = ("queries", "realize")
 
 def run_benchmark(tree: Path, workload: str, seed: int, seconds: int, trace: int) -> dict:
     """One ``perfbench/run.py`` call in ``tree``; its result and machine record."""
-    done = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", str(trace)],
-        cwd=tree, capture_output=True, text=True, timeout=RUN_TIMEOUT_S,
-    )
+    with tempfile.TemporaryDirectory(prefix="bench-pycache-") as pycache:
+        env = dict(os.environ, PYTHONPYCACHEPREFIX=pycache, PYTHONDONTWRITEBYTECODE="1")
+        done = subprocess.run(
+            [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+             "--seconds", str(seconds), "--trace", str(trace)],
+            cwd=tree, env=env, capture_output=True, text=True, timeout=RUN_TIMEOUT_S,
+        )
     if done.returncode != 0:
         raise RuntimeError(f"{tree}: {workload} seed {seed} failed: {done.stderr.strip()}")
     record = tree / "perfbench" / "out" / f"{workload}-seed{seed}-trace{trace}.json"

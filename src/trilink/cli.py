@@ -69,8 +69,7 @@ def _curves_table(r: Realization3D) -> str:
         lines.append(f"param {key} {r.params[key]:.12g}")
     for curve in r.curves:
         lines.append(f"curve {curve.label} n={curve.segment_count}")
-        for p in curve.points:
-            lines.append(f"{p[0]:.12g} {p[1]:.12g} {p[2]:.12g}")
+        lines.extend(f"{x:.12g} {y:.12g} {z:.12g}" for x, y, z in curve.points.tolist())
     return "\n".join(lines) + "\n"
 
 
@@ -80,8 +79,7 @@ def _curves_obj(r: Realization3D) -> str:
     offset = 1
     for curve in r.curves:
         lines.append(f"o {curve.label}")
-        for p in curve.points:
-            lines.append(f"v {p[0]:.9g} {p[1]:.9g} {p[2]:.9g}")
+        lines.extend(f"v {x:.9g} {y:.9g} {z:.9g}" for x, y, z in curve.points.tolist())
         n = curve.segment_count
         indices = " ".join(str(offset + k) for k in range(n))
         lines.append(f"l {indices} {offset}")
@@ -198,13 +196,15 @@ def _cmd_invariants(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    from . import geometry, render
+    from . import render
     if args.color is not None and (args.scene or args.realize_kind):
         raise InputError("--color applies to a bitword diagram, not to --scene or --realize")
-    if args.scene:
-        text = render.svg_scene(geometry.scene(args.scene))
-    elif args.realize_kind:
-        text = render.svg_scene(geometry.realize(args.realize_kind))
+    if args.scene or args.realize_kind:
+        from . import geometry
+        subject = (
+            geometry.scene(args.scene) if args.scene else geometry.realize(args.realize_kind)
+        )
+        text = render.svg_scene(subject)
     else:
         colors = {**render.DEFAULT_COLORS, **_parse_colors(args.color or "")}
         text = render.svg_diagram(_diagram_from_args(args), colors)

@@ -432,20 +432,58 @@ def _cumulative_lengths(points: np.ndarray) -> np.ndarray:
     return np.concatenate(([0.0], np.cumsum(lengths)))
 
 
-_BLOCK_SEGMENTS = 16
+#: Segments per leaf box, and leaves per group box, of :func:`_near_segment_pairs`.
+_LEAF_SEGMENTS = 4
+_GROUP_LEAVES = 16
 
 
 def _box_gaps_squared(lo_a, hi_a, lo_b, hi_b) -> np.ndarray:
-    """Squared distances between every box of one list and every box of another."""
+    """Squared distances between boxes, broadcast over the leading axes.
+
+    Pass ``lo_a[:, None]``, ``hi_a[:, None]``, ``lo_b[None]``, ``hi_b[None]``
+    for the table of every box of one list against every box of another.
+    A point is a box whose corners coincide.
+    """
     import numpy as np
-    total = np.zeros((len(lo_a), len(lo_b)))
-    for k in range(lo_a.shape[1]):
-        gap = lo_a[:, None, k] - hi_b[None, :, k]
-        np.maximum(gap, lo_b[None, :, k] - hi_a[:, None, k], out=gap)
+    total = None
+    for k in range(lo_a.shape[-1]):
+        gap = np.maximum(lo_a[..., k] - hi_b[..., k], lo_b[..., k] - hi_a[..., k])
         np.maximum(gap, 0.0, out=gap)
         gap *= gap
-        total += gap
+        if total is None:
+            total = gap
+        else:
+            total += gap
     return total
+
+
+def _box_levels(p: np.ndarray, widen: float):
+    """Leaf boxes, group boxes and leaf first vertices of a closed polyline.
+
+    Leaf ``k`` holds segments ``4k .. 4k+3`` and group ``g`` holds leaves
+    ``16g .. 16g+15``.  The leaf arrays are padded to whole groups, shaped
+    (groups, 16, dim): a padding leaf's box is empty (``lo`` = +inf, ``hi``
+    = -inf) and its first vertex repeats the polyline's last vertex.
+    """
+    import numpy as np
+    n, dim = p.shape
+    q = np.roll(p, -1, axis=0)
+    starts = np.arange(0, n, _LEAF_SEGMENTS)
+    leaves = len(starts)
+    shape = (-(-leaves // _GROUP_LEAVES), _GROUP_LEAVES, dim)
+    lo = np.full(shape, np.inf)
+    hi = np.full(shape, -np.inf)
+    firsts = np.empty(shape)
+    flat_lo, flat_hi, flat_firsts = (x.reshape(-1, dim) for x in (lo, hi, firsts))
+    flat_lo[:leaves] = np.minimum.reduceat(np.minimum(p, q), starts)
+    flat_hi[:leaves] = np.maximum.reduceat(np.maximum(p, q), starts)
+    if widen:
+        longest = np.maximum.reduceat(np.linalg.norm(q - p, axis=1), starts)[:, None]
+        flat_lo[:leaves] -= widen * longest
+        flat_hi[:leaves] += widen * longest
+    flat_firsts[:leaves] = p[starts]
+    flat_firsts[leaves:] = p[-1]
+    return lo, hi, lo.min(axis=1), hi.max(axis=1), firsts
 
 
 def _near_segment_pairs(
@@ -453,37 +491,51 @@ def _near_segment_pairs(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Segment index pairs (I, J) of two closed polylines that may lie within ``reach``.
 
-    Each polyline is cut into blocks of 16 consecutive segments (the last
-    block may be shorter).  A block's axis-aligned box holds its segments,
-    widened on every side by ``widen`` times its longest segment.  The
-    pairs of every block pair whose boxes are at most ``reach`` apart are
-    returned, grouped by block pair; every other segment pair is farther
-    apart than ``reach``.  ``reach=None`` stands for the smallest distance
-    between the blocks' first vertices, an upper bound on the polylines'
-    distance.  Memory is O(blocks² + returned pairs).
+    Each polyline is cut into leaves of 4 consecutive segments and the
+    leaves into groups of 16 (64 segments; the last leaf and group may be
+    shorter).  A leaf's axis-aligned box holds its segments, widened on
+    every side by ``widen`` times its longest segment, and a group's box
+    holds its leaves' boxes.  Group boxes are compared all to all; leaf
+    boxes only within the group pairs whose boxes are at most ``reach``
+    apart.  The pairs of every leaf pair whose boxes are at most ``reach``
+    apart are returned, in no particular order; every other segment pair
+    is farther apart than ``reach``.
+
+    ``reach=None`` stands for an upper bound on the polylines' distance:
+    the smallest distance between the groups' first vertices, then the
+    smallest distance between the leaves' first vertices within the group
+    pairs that the first bound keeps (those include the closest groups'
+    first vertices, so it is no larger).  Both are distances of real
+    vertices.  Memory is O(groups² + 256 · near group pairs + returned pairs).
     """
     import numpy as np
-    boxes = []
-    for p in (pa, pb):
-        q = np.roll(p, -1, axis=0)
-        starts = np.arange(0, len(p), _BLOCK_SEGMENTS)
-        lo = np.minimum.reduceat(np.minimum(p, q), starts)
-        hi = np.maximum.reduceat(np.maximum(p, q), starts)
-        if widen:
-            longest = np.maximum.reduceat(np.linalg.norm(q - p, axis=1), starts)
-            lo = lo - widen * longest[:, None]
-            hi = hi + widen * longest[:, None]
-        boxes.append((lo, hi))
-    (lo_a, hi_a), (lo_b, hi_b) = boxes
+    levels_a = _box_levels(pa, widen)
+    lo_a, hi_a, glo_a, ghi_a, firsts_a = levels_a
+    lo_b, hi_b, glo_b, ghi_b, firsts_b = levels_a if pb is pa else _box_levels(pb, widen)
+    group_gaps = _box_gaps_squared(glo_a[:, None], ghi_a[:, None], glo_b[None], ghi_b[None])
     if reach is None:
-        firsts_a, firsts_b = pa[::_BLOCK_SEGMENTS], pb[::_BLOCK_SEGMENTS]
-        reach_squared = _box_gaps_squared(firsts_a, firsts_a, firsts_b, firsts_b).min()
+        heads_a, heads_b = firsts_a[:, 0], firsts_b[:, 0]
+        reach_squared = _box_gaps_squared(
+            heads_a[:, None], heads_a[:, None], heads_b[None], heads_b[None]
+        ).min()
+        group_a, group_b = np.nonzero(group_gaps <= reach_squared)
+        fa, fb = firsts_a[group_a][:, :, None], firsts_b[group_b][:, None]
+        reach_squared = _box_gaps_squared(fa, fa, fb, fb).min()
+        near = group_gaps[group_a, group_b] <= reach_squared
+        group_a, group_b = group_a[near], group_b[near]
     else:
         reach_squared = reach * reach
-    block_a, block_b = np.nonzero(_box_gaps_squared(lo_a, hi_a, lo_b, hi_b) <= reach_squared)
-    offsets = np.arange(_BLOCK_SEGMENTS)
-    I = block_a[:, None, None] * _BLOCK_SEGMENTS + offsets[:, None]
-    J = block_b[:, None, None] * _BLOCK_SEGMENTS + offsets
+        group_a, group_b = np.nonzero(group_gaps <= reach_squared)
+    leaf_gaps = _box_gaps_squared(
+        lo_a[group_a][:, :, None],
+        hi_a[group_a][:, :, None],
+        lo_b[group_b][:, None],
+        hi_b[group_b][:, None],
+    )
+    pair, leaf_a, leaf_b = np.nonzero(leaf_gaps <= reach_squared)
+    offsets = np.arange(_LEAF_SEGMENTS)
+    I = (group_a[pair] * _GROUP_LEAVES + leaf_a)[:, None, None] * _LEAF_SEGMENTS + offsets[:, None]
+    J = (group_b[pair] * _GROUP_LEAVES + leaf_b)[:, None, None] * _LEAF_SEGMENTS + offsets
     inside = (I < len(pa)) & (J < len(pb))
     return np.broadcast_to(I, inside.shape)[inside], np.broadcast_to(J, inside.shape)[inside]
 
@@ -503,9 +555,10 @@ def _segment_meetings(
     too close to a segment endpoint, so callers can retry another
     projection direction.  Records come in (seg_a, seg_b) order.
 
-    Only segment pairs whose 16-segment blocks have overlapping boxes are
-    tested; each box is widened by ``tol`` times its longest segment, as
-    far as the ``t``/``u`` tolerance reaches past a segment's ends.
+    Only segment pairs whose 4-segment leaves have overlapping boxes are
+    tested (:func:`_near_segment_pairs`); each box is widened by ``tol``
+    times its leaf's longest segment, as far as the ``t``/``u`` tolerance
+    reaches past a segment's ends.
     """
     import numpy as np
     na, nb = len(pa), len(pb)

@@ -29,7 +29,7 @@ DIRECTION_SEED = 61803
 MIN_CURVE_SEPARATION = 1e-6
 MAX_DIRECTION_RETRIES = 100
 #: Largest ``segments`` that :func:`realize` accepts; the pruned kernels
-#: hold it to about 90 MB peak RSS in ``trilink realize``.
+#: hold it to about 60 MB peak RSS in ``trilink realize``.
 MAX_SEGMENTS = 16384
 
 
@@ -413,11 +413,12 @@ _DISTANCE_CHUNK = 16384
 def curve_distance(a: PolyCurve3, b: PolyCurve3) -> float:
     """Minimum distance between two closed polygonal curves.
 
-    The closest pair of 16-segment blocks' first vertices bounds the
-    answer from above, so only segment pairs whose blocks' boxes lie
-    within that bound are measured, in chunks of ``_DISTANCE_CHUNK``
-    pairs; the minimum equals the full table's.  Curves too large to
-    measure give a distance that is not finite.
+    The closest pair of vertices that start 4-segment leaves, among the
+    64-segment groups whose boxes come close, bounds the answer from
+    above, so only segment pairs whose leaves' boxes lie within that bound
+    are measured (:func:`_near_segment_pairs`), in chunks of
+    ``_DISTANCE_CHUNK`` pairs; the minimum equals the full table's.
+    Curves too large to measure give a distance that is not finite.
     """
     a0, a1 = _segments_of(a)
     b0, b1 = _segments_of(b)
@@ -523,7 +524,7 @@ def _project_curves(
         strands.append(
             PlanarStrand(
                 label=curve.label,
-                points=tuple(map(tuple, xy)),
+                points=tuple(map(tuple, xy.tolist())),
                 depths=tuple(depth.tolist()),
             )
         )

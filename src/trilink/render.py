@@ -10,25 +10,18 @@ order, and fixed measurements (gap, stroke, canvas, camera) below.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
-from typing import Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .diagram import LinkDiagram
 from .errors import InputError
-from .geometry import (
-    ArcPrim,
-    CirclePrim,
-    MarkerPrim,
-    PatchPrim,
-    Realization3D,
-    Scene3D,
-    SpherePrim,
-    _circle_frame,
-    _circle_points,
-    _projection_frame,
-)
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .geometry import Realization3D, Scene3D
 
 #: Default strand colors (first ring green, second blue, third red).
 DEFAULT_COLORS = {"A": "#2e8b57", "B": "#27519f", "C": "#c23b22"}
@@ -69,20 +62,22 @@ def _cut_closed_path(
     removes the interval of length ``gap`` centered there.  Returns the
     kept arcs as point lists (resampled at the exact window boundaries).
     """
-    pts = np.asarray(points, dtype=float)
-    n = len(pts)
-    seg_vec = np.roll(pts, -1, axis=0) - pts
-    seg_len = np.linalg.norm(seg_vec, axis=1)
-    cumulative = np.concatenate(([0.0], np.cumsum(seg_len)))
-    total = float(cumulative[-1])
+    n = len(points)
+    seg_vec = [
+        (x1 - x0, y1 - y0)
+        for (x0, y0), (x1, y1) in zip(points, itertools.chain(points[1:], points[:1]))
+    ]
+    seg_len = [math.sqrt(dx * dx + dy * dy) for dx, dy in seg_vec]
+    cumulative = list(itertools.accumulate(seg_len, initial=0.0))
+    total = cumulative[-1]
 
     def at(s: float) -> tuple[float, float]:
         s = s % total
-        k = int(np.searchsorted(cumulative, s, side="right")) - 1
+        k = bisect.bisect_right(cumulative, s) - 1
         k = min(max(k, 0), n - 1)
         t = (s - cumulative[k]) / seg_len[k] if seg_len[k] > 0 else 0.0
-        p = pts[k] + t * seg_vec[k]
-        return (float(p[0]), float(p[1]))
+        (x, y), (dx, dy) = points[k], seg_vec[k]
+        return (float(x + t * dx), float(y + t * dy))
 
     # Sweep the circle once; window boundaries close/open the current arc.
     events: list[tuple[float, int, str]] = []
@@ -95,7 +90,7 @@ def _cut_closed_path(
         events.append((s0, 0, "close"))
         events.append((s1, 0, "open"))
     for k in range(n):
-        events.append((float(cumulative[k]), 1, "vertex"))
+        events.append((cumulative[k], 1, "vertex"))
     events.sort(key=lambda e: (e[0], e[1]))
 
     arcs: list[list[tuple[float, float]]] = []
@@ -195,6 +190,9 @@ def svg_diagram(d: LinkDiagram, colors: Mapping[str, str] = DEFAULT_COLORS) -> s
 
 def _sample_primitive(prim: object) -> list[tuple[str, np.ndarray]]:
     """Turn a primitive into (tag, 3D polyline) pieces for projection."""
+    import numpy as np
+
+    from .geometry import ArcPrim, CirclePrim, PatchPrim, _circle_frame, _circle_points
     out: list[tuple[str, np.ndarray]] = []
     if isinstance(prim, CirclePrim):
         out.append((prim.tag, _circle_points(prim, 96)))
@@ -222,6 +220,16 @@ def svg_scene(subject: Scene3D | Realization3D) -> str:
     spheres become silhouette circles ordered by center depth; markers
     become dots.  The view is along the fixed camera direction.
     """
+    import numpy as np
+
+    from .geometry import (
+        CirclePrim,
+        MarkerPrim,
+        Realization3D,
+        Scene3D,
+        SpherePrim,
+        _projection_frame,
+    )
     u, v, d = _projection_frame(np.asarray(_CAMERA))
 
     curves: list[tuple[str, np.ndarray, bool]] = []  # (tag, points, closed)

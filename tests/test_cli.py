@@ -54,9 +54,10 @@ NUMPY_CASES = [
     (("invariants", "--builtin", "hopf"), False),
     (("export", "111100"), False),
     (("census", "--format", "csv"), False),
-    # Geometry: the SVG path sampler, diagram_from_strands, realization.
-    (("render", "101010"), True),
+    (("render", "101010"), False),
+    # Geometry: diagram_from_strands, realization, 3D rendering.
     (("invariants", "--builtin", "trefoil"), True),
+    (("render", "--scene", "horn-torus"), True),
     (("realize", "torus-villarceau"), True),
 ]
 

@@ -150,8 +150,9 @@ def paired_polygon(rng, a, m, placement):
     return b - b[k] + target + nudge
 
 
-# Segment counts straddle whole numbers of 16-segment blocks.
-sizes = st.integers(min_value=8, max_value=300)
+# Segment counts straddle whole numbers of 4-segment leaves and of
+# 64-segment groups, several groups deep.
+sizes = st.integers(min_value=8, max_value=700)
 placements = st.sampled_from(["offset", "near-touching", "copy"])
 
 
@@ -198,6 +199,30 @@ def test_meeting_just_past_a_segment_end_is_seen():
     expected = ("error", "crossing too close to a polyline vertex")
     assert outcome(dense_segment_meetings, *args) == expected
     assert outcome(D._segment_meetings, *args) == expected
+
+
+def test_far_apart_polygons_prune_whole_group_pairs():
+    # Two 1000-segment noisy circles 10 apart: only the facing 64-segment
+    # groups stay near, and no group pair overlaps in the plane.
+    rng = np.random.default_rng(11)
+    t = np.linspace(0.0, 2.0 * math.pi, 1000, endpoint=False)
+    radius = 1.0 + 0.3 * rng.random(1000)
+    a = np.stack([radius * np.cos(t), radius * np.sin(t), 0.2 * rng.normal(size=1000)], axis=1)
+    b = a + np.array([10.0, 0.3, -0.2])
+    pa, pb = a[:, :2], b[:, :2]
+    I, J = D._near_segment_pairs(a, b, reach=None)
+    assert len(np.unique(I // 64)) <= 2 and len(np.unique(J // 64)) <= 2
+    assert D._near_segment_pairs(pa, pb, 0.0, widen=G.GENERIC_TOL)[0].size == 0
+    curve_a, curve_b = G.PolyCurve3("A", a), G.PolyCurve3("B", b)
+    a0, a1 = G._segments_of(curve_a)
+    b0, b1 = G._segments_of(curve_b)
+    dense = G._segment_pair_distances(a0[:, None], a1[:, None], b0[None], b1[None])
+    assert G.curve_distance(curve_a, curve_b) == dense.min()
+    da, db = rng.normal(size=len(a)), rng.normal(size=len(b))
+    args = (pa, da, pb, db, False, G.GENERIC_TOL)
+    assert outcome(D._segment_meetings, *args) == outcome(dense_segment_meetings, *args) == (
+        "records", []
+    )
 
 
 def test_pruned_meetings_match_dense_on_realizations():
@@ -317,3 +342,9 @@ def test_gauss_integral_memory_is_row_blocked():
 def test_curve_distance_memory_is_chunked():
     a, b, _ = G.realize("torus-villarceau", segments=G.MAX_SEGMENTS).curves
     assert _peak_mb(G.curve_distance, a, b) < 40.0
+
+
+def test_projection_memory_is_pruned():
+    r = G.realize("torus-villarceau", segments=G.MAX_SEGMENTS)
+    strands = G._project_curves(r.curves, next(G._direction_candidates()))
+    assert _peak_mb(D.diagram_from_strands, strands) < 20.0

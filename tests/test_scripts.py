@@ -1,8 +1,12 @@
 """Smoke tests: each script under scripts/ runs to completion and writes its outputs."""
 
+import importlib.util
 import json
+import marshal
 import os
 import re
+import shutil
+import struct
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -61,14 +65,43 @@ def test_render_gallery(tmp_path):
     assert done.stdout.count("wrote ") == len(written) == 16
 
 
+def write_stale_bytecode(source):
+    """A valid-looking ``__pycache__`` entry for ``source`` whose code fails on import.
+
+    The header (PEP 552) carries the source's mtime and size, so an
+    interpreter that reads the tree's ``__pycache__`` takes it as current.
+    """
+    stat = source.stat()
+    code = compile("raise ImportError('stale bytecode was read')", str(source), "exec")
+    header = importlib.util.MAGIC_NUMBER + struct.pack(
+        "<III", 0, int(stat.st_mtime) & 0xFFFFFFFF, stat.st_size & 0xFFFFFFFF
+    )
+    cache = source.parent / "__pycache__"
+    cache.mkdir(exist_ok=True)
+    target = cache / f"{source.stem}.{sys.implementation.cache_tag}.pyc"
+    target.write_bytes(header + marshal.dumps(code))
+    return target
+
+
 def test_bench_series(tmp_path):
+    # A tree whose __pycache__ holds stale bytecode: the series must compile
+    # the tree's sources instead of reading it.
+    tree = tmp_path / "tree"
+    skip = shutil.ignore_patterns("__pycache__", "out")
+    for name in ("src", "perfbench"):
+        shutil.copytree(ROOT / name, tree / name, ignore=skip)
+    stale = write_stale_bytecode(tree / "src" / "trilink" / "errors.py")
+    stale_bytes = stale.read_bytes()
     done = run_script(
         "bench_series.py", "--label", "t", "--seeds", "1", "--seconds", "1", "-o", tmp_path,
+        "--tree", f"stale={tree}",
     )
     assert done.returncode == 0, done.stderr
+    assert stale.read_bytes() == stale_bytes
+    assert sorted(p.name for p in stale.parent.iterdir()) == [stale.name]
     report = json.loads((tmp_path / "BENCH_t.json").read_text())
     assert report["seeds"] == [1]
-    entry = report["trees"]["HEAD"]
+    entry = report["trees"]["stale"]
     assert entry["machine"]["nproc"] >= 1
     assert sorted(entry["end_to_end"]) == sorted(entry["traced"]) == ["queries", "realize"]
     for workload, series in entry["end_to_end"].items():
