@@ -469,20 +469,17 @@ def _box_levels(p: np.ndarray, widen: float):
     n, dim = p.shape
     q = np.roll(p, -1, axis=0)
     starts = np.arange(0, n, _LEAF_SEGMENTS)
-    leaves = len(starts)
-    shape = (-(-leaves // _GROUP_LEAVES), _GROUP_LEAVES, dim)
-    lo = np.full(shape, np.inf)
-    hi = np.full(shape, -np.inf)
-    firsts = np.empty(shape)
-    flat_lo, flat_hi, flat_firsts = (x.reshape(-1, dim) for x in (lo, hi, firsts))
-    flat_lo[:leaves] = np.minimum.reduceat(np.minimum(p, q), starts)
-    flat_hi[:leaves] = np.maximum.reduceat(np.maximum(p, q), starts)
+    lo = np.minimum.reduceat(np.minimum(p, q), starts)
+    hi = np.maximum.reduceat(np.maximum(p, q), starts)
     if widen:
         longest = np.maximum.reduceat(np.linalg.norm(q - p, axis=1), starts)[:, None]
-        flat_lo[:leaves] -= widen * longest
-        flat_hi[:leaves] += widen * longest
-    flat_firsts[:leaves] = p[starts]
-    flat_firsts[leaves:] = p[-1]
+        lo, hi = lo - widen * longest, hi + widen * longest
+    shape = (-(-len(starts) // _GROUP_LEAVES), _GROUP_LEAVES, dim)
+    padding = np.full((shape[0] * _GROUP_LEAVES - len(starts), dim), np.inf)
+    lo = np.concatenate((lo, padding)).reshape(shape)
+    hi = np.concatenate((hi, -padding)).reshape(shape)
+    leaf_starts = np.arange(shape[0] * _GROUP_LEAVES) * _LEAF_SEGMENTS
+    firsts = p[np.minimum(leaf_starts, n - 1)].reshape(shape)
     return lo, hi, lo.min(axis=1), hi.max(axis=1), firsts
 
 
