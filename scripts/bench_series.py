@@ -15,11 +15,14 @@ median and quartiles, and the traced per-layer values.  With exactly two
 trees it also counts, per metric, the seeds on which the second tree did
 better than the first (the metric's direction comes from BENCHMARK.json).
 
-Every ``run.py`` call gets ``PYTHONPYCACHEPREFIX`` set to a new empty
-directory and ``PYTHONDONTWRITEBYTECODE=1``, so no process reads bytecode
-that an earlier run left, whether in a tree's ``__pycache__`` or anywhere
-else: every process compiles what it imports, the standard library and
-numpy included, and ``setup_s`` counts that compilation on every tree alike.
+Every ``run.py`` call of a series gets ``PYTHONPYCACHEPREFIX`` set to one
+directory made empty for that series, so no process reads bytecode that an
+earlier series left, in a tree's ``__pycache__`` or anywhere else.  Before
+measuring, each tree runs every workload once (``--seconds 1 --trace 1``)
+with bytecode writes on, which compiles what the workloads import, the
+standard library and numpy included, into that directory; the measured
+runs then read it with ``PYTHONDONTWRITEBYTECODE=1``.  Every tree reads
+bytecode it compiled itself, and ``setup_s`` does not count compilation.
 """
 
 from __future__ import annotations
@@ -40,15 +43,22 @@ RUN_TIMEOUT_S = 240
 WORKLOADS = ("queries", "realize")
 
 
-def run_benchmark(tree: Path, workload: str, seed: int, seconds: int, trace: int) -> dict:
-    """One ``perfbench/run.py`` call in ``tree``; its result and machine record."""
-    with tempfile.TemporaryDirectory(prefix="bench-pycache-") as pycache:
-        env = dict(os.environ, PYTHONPYCACHEPREFIX=pycache, PYTHONDONTWRITEBYTECODE="1")
-        done = subprocess.run(
-            [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-             "--seconds", str(seconds), "--trace", str(trace)],
-            cwd=tree, env=env, capture_output=True, text=True, timeout=RUN_TIMEOUT_S,
-        )
+def run_benchmark(
+    tree: Path, workload: str, seed: int, seconds: int, trace: int, pycache: str,
+    warm: bool = False,
+) -> dict:
+    """One ``perfbench/run.py`` call in ``tree``; its result and machine record.
+
+    Bytecode is read from ``pycache`` only, and written there only if ``warm``.
+    """
+    env = dict(os.environ, PYTHONPYCACHEPREFIX=pycache, PYTHONDONTWRITEBYTECODE="1")
+    if warm:
+        del env["PYTHONDONTWRITEBYTECODE"]
+    done = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", str(trace)],
+        cwd=tree, env=env, capture_output=True, text=True, timeout=RUN_TIMEOUT_S,
+    )
     if done.returncode != 0:
         raise RuntimeError(f"{tree}: {workload} seed {seed} failed: {done.stderr.strip()}")
     record = tree / "perfbench" / "out" / f"{workload}-seed{seed}-trace{trace}.json"
@@ -98,18 +108,24 @@ def main() -> int:
     traced: dict[str, dict[str, dict]] = {name: {} for name in trees}
     machines: dict[str, dict] = {}
     try:
-        for workload in WORKLOADS:
-            for i, seed in enumerate(seeds):
-                order = list(trees) if i % 2 == 0 else list(reversed(trees))
-                for name in order:
-                    result = run_benchmark(trees[name], workload, seed, args.seconds, 0)
-                    machines[name] = result["machine"]
-                    runs[name][workload].append(result)
-                    p50 = result["metrics"]["op_p50_ms"]["value"]
-                    print(f"{workload} seed {seed} {name}: op_p50_ms {p50:.2f}", flush=True)
-            for name, tree in trees.items():
-                result = run_benchmark(tree, workload, seeds[0], args.seconds, 1)
-                traced[name][workload] = {k: m["value"] for k, m in result["metrics"].items()}
+        with tempfile.TemporaryDirectory(prefix="bench-pycache-") as pycache:
+            for tree in trees.values():
+                for workload in WORKLOADS:
+                    run_benchmark(tree, workload, seeds[0], 1, 1, pycache, warm=True)
+            for workload in WORKLOADS:
+                for i, seed in enumerate(seeds):
+                    order = list(trees) if i % 2 == 0 else list(reversed(trees))
+                    for name in order:
+                        result = run_benchmark(
+                            trees[name], workload, seed, args.seconds, 0, pycache
+                        )
+                        machines[name] = result["machine"]
+                        runs[name][workload].append(result)
+                        p50 = result["metrics"]["op_p50_ms"]["value"]
+                        print(f"{workload} seed {seed} {name}: op_p50_ms {p50:.2f}", flush=True)
+                for name, tree in trees.items():
+                    result = run_benchmark(tree, workload, seeds[0], args.seconds, 1, pycache)
+                    traced[name][workload] = {k: m["value"] for k, m in result["metrics"].items()}
     except (RuntimeError, subprocess.TimeoutExpired) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -6,15 +6,16 @@ serialization uses fixed key order, so repeated runs emit byte-identical
 output.  A record's position is therefore not its word index: look records
 up by word through a map keyed on ``assignment.index``.  ``verify_claims``
 re-checks every headline property of the census and of the 3D realizations
-and returns a structured pass/fail report.  Two fixed facts are computed
-once per process and shared by every run: the orbit partition
-(``symmetry.orbit_partition``) and the circles' draw paths; diagrams,
-invariants and realizations are derived anew on each call.
+and returns a structured pass/fail report.  The 64 diagrams
+(``census_diagrams``), the orbit partition (``symmetry.orbit_partition``)
+and the circles' draw paths are computed once per process and shared by
+every run; invariants and realizations are derived anew on each call.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import itertools
 import json
@@ -93,13 +94,20 @@ class CensusSummary:
     per_type_depiction_counts: dict[EmbeddingType, int]
 
 
+@functools.cache
+def census_diagrams() -> tuple[LinkDiagram, ...]:
+    """The 64 depictions' diagrams, indexed by assignment index; built once."""
+    proj = build_canonical_projection()
+    return tuple(to_diagram(proj, asg) for asg in all_assignments())
+
+
 def run_census() -> tuple[tuple[CensusRecord, ...], CensusSummary]:
     """Classify all 64 depictions and aggregate orbit/type counts.
 
     Records come back grouped by orbit (sorted by orbit id, then word value)
     so the report reads one pattern at a time.
     """
-    proj = build_canonical_projection()
+    diagrams = census_diagrams()
     orbits = orbit_partition()
     orbit_of_word: dict[int, tuple[int, int]] = {}
     for orbit_id, orbit in enumerate(orbits):
@@ -108,7 +116,7 @@ def run_census() -> tuple[tuple[CensusRecord, ...], CensusSummary]:
 
     by_word: list[CensusRecord] = []
     for asg in all_assignments():
-        d = to_diagram(proj, asg)
+        d = diagrams[asg.index]
         orbit_id, orbit_size = orbit_of_word[asg.index]
         by_word.append(
             CensusRecord(
@@ -323,16 +331,11 @@ class VerificationReport:
         return json.dumps(doc, indent=2) + "\n"
 
 
-def _diagram_cache() -> dict[int, LinkDiagram]:
-    proj = build_canonical_projection()
-    return {asg.index: to_diagram(proj, asg) for asg in all_assignments()}
-
-
 def verify_claims(segments: int = 512) -> VerificationReport:
     """Re-derive and check every headline property.
 
-    Only the orbit partition and the circles' draw paths are shared with
-    earlier runs in the process; everything else is derived anew.
+    Only the 64 diagrams, the orbit partition and the circles' draw paths
+    are shared with earlier runs in the process; the rest is derived anew.
     """
     from . import geometry  # numpy; only the realization checks need it
     checks: list[CheckResult] = []
@@ -353,7 +356,7 @@ def verify_claims(segments: int = 512) -> VerificationReport:
         return f"{total - len(failures)} of {total} {what} (expected {total})"
 
     records, summary = run_census()
-    diagrams = _diagram_cache()
+    diagrams = census_diagrams()
     orbits = orbit_partition()
     record_by_word = {r.assignment.index: r for r in records}
 
@@ -521,7 +524,7 @@ def verify_claims(segments: int = 512) -> VerificationReport:
         f"{asg.word}: bracket of its all-flips depiction is not the inverted bracket"
         for asg in all_assignments()
         if kauffman_bracket(flip_all_crossings(diagrams[asg.index]))
-        != kauffman_bracket(diagrams[asg.index]).substitute_inverse()
+        != record_by_word[asg.index].bracket.substitute_inverse()
     ]
     add_exhaustive(
         "mirror-relation",

@@ -180,6 +180,7 @@ def assignment_from_index(index: int) -> CrossingAssignment:
     return assignment_from_text(format(index, "06b"))
 
 
+@functools.cache
 def all_assignments() -> tuple[CrossingAssignment, ...]:
     return tuple(assignment_from_index(i) for i in range(64))
 
@@ -276,9 +277,12 @@ class LinkDiagram:
 def validate_diagram(d: LinkDiagram) -> None:
     """Raise if the structural invariants of the diagram model are violated.
 
-    Besides the dart structure, two distinct components must share an even
-    number of crossings, as two closed curves in the plane do.
+    Besides distinct labels and the dart structure, two components must
+    share an even number of crossings, as two closed curves in the plane do.
     """
+    labels = d.component_labels()
+    if len(set(labels)) != len(labels):
+        raise InputError("component labels repeat: " + ", ".join(labels))
     seen: dict[int, list[tuple[int, str]]] = {i: [] for i in range(len(d.crossings))}
     for comp in d.components:
         if len(comp.visits) % 2 != 0:

@@ -203,43 +203,6 @@ def realize(kind: str, segments: int = DEFAULT_SEGMENTS, **params: float) -> Rea
     return Realization3D(curves=labeled, kind=kind, params=used)
 
 
-def hopf_circles(segments: int = DEFAULT_SEGMENTS) -> Realization3D:
-    """Two unit circles in orthogonal planes, each through the other's center."""
-    t = np.linspace(0.0, 2.0 * math.pi, segments, endpoint=False)
-    zero = np.zeros_like(t)
-    first = np.stack([np.cos(t), np.sin(t), zero], axis=1)
-    second = np.stack([1.0 + np.cos(t), zero, np.sin(t)], axis=1)
-    return Realization3D(
-        curves=(PolyCurve3("A", first), PolyCurve3("B", second)),
-        kind="hopf-circles",
-        params={},
-    )
-
-
-def separated_circles(segments: int = DEFAULT_SEGMENTS) -> Realization3D:
-    """Two far-apart unit circles in parallel planes (a split pair)."""
-    t = np.linspace(0.0, 2.0 * math.pi, segments, endpoint=False)
-    zero = np.zeros_like(t)
-    first = np.stack([np.cos(t), np.sin(t), zero], axis=1)
-    second = np.stack([4.0 + np.cos(t), np.sin(t), zero + 2.0], axis=1)
-    return Realization3D(
-        curves=(PolyCurve3("A", first), PolyCurve3("B", second)),
-        kind="separated-circles",
-        params={},
-    )
-
-
-def sub_realization(r: Realization3D, labels: Sequence[str]) -> Realization3D:
-    """Restriction of a realization to the named curves."""
-    wanted = []
-    for label in labels:
-        matches = [c for c in r.curves if c.label == label]
-        if not matches:
-            raise InputError(f"no curve labeled {label!r}")
-        wanted.append(matches[0])
-    return Realization3D(curves=tuple(wanted), kind=r.kind, params=dict(r.params))
-
-
 # ---------------------------------------------------------------------------
 # Scenes
 # ---------------------------------------------------------------------------
@@ -330,43 +293,13 @@ def _circle_frame(prim: CirclePrim) -> tuple[np.ndarray, np.ndarray]:
     return e1, e2
 
 
-def _circle_points(prim: CirclePrim, segments: int, phase: float = 0.0) -> np.ndarray:
+def _circle_points(prim: CirclePrim, segments: int) -> np.ndarray:
     e1, e2 = _circle_frame(prim)
-    t = phase + np.linspace(0.0, 2.0 * math.pi, segments, endpoint=False)
+    t = np.linspace(0.0, 2.0 * math.pi, segments, endpoint=False)
     return (
         np.asarray(prim.center)
         + prim.radius * (np.outer(np.cos(t), e1) + np.outer(np.sin(t), e2))
     )
-
-
-def scene_curves(s: Scene3D, segments: int = DEFAULT_SEGMENTS) -> Realization3D:
-    """Sample every circle primitive of a scene as a closed polygonal curve.
-
-    For the tangent-circles scene the sampling phase is aligned so the two
-    tangency points of each circle land exactly on polyline vertices (the
-    tangency directions are 120 degrees apart, so the segment count is
-    rounded down to a multiple of 3); the sampled curves then truly touch.
-    """
-    circles = [p for p in s.primitives if isinstance(p, CirclePrim)]
-    if not circles:
-        raise InputError(f"scene {s.kind!r} has no circle primitives to sample")
-    markers = [p for p in s.primitives if isinstance(p, MarkerPrim) and p.tag == "tangency"]
-    curves = []
-    for idx, prim in enumerate(circles):
-        phase = 0.0
-        n = segments
-        if s.kind == "tangent-circles" and markers:
-            n = max(64, segments - segments % 3)
-            center = np.asarray(prim.center)
-            touch = min(
-                (np.asarray(m.position) for m in markers),
-                key=lambda p: abs(float(np.linalg.norm(p - center)) - prim.radius),
-            )
-            e1, e2 = _circle_frame(prim)
-            rel = touch - center
-            phase = math.atan2(float(rel @ e2), float(rel @ e1))
-        curves.append(PolyCurve3(f"S{idx}", _circle_points(prim, n, phase)))
-    return Realization3D(curves=tuple(curves), kind=s.kind, params={})
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,12 @@ from trilink.census import (
     parse_census_json,
     run_census,
 )
-from trilink.diagram import diagram_to_text
+from trilink.diagram import (
+    assignment_from_index,
+    build_canonical_projection,
+    diagram_to_text,
+    to_diagram,
+)
 from trilink.invariants import EmbeddingType
 
 
@@ -53,6 +58,18 @@ class TestCounts:
         keys = [(r.orbit_id, r.assignment.index) for r in records]
         assert keys == sorted(keys)
         assert {r.assignment.index for r in records} == set(range(64))
+
+
+class TestCensusDiagrams:
+    def test_built_once_per_process(self):
+        assert census.census_diagrams() is census.census_diagrams()
+
+    def test_entries_equal_fresh_diagrams(self):
+        proj = build_canonical_projection()
+        diagrams = census.census_diagrams()
+        assert len(diagrams) == 64
+        for i, d in enumerate(diagrams):
+            assert d == to_diagram(proj, assignment_from_index(i))
 
 
 class TestSerialization:
@@ -214,3 +231,31 @@ class TestCheckDetails:
             "1 of 2 export formats serialize byte-identically (expected 2); "
             "first failure: the CSV exports of the two runs differ",
         )
+
+    def test_determinism_check_runs_the_census_twice(self, monkeypatch, all_diagrams):
+        # Retype 111100 during the second census pass only; a census served
+        # from a cache on the second pass would hide the difference.
+        stack = diagram_to_text(all_diagrams[0b111100])
+        real_run, real_classify = census.run_census, census.classify
+        passes = []
+
+        def counted():
+            passes.append(1)
+            return real_run()
+
+        def retyping(d):
+            if len(passes) == 2 and diagram_to_text(d) == stack:
+                return EmbeddingType.Borromean
+            return real_classify(d)
+
+        monkeypatch.setattr(census, "run_census", counted)
+        monkeypatch.setattr(census, "classify", retyping)
+        found = self.details(census.verify_claims(segments=64))
+        assert len(passes) == 2
+        assert found["census-determinism"] == (
+            False,
+            "0 of 2 export formats serialize byte-identically (expected 2); "
+            "first failure: the JSON exports of the two runs differ",
+        )
+        for name in ("case-mapping", "brunnian-exactness", "classification-equivariance"):
+            assert found[name] == (True, self.PASS_DETAILS[name])

@@ -297,6 +297,16 @@ class TestDiagramFromStrands:
         with pytest.raises(InputError, match=f"strand 'K' has {count} points; a closed"):
             diagram_from_strands([circle, PlanarStrand("K", points, depths)])
 
+    def test_repeated_label_rejected(self):
+        thetas = [2.0 * math.pi * k / 16 for k in range(16)]
+
+        def circle(cx):
+            points = tuple((cx + math.cos(t), math.sin(t)) for t in thetas)
+            return PlanarStrand("B", points, (0.0,) * 16)
+
+        with pytest.raises(InputError, match="component labels repeat: B, B"):
+            diagram_from_strands([circle(0.0), circle(3.0)])
+
 
 class TestFlipAllCrossings:
     @pytest.mark.parametrize("index", range(0, 64, 5))
@@ -379,3 +389,19 @@ def test_malformed_text_raises_input_error(old, new):
     assert old in _HOPF_TEXT
     with pytest.raises(InputError):
         diagram_from_text(_HOPF_TEXT.replace(old, new))
+
+
+@pytest.mark.parametrize(
+    "index, old",
+    [
+        # Without the label check, the bracket of the cut loops forever ...
+        pytest.param(0b000011, "component C", id="000011-C-as-B"),
+        # ... or raises a bare KeyError.
+        pytest.param(0b000000, "component A", id="000000-A-as-B"),
+    ],
+)
+def test_repeated_component_label_raises_input_error(all_diagrams, index, old):
+    text = diagram_to_text(all_diagrams[index])
+    assert text.count(old) == 1
+    with pytest.raises(InputError, match="component labels repeat"):
+        diagram_from_text(text.replace(old, "component B"))

@@ -108,12 +108,12 @@ class TestRealize:
 
 
 class TestLinkingNumbers3D:
-    def test_hopf_circles(self):
-        h = G.hopf_circles(256)
+    def test_hopf_circles(self, circle_pair):
+        h = circle_pair("hopf", 256)
         assert abs(G.linking_number_3d(h.curves[0], h.curves[1])) == 1
 
-    def test_separated_circles(self):
-        s = G.separated_circles(128)
+    def test_separated_circles(self, circle_pair):
+        s = circle_pair("separated", 128)
         assert G.linking_number_3d(s.curves[0], s.curves[1]) == 0
 
     def test_direction_independence(self, villarceau):
@@ -150,8 +150,8 @@ class TestJointProjection:
     """One projection of all curves gives each pair's own linking number."""
 
     @pytest.mark.parametrize("name", ["villarceau", "ellipses", "hopf"])
-    def test_agrees_with_pairwise_route_and_mirror(self, request, name):
-        r = G.hopf_circles(256) if name == "hopf" else request.getfixturevalue(name)
+    def test_agrees_with_pairwise_route_and_mirror(self, request, circle_pair, name):
+        r = circle_pair("hopf", 256) if name == "hopf" else request.getfixturevalue(name)
         pairwise = {
             frozenset((a.label, b.label)): G.linking_number_3d(a, b)
             for a, b in itertools.combinations(r.curves, 2)
@@ -174,14 +174,14 @@ class TestJointProjection:
 
 
 class TestGaussIntegral:
-    def test_hopf_within_tolerance_at_512(self):
-        h = G.hopf_circles(512)
+    def test_hopf_within_tolerance_at_512(self, circle_pair):
+        h = circle_pair("hopf", 512)
         lk = G.linking_number_3d(h.curves[0], h.curves[1])
         integral = G.gauss_linking_integral(h.curves[0], h.curves[1])
         assert abs(integral - lk) < 1e-3
 
-    def test_separated_near_zero(self):
-        s = G.separated_circles(512)
+    def test_separated_near_zero(self, circle_pair):
+        s = circle_pair("separated", 512)
         assert abs(G.gauss_linking_integral(s.curves[0], s.curves[1])) < 1e-3
 
     def test_villarceau_cross_method_agreement(self):
@@ -217,7 +217,7 @@ class TestDiagramFromCurves:
         assert is_brunnian(d)
 
     def test_two_curve_sub_realization(self, villarceau):
-        pair = G.sub_realization(villarceau, ["A", "B"])
+        pair = G.Realization3D(villarceau.curves[:2], villarceau.kind)
         d = G.diagram_from_curves(pair)
         assert d.component_count == 2
         assert next(iter(linking_numbers(d).values())) == 1
@@ -264,10 +264,6 @@ class TestScenes:
             for j in range(i + 1, 3):
                 d = math.dist(circles[i].center, circles[j].center)
                 assert abs(d - 2.0) < 1e-9
-
-    def test_tangent_curves_touch(self):
-        curves = G.scene_curves(G.scene("tangent-circles"), 258)
-        assert G.validate_disjoint(curves) < 1e-6
 
     def test_great_circles_share_center(self):
         s = G.scene("great-circles")
@@ -366,8 +362,8 @@ class TestOddCrossingGuard:
         with pytest.raises(DegeneracyError, match="odd"):
             G.diagram_from_curves(torus, direction=self.DIRECTION)
 
-    def test_linking_number_retries_then_raises(self, monkeypatch, drop_one_meeting):
-        h = G.hopf_circles(64)
+    def test_linking_number_retries_then_raises(self, monkeypatch, circle_pair, drop_one_meeting):
+        h = circle_pair("hopf", 64)
         attempts = []
         original = D.diagram_from_strands
 

@@ -280,9 +280,9 @@ def test_bracket_with_a_free_circle_matches_reference(name):
     st.sampled_from(G.REALIZE_KINDS + ("hopf-circles",)),
     st.sampled_from([0.0, 0.004, 0.02]),
 )
-def test_bracket_matches_reference_on_perturbed_projections(seed, kind, noise):
+def test_bracket_matches_reference_on_perturbed_projections(circle_pair, seed, kind, noise):
     rng = np.random.default_rng(seed)
-    r = G.hopf_circles(64) if kind == "hopf-circles" else G.realize(kind, segments=64)
+    r = circle_pair("hopf", 64) if kind == "hopf-circles" else G.realize(kind, segments=64)
     curves = tuple(
         G.PolyCurve3(c.label, c.points + noise * rng.normal(size=c.points.shape))
         for c in r.curves
