@@ -34,14 +34,12 @@ from __future__ import annotations
 
 import enum
 import functools
+import itertools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import DegeneracyError, InputError
-
-if TYPE_CHECKING:
-    import numpy as np
 
 EXPORT_SCHEMA = "trilink-diagram v1"
 
@@ -429,183 +427,6 @@ class Meeting(NamedTuple):
     point: tuple[float, float]
 
 
-def _cumulative_lengths(points: np.ndarray) -> np.ndarray:
-    import numpy as np
-    seg = np.roll(points, -1, axis=0) - points
-    lengths = np.linalg.norm(seg, axis=1)
-    return np.concatenate(([0.0], np.cumsum(lengths)))
-
-
-#: Segments per leaf box, and leaves per group box, of :func:`_near_segment_pairs`.
-_LEAF_SEGMENTS = 4
-_GROUP_LEAVES = 16
-
-
-def _box_gaps_squared(lo_a, hi_a, lo_b, hi_b) -> np.ndarray:
-    """Squared distances between boxes, broadcast over the leading axes.
-
-    Pass ``lo_a[:, None]``, ``hi_a[:, None]``, ``lo_b[None]``, ``hi_b[None]``
-    for the table of every box of one list against every box of another.
-    A point is a box whose corners coincide.
-    """
-    import numpy as np
-    total = None
-    for k in range(lo_a.shape[-1]):
-        gap = np.maximum(lo_a[..., k] - hi_b[..., k], lo_b[..., k] - hi_a[..., k])
-        np.maximum(gap, 0.0, out=gap)
-        gap *= gap
-        if total is None:
-            total = gap
-        else:
-            total += gap
-    return total
-
-
-def _box_levels(p: np.ndarray, widen: float):
-    """Leaf boxes, group boxes and leaf first vertices of a closed polyline.
-
-    Leaf ``k`` holds segments ``4k .. 4k+3`` and group ``g`` holds leaves
-    ``16g .. 16g+15``.  The leaf arrays are padded to whole groups, shaped
-    (groups, 16, dim): a padding leaf's box is empty (``lo`` = +inf, ``hi``
-    = -inf) and its first vertex repeats the polyline's last vertex.
-    """
-    import numpy as np
-    n, dim = p.shape
-    q = np.roll(p, -1, axis=0)
-    starts = np.arange(0, n, _LEAF_SEGMENTS)
-    lo = np.minimum.reduceat(np.minimum(p, q), starts)
-    hi = np.maximum.reduceat(np.maximum(p, q), starts)
-    if widen:
-        longest = np.maximum.reduceat(np.linalg.norm(q - p, axis=1), starts)[:, None]
-        lo, hi = lo - widen * longest, hi + widen * longest
-    shape = (-(-len(starts) // _GROUP_LEAVES), _GROUP_LEAVES, dim)
-    padding = np.full((shape[0] * _GROUP_LEAVES - len(starts), dim), np.inf)
-    lo = np.concatenate((lo, padding)).reshape(shape)
-    hi = np.concatenate((hi, -padding)).reshape(shape)
-    leaf_starts = np.arange(shape[0] * _GROUP_LEAVES) * _LEAF_SEGMENTS
-    firsts = p[np.minimum(leaf_starts, n - 1)].reshape(shape)
-    return lo, hi, lo.min(axis=1), hi.max(axis=1), firsts
-
-
-def _near_segment_pairs(
-    pa: np.ndarray, pb: np.ndarray, reach: float | None, widen: float = 0.0
-) -> tuple[np.ndarray, np.ndarray]:
-    """Segment index pairs (I, J) of two closed polylines that may lie within ``reach``.
-
-    Each polyline is cut into leaves of 4 consecutive segments and the
-    leaves into groups of 16 (64 segments; the last leaf and group may be
-    shorter).  A leaf's axis-aligned box holds its segments, widened on
-    every side by ``widen`` times its longest segment, and a group's box
-    holds its leaves' boxes.  Group boxes are compared all to all; leaf
-    boxes only within the group pairs whose boxes are at most ``reach``
-    apart.  The pairs of every leaf pair whose boxes are at most ``reach``
-    apart are returned, in no particular order; every other segment pair
-    is farther apart than ``reach``.
-
-    ``reach=None`` stands for an upper bound on the polylines' distance:
-    the smallest distance between the groups' first vertices, then the
-    smallest distance between the leaves' first vertices within the group
-    pairs that the first bound keeps (those include the closest groups'
-    first vertices, so it is no larger).  Both are distances of real
-    vertices.  Memory is O(groups² + 256 · near group pairs + returned pairs).
-    """
-    import numpy as np
-    levels_a = _box_levels(pa, widen)
-    lo_a, hi_a, glo_a, ghi_a, firsts_a = levels_a
-    lo_b, hi_b, glo_b, ghi_b, firsts_b = levels_a if pb is pa else _box_levels(pb, widen)
-    group_gaps = _box_gaps_squared(glo_a[:, None], ghi_a[:, None], glo_b[None], ghi_b[None])
-    if reach is None:
-        heads_a, heads_b = firsts_a[:, 0], firsts_b[:, 0]
-        reach_squared = _box_gaps_squared(
-            heads_a[:, None], heads_a[:, None], heads_b[None], heads_b[None]
-        ).min()
-        group_a, group_b = np.nonzero(group_gaps <= reach_squared)
-        fa, fb = firsts_a[group_a][:, :, None], firsts_b[group_b][:, None]
-        reach_squared = _box_gaps_squared(fa, fa, fb, fb).min()
-        near = group_gaps[group_a, group_b] <= reach_squared
-        group_a, group_b = group_a[near], group_b[near]
-    else:
-        reach_squared = reach * reach
-        group_a, group_b = np.nonzero(group_gaps <= reach_squared)
-    leaf_gaps = _box_gaps_squared(
-        lo_a[group_a][:, :, None],
-        hi_a[group_a][:, :, None],
-        lo_b[group_b][:, None],
-        hi_b[group_b][:, None],
-    )
-    pair, leaf_a, leaf_b = np.nonzero(leaf_gaps <= reach_squared)
-    offsets = np.arange(_LEAF_SEGMENTS)
-    I = (group_a[pair] * _GROUP_LEAVES + leaf_a)[:, None, None] * _LEAF_SEGMENTS + offsets[:, None]
-    J = (group_b[pair] * _GROUP_LEAVES + leaf_b)[:, None, None] * _LEAF_SEGMENTS + offsets
-    inside = (I < len(pa)) & (J < len(pb))
-    return np.broadcast_to(I, inside.shape)[inside], np.broadcast_to(J, inside.shape)[inside]
-
-
-def _segment_meetings(
-    pa: np.ndarray,
-    da: np.ndarray | None,
-    pb: np.ndarray,
-    db: np.ndarray | None,
-    same: bool,
-    tol: float,
-) -> list[tuple[int, float, int, float, tuple[float, float], float, float]]:
-    """All transverse interior intersections between two closed polylines.
-
-    Returns (seg_a, t_a, seg_b, t_b, point, depth_a, depth_b) records.
-    Rejects (raises DegeneracyError) near-parallel meetings and meetings
-    too close to a segment endpoint, so callers can retry another
-    projection direction.  Records come in (seg_a, seg_b) order.
-
-    Only segment pairs whose 4-segment leaves have overlapping boxes are
-    tested (:func:`_near_segment_pairs`); each box is widened by ``tol``
-    times its leaf's longest segment, as far as the ``t``/``u`` tolerance
-    reaches past a segment's ends.
-    """
-    import numpy as np
-    na, nb = len(pa), len(pb)
-    a0 = pa
-    a1 = np.roll(pa, -1, axis=0)
-    b0 = pb
-    b1 = np.roll(pb, -1, axis=0)
-    r = a1 - a0
-    s = b1 - b0
-
-    I, J = _near_segment_pairs(pa, pb, 0.0, widen=tol)
-    if same:
-        # i < j, and a segment and its neighbors share endpoints.
-        keep = (I < J) & (J - I != 1) & (J - I != na - 1)
-        I, J = I[keep], J[keep]
-    rI, sJ = r[I], s[J]
-    denom = rI[:, 0] * sJ[:, 1] - rI[:, 1] * sJ[:, 0]
-    qp = b0[J] - a0[I]
-    t_num = qp[:, 0] * sJ[:, 1] - qp[:, 1] * sJ[:, 0]
-    u_num = qp[:, 0] * rI[:, 1] - qp[:, 1] * rI[:, 0]
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.where(denom != 0.0, t_num / denom, np.inf)
-        u = np.where(denom != 0.0, u_num / denom, np.inf)
-
-    hits = (t > -tol) & (t < 1.0 + tol) & (u > -tol) & (u < 1.0 + tol) & np.isfinite(t)
-    I, J, t, u = I[hits], J[hits], t[hits], u[hits]
-    order = np.lexsort((J, I))
-
-    out = []
-    for i, j, ti, uj in zip(
-        I[order].tolist(), J[order].tolist(), t[order].tolist(), u[order].tolist()
-    ):
-        if min(ti, uj) < tol or max(ti, uj) > 1.0 - tol:
-            raise DegeneracyError("crossing too close to a polyline vertex")
-        rn = r[i] / np.linalg.norm(r[i])
-        sn = s[j] / np.linalg.norm(s[j])
-        if abs(rn[0] * sn[1] - rn[1] * sn[0]) < tol:
-            raise DegeneracyError("near-tangent crossing")
-        point = a0[i] + ti * r[i]
-        depth_a = 0.0 if da is None else float(da[i] + ti * (da[(i + 1) % na] - da[i]))
-        depth_b = 0.0 if db is None else float(db[j] + uj * (db[(j + 1) % nb] - db[j]))
-        out.append((i, ti, j, uj, (float(point[0]), float(point[1])), depth_a, depth_b))
-    return out
-
-
 def diagram_from_strands(strands: Sequence[PlanarStrand]) -> LinkDiagram:
     """Assemble a diagram from closed planar polylines.
 
@@ -613,29 +434,16 @@ def diagram_from_strands(strands: Sequence[PlanarStrand]) -> LinkDiagram:
     segment, goes over.  Raises :class:`DegeneracyError` for non-generic
     pictures (tangency, vertex hits, near-coincident crossings, depths
     equal within ``GENERIC_TOL``, two distinct strands crossing an odd
-    number of times), and :class:`InputError` for a strand of fewer than
-    3 points or whose depths and points differ in number.
+    number of times), and :class:`InputError` for a strand that is not
+    at least 3 finite (x, y) points with one finite depth each.
     """
-    import numpy as np
-    for s in strands:
-        if len(s.points) < 3:
-            raise InputError(
-                f"strand {s.label!r} has {len(s.points)} points; a closed strand needs at least 3"
-            )
-        if len(s.depths) != len(s.points):
-            raise InputError(
-                f"strand {s.label!r} has {len(s.points)} points but {len(s.depths)} depths"
-            )
-    arrays = [np.asarray(s.points, dtype=float) for s in strands]
-    depth_arrays = [np.asarray(s.depths, dtype=float) for s in strands]
-    lengths = [_cumulative_lengths(p) for p in arrays]
+    from .polyline import segment_meetings, strand_record
 
+    records = [strand_record(s) for s in strands]
     meetings: list[Meeting] = []
-    for i in range(len(strands)):
-        for j in range(i, len(strands)):
-            recs = _segment_meetings(
-                arrays[i], depth_arrays[i], arrays[j], depth_arrays[j], i == j, GENERIC_TOL
-            )
+    for i, (line_i, depths_i) in enumerate(records):
+        for j, (line_j, depths_j) in enumerate(records[i:], start=i):
+            recs = segment_meetings(line_i, depths_i, line_j, depths_j, i == j, GENERIC_TOL)
             if i != j and len(recs) % 2:
                 # Two closed curves in general position cross an even number of times.
                 raise DegeneracyError(
@@ -643,31 +451,18 @@ def diagram_from_strands(strands: Sequence[PlanarStrand]) -> LinkDiagram:
                     f"cross {len(recs)} times, an odd number"
                 )
             for seg_a, t_a, seg_b, t_b, point, depth_a, depth_b in recs:
-                na, nb = len(arrays[i]), len(arrays[j])
-                ta = arrays[i][(seg_a + 1) % na] - arrays[i][seg_a]
-                tb = arrays[j][(seg_b + 1) % nb] - arrays[j][seg_b]
-                param_a = float(
-                    lengths[i][seg_a]
-                    + t_a * (lengths[i][seg_a + 1] - lengths[i][seg_a])
-                )
-                param_b = float(
-                    lengths[j][seg_b]
-                    + t_b * (lengths[j][seg_b + 1] - lengths[j][seg_b])
-                )
+                ta, tb = line_i.steps[seg_a].tolist(), line_j.steps[seg_b].tolist()
                 meetings.append(
                     Meeting(
-                        i, param_a, (float(ta[0]), float(ta[1])), depth_a,
-                        j, param_b, (float(tb[0]), float(tb[1])), depth_b,
-                        point,
+                        i, line_i.arclength(seg_a, t_a), tuple(ta), depth_a,
+                        j, line_j.arclength(seg_b, t_b), tuple(tb), depth_b, point,
                     )
                 )
 
     # Near-coincident crossing points mean a triple point or tangency.
-    for a in range(len(meetings)):
-        for b in range(a + 1, len(meetings)):
-            pa_, pb_ = meetings[a].point, meetings[b].point
-            if math.hypot(pa_[0] - pb_[0], pa_[1] - pb_[1]) < GENERIC_TOL:
-                raise DegeneracyError("two crossings nearly coincide")
+    for first, second in itertools.combinations(meetings, 2):
+        if math.dist(first.point, second.point) < GENERIC_TOL:
+            raise DegeneracyError("two crossings nearly coincide")
 
     meetings.sort(key=lambda m: (m.strand_i, m.param_i, m.strand_j, m.param_j))
 

@@ -21,9 +21,10 @@ import numpy as np
 
 from .diagram import GENERIC_TOL  # noqa: F401 (re-exported)
 from .diagram import DEFAULT_SEGMENTS, REALIZE_KINDS, SCENE_KINDS, LinkDiagram, PlanarStrand
-from .diagram import _near_segment_pairs, diagram_from_strands
+from .diagram import diagram_from_strands
 from .errors import DegeneracyError, InputError
 from .invariants import signed_linking_numbers
+from .polyline import Polyline, near_segment_pairs
 
 DIRECTION_SEED = 61803
 MIN_CURVE_SEPARATION = 1e-6
@@ -39,6 +40,7 @@ class PolyCurve3:
 
     label: str
     points: np.ndarray  # (n, 3)
+    polyline: Polyline = field(init=False, repr=False)
 
     def __post_init__(self):
         pts = np.array(self.points, dtype=float)
@@ -46,14 +48,16 @@ class PolyCurve3:
             raise InputError("a curve needs at least 8 points of dimension 3")
         if not np.all(np.isfinite(pts)):
             raise InputError("curve points must be finite")
+        pts.setflags(write=False)
         with np.errstate(over="ignore"):
-            lengths = np.linalg.norm(np.roll(pts, -1, axis=0) - pts, axis=1)
+            line = Polyline(pts)
+            lengths = line.lengths
         if np.any(lengths == 0.0):
             raise InputError("curve has a zero-length segment")
         if not np.all(np.isfinite(lengths)):
             raise InputError("curve has a segment too long to measure")
-        pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "polyline", line)
 
     @property
     def segment_count(self) -> int:
@@ -307,11 +311,6 @@ def _circle_points(prim: CirclePrim, segments: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _segments_of(curve: PolyCurve3) -> tuple[np.ndarray, np.ndarray]:
-    p = curve.points
-    return p, np.roll(p, -1, axis=0)
-
-
 def _segment_pair_distances(a0, a1, b0, b1) -> np.ndarray:
     """Distances between segments [a0,a1] and [b0,b1], broadcast over leading axes.
 
@@ -349,17 +348,18 @@ def curve_distance(a: PolyCurve3, b: PolyCurve3) -> float:
     The closest pair of vertices that start 4-segment leaves, among the
     64-segment groups whose boxes come close, bounds the answer from
     above, so only segment pairs whose leaves' boxes lie within that bound
-    are measured (:func:`_near_segment_pairs`), in chunks of
-    ``_DISTANCE_CHUNK`` pairs; the minimum equals the full table's.
+    are measured (:func:`~trilink.polyline.near_segment_pairs`), in chunks
+    of ``_DISTANCE_CHUNK`` pairs; the minimum equals the full table's.
     Curves too large to measure give a distance that is not finite.
     """
-    a0, a1 = _segments_of(a)
-    b0, b1 = _segments_of(b)
+    a, b = a.polyline, b.polyline
     with np.errstate(over="ignore", invalid="ignore"):
-        I, J = _near_segment_pairs(a0, b0, reach=None)
+        I, J = near_segment_pairs(a, b, reach=None)
         chunks = (slice(lo, lo + _DISTANCE_CHUNK) for lo in range(0, len(I), _DISTANCE_CHUNK))
         minima = [
-            _segment_pair_distances(a0[I[k]], a1[I[k]], b0[J[k]], b1[J[k]]).min()
+            _segment_pair_distances(
+                a.points[I[k]], a.ends[I[k]], b.points[J[k]], b.ends[J[k]]
+            ).min()
             for k in chunks
         ]
         return float(np.min(minima))
@@ -434,10 +434,13 @@ def _projection_frame(direction: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
     canonical linking integral with its sign (checked against a
     surface-intersection count on the Hopf configuration).
     """
-    d = np.asarray(direction, dtype=float)
+    try:
+        d = np.asarray(direction, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"direction must be a nonzero finite 3-vector: {exc}") from exc
     norm = np.linalg.norm(d)
-    if norm < 1e-12:
-        raise InputError("projection direction must be a nonzero vector")
+    if d.shape != (3,) or not 1e-12 <= norm < np.inf:
+        raise InputError(f"direction must be a nonzero finite 3-vector, got {d.tolist()}")
     d = d / norm
     helper = np.array([1.0, 0.0, 0.0]) if abs(d[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
     u = np.cross(helper, d)
@@ -504,13 +507,11 @@ def gauss_linking_integral(a: PolyCurve3, b: PolyCurve3) -> float:
     O(block * m).
     """
     _check_separation(a, b)
+    a, b = a.polyline, b.polyline
     origin = a.points[0]
-    a0, a1 = _segments_of(a)
-    b0, b1 = _segments_of(b)
-    ma = (a0 + a1) / 2.0 - origin
-    mb = (b0 + b1) / 2.0 - origin
-    da = a1 - a0
-    db = b1 - b0
+    ma = (a.points + a.ends) / 2.0 - origin
+    mb = (b.points + b.ends) / 2.0 - origin
+    da, db = a.steps, b.steps
     cross_a = np.cross(ma, da)
     cross_b = np.cross(db, mb)
     mb_t = np.ascontiguousarray(mb.T)
@@ -547,7 +548,7 @@ def diagram_from_curves(
             raise InputError(f"direction must be a vector or 'auto', got {direction!r}")
         candidates = itertools.islice(_direction_candidates(), MAX_DIRECTION_RETRIES)
     else:
-        candidates = [np.asarray(direction, dtype=float)]
+        candidates = [direction]
     last_error: Exception | None = None
     for d in candidates:
         try:

@@ -297,6 +297,44 @@ class TestDiagramFromStrands:
         with pytest.raises(InputError, match=f"strand 'K' has {count} points; a closed"):
             diagram_from_strands([circle, PlanarStrand("K", points, depths)])
 
+    @staticmethod
+    def crossing_circles():
+        """A unit circle C, and the points and depths of a circle K that crosses it twice."""
+        thetas = [2.0 * math.pi * k / 16 for k in range(16)]
+        circle = PlanarStrand(
+            "C", tuple((math.cos(t), math.sin(t)) for t in thetas), (1.0,) * 16
+        )
+        return circle, [(1.0 + math.cos(t), math.sin(t)) for t in thetas], [0.0] * 16
+
+    @pytest.mark.parametrize(
+        "vertex, depth, message",
+        [
+            ((2.0, 0.0), 0.0, None),
+            ((math.nan, 0.0), 0.0, "needs finite"),
+            ((math.inf, 0.0), 0.0, "needs finite"),
+            ((2.0,), 0.0, "numeric array"),
+            (("2", "zero"), 0.0, "numeric array"),
+            ((2.0, 0.0), math.nan, "needs finite"),
+            ((2.0, 0.0), -math.inf, "needs finite"),
+        ],
+        ids=["valid", "nan-vertex", "inf-vertex", "ragged", "text", "nan-depth", "inf-depth"],
+    )
+    def test_vertex_and_depth_must_be_finite_numbers(self, vertex, depth, message):
+        circle, points, depths = self.crossing_circles()
+        points[0], depths[0] = vertex, depth
+        strands = [circle, PlanarStrand("K", tuple(points), tuple(depths))]
+        if message is None:
+            assert diagram_from_strands(strands).crossing_count == 2
+            return
+        with pytest.raises(InputError, match=f"strand 'K' .*{message}"):
+            diagram_from_strands(strands)
+
+    def test_three_coordinate_vertices_rejected(self):
+        circle, points, depths = self.crossing_circles()
+        points = tuple((x, y, 0.5) for x, y in points)
+        with pytest.raises(InputError, match=r"strand 'K' needs finite \(x, y\) points"):
+            diagram_from_strands([circle, PlanarStrand("K", points, tuple(depths))])
+
     def test_repeated_label_rejected(self):
         thetas = [2.0 * math.pi * k / 16 for k in range(16)]
 

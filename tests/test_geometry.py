@@ -7,6 +7,7 @@ import pytest
 
 from trilink import diagram as D
 from trilink import geometry as G
+from trilink import polyline as P
 from trilink.errors import DegeneracyError, InputError
 from trilink.invariants import (
     EmbeddingType,
@@ -228,6 +229,15 @@ class TestDiagramFromCurves:
         with pytest.raises(DegeneracyError):
             G.diagram_from_curves(ellipses, direction=np.array([0.0, 0.0, 1.0]))
 
+    @pytest.mark.parametrize(
+        "direction",
+        [(0.3, math.nan, 0.9), (0.3, math.inf, 0.9), (0.3, 0.9), (0.3, 0.2, 0.9, 0.1)],
+        ids=["nan", "inf", "two-components", "four-components"],
+    )
+    def test_bad_direction_rejected(self, ellipses, direction):
+        with pytest.raises(InputError, match="nonzero finite 3-vector"):
+            G.diagram_from_curves(ellipses, direction=np.array(direction))
+
     def test_auto_direction_is_deterministic(self, ellipses):
         from trilink.diagram import diagram_to_text
 
@@ -339,13 +349,13 @@ class TestOddCrossingGuard:
     @pytest.fixture
     def drop_one_meeting(self, monkeypatch):
         """Make every strand-pair meeting search lose one meeting between distinct strands."""
-        original = D._segment_meetings
+        original = P.segment_meetings
 
-        def dropping(pa, da, pb, db, same, tol):
-            meetings = original(pa, da, pb, db, same, tol)
+        def dropping(a, da, b, db, same, tol):
+            meetings = original(a, da, b, db, same, tol)
             return meetings if same else meetings[1:]
 
-        monkeypatch.setattr(D, "_segment_meetings", dropping)
+        monkeypatch.setattr(P, "segment_meetings", dropping)
 
     @pytest.fixture
     def torus(self):

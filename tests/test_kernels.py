@@ -17,6 +17,8 @@ from hypothesis import strategies as st
 
 from trilink import diagram as D
 from trilink import geometry as G
+from trilink import polyline as P
+from trilink.cli import main
 from trilink.diagram import (
     BUILTIN_NAMES,
     Component,
@@ -105,10 +107,21 @@ def reference_bracket(d):
     return LaurentPoly(terms)
 
 
+def segments(curve):
+    """Start and end points of every segment of a closed curve."""
+    return curve.points, np.roll(curve.points, -1, axis=0)
+
+
+def pruned_segment_meetings(pa, da, pb, db, same, tol):
+    """:func:`trilink.polyline.segment_meetings` on records of the point arrays."""
+    a = P.Polyline(pa)
+    return P.segment_meetings(a, da, a if pb is pa else P.Polyline(pb), db, same, tol)
+
+
 def dense_gauss_integral(a, b):
     """The midpoint-rule sum on full (n, m, 3) tables."""
-    a0, a1 = G._segments_of(a)
-    b0, b1 = G._segments_of(b)
+    a0, a1 = segments(a)
+    b0, b1 = segments(b)
     diff = (a0 + a1)[:, None, :] / 2.0 - (b0 + b1)[None, :, :] / 2.0
     cross = np.cross((a1 - a0)[:, None, :], (b1 - b0)[None, :, :])
     numer = np.einsum("nmj,nmj->nm", diff, cross)
@@ -165,8 +178,8 @@ def test_pruned_curve_distance_equals_dense_minimum(seed, n, m, placement):
     a = polygon(rng, n, 3)
     b = paired_polygon(rng, a, m if placement != "copy" else n, placement)
     curve_a, curve_b = G.PolyCurve3("A", a), G.PolyCurve3("B", b)
-    a0, a1 = G._segments_of(curve_a)
-    b0, b1 = G._segments_of(curve_b)
+    a0, a1 = segments(curve_a)
+    b0, b1 = segments(curve_b)
     dense = G._segment_pair_distances(a0[:, None], a1[:, None], b0[None], b1[None])
     assert G.curve_distance(curve_a, curve_b) == dense.min()
 
@@ -186,7 +199,7 @@ def test_pruned_meetings_match_dense(seed, n, m, placement, tol):
     b = paired_polygon(rng, a, m if placement != "copy" else n, placement)
     da, db = rng.normal(size=len(a)), rng.normal(size=len(b))
     for args in ((a, da, b, db, False, tol), (a, da, a, da, True, tol), (b, None, b, None, True, tol)):
-        assert outcome(D._segment_meetings, *args) == outcome(dense_segment_meetings, *args)
+        assert outcome(pruned_segment_meetings, *args) == outcome(dense_segment_meetings, *args)
 
 
 def test_meeting_just_past_a_segment_end_is_seen():
@@ -198,7 +211,7 @@ def test_meeting_just_past_a_segment_end_is_seen():
     args = (a, None, b, None, False, tol)
     expected = ("error", "crossing too close to a polyline vertex")
     assert outcome(dense_segment_meetings, *args) == expected
-    assert outcome(D._segment_meetings, *args) == expected
+    assert outcome(pruned_segment_meetings, *args) == expected
 
 
 def test_far_apart_polygons_prune_whole_group_pairs():
@@ -210,17 +223,18 @@ def test_far_apart_polygons_prune_whole_group_pairs():
     a = np.stack([radius * np.cos(t), radius * np.sin(t), 0.2 * rng.normal(size=1000)], axis=1)
     b = a + np.array([10.0, 0.3, -0.2])
     pa, pb = a[:, :2], b[:, :2]
-    I, J = D._near_segment_pairs(a, b, reach=None)
+    I, J = P.near_segment_pairs(P.Polyline(a), P.Polyline(b), reach=None)
     assert len(np.unique(I // 64)) <= 2 and len(np.unique(J // 64)) <= 2
-    assert D._near_segment_pairs(pa, pb, 0.0, widen=G.GENERIC_TOL)[0].size == 0
+    near = P.near_segment_pairs(P.Polyline(pa), P.Polyline(pb), 0.0, widen=G.GENERIC_TOL)
+    assert near[0].size == 0
     curve_a, curve_b = G.PolyCurve3("A", a), G.PolyCurve3("B", b)
-    a0, a1 = G._segments_of(curve_a)
-    b0, b1 = G._segments_of(curve_b)
+    a0, a1 = segments(curve_a)
+    b0, b1 = segments(curve_b)
     dense = G._segment_pair_distances(a0[:, None], a1[:, None], b0[None], b1[None])
     assert G.curve_distance(curve_a, curve_b) == dense.min()
     da, db = rng.normal(size=len(a)), rng.normal(size=len(b))
     args = (pa, da, pb, db, False, G.GENERIC_TOL)
-    assert outcome(D._segment_meetings, *args) == outcome(dense_segment_meetings, *args) == (
+    assert outcome(pruned_segment_meetings, *args) == outcome(dense_segment_meetings, *args) == (
         "records", []
     )
 
@@ -235,7 +249,7 @@ def test_pruned_meetings_match_dense_on_realizations():
             for i, (pa, da) in enumerate(arrays):
                 for j, (pb, db) in enumerate(arrays[i:], start=i):
                     args = (pa, da, pb, db, i == j, G.GENERIC_TOL)
-                    assert outcome(D._segment_meetings, *args) == outcome(
+                    assert outcome(pruned_segment_meetings, *args) == outcome(
                         dense_segment_meetings, *args
                     )
 
@@ -348,3 +362,19 @@ def test_projection_memory_is_pruned():
     r = G.realize("torus-villarceau", segments=G.MAX_SEGMENTS)
     strands = G._project_curves(r.curves, next(G._direction_candidates()))
     assert _peak_mb(D.diagram_from_strands, strands) < 20.0
+
+
+@pytest.mark.parametrize("kind", G.REALIZE_KINDS)
+def test_realize_builds_each_polylines_boxes_once(monkeypatch, capsys, kind):
+    # Three curves, measured pairwise, and their three projected strands.
+    built = []
+    original = P._box_levels
+
+    def counting(line, widen):
+        built.append(line)
+        return original(line, widen)
+
+    monkeypatch.setattr(P, "_box_levels", counting)
+    assert main(["realize", kind, "--segments", "256"]) == 0
+    capsys.readouterr()
+    assert len(built) == len({id(line) for line in built}) == 6
