@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import re
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -48,16 +49,18 @@ def _write_output(text: str, path: str | None) -> None:
         Path(path).write_text(text, encoding="utf-8")
 
 
+#: The stroke colors ``--color`` accepts: ``#rgb``, ``#rrggbb`` or a name of letters.
+_COLOR = re.compile(r"#[0-9a-fA-F]{3}|#[0-9a-fA-F]{6}|[A-Za-z]+")
+
+
 def _parse_colors(spec: str) -> dict[str, str]:
     colors: dict[str, str] = {}
     for item in spec.split(","):
         if not item:
             continue
         label, _, value = item.partition("=")
-        if not value or label not in ("A", "B", "C"):
-            raise InputError(
-                f"color overrides look like A=#11aa22,B=...,C=...; got {item!r}"
-            )
+        if label not in ("A", "B", "C") or not _COLOR.fullmatch(value):
+            raise InputError(f"color overrides look like A=#11aa22,B=#abc,C=red; got {item!r}")
         colors[label] = value
     return colors
 

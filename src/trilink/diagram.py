@@ -37,9 +37,12 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .errors import DegeneracyError, InputError
+
+if TYPE_CHECKING:
+    from .polyline import PlanarStrand
 
 EXPORT_SCHEMA = "trilink-diagram v1"
 
@@ -406,15 +409,6 @@ def to_diagram(proj: CanonicalProjection, asg: CrossingAssignment) -> LinkDiagra
 GENERIC_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class PlanarStrand:
-    """A closed planar polyline with a depth value per vertex."""
-
-    label: str
-    points: tuple[tuple[float, float], ...]
-    depths: tuple[float, ...]
-
-
 class Meeting(NamedTuple):
     strand_i: int
     param_i: float  # arclength along strand_i
@@ -434,28 +428,26 @@ def diagram_from_strands(strands: Sequence[PlanarStrand]) -> LinkDiagram:
     segment, goes over.  Raises :class:`DegeneracyError` for non-generic
     pictures (tangency, vertex hits, near-coincident crossings, depths
     equal within ``GENERIC_TOL``, two distinct strands crossing an odd
-    number of times), and :class:`InputError` for a strand that is not
-    at least 3 finite (x, y) points with one finite depth each.
+    number of times).  The strands were checked when they were built
+    (:class:`~trilink.polyline.PlanarStrand`).
     """
-    from .polyline import segment_meetings, strand_record
+    from .polyline import segment_meetings
 
-    records = [strand_record(s) for s in strands]
     meetings: list[Meeting] = []
-    for i, (line_i, depths_i) in enumerate(records):
-        for j, (line_j, depths_j) in enumerate(records[i:], start=i):
-            recs = segment_meetings(line_i, depths_i, line_j, depths_j, i == j, GENERIC_TOL)
+    for i, a in enumerate(strands):
+        for j, b in enumerate(strands[i:], start=i):
+            recs = segment_meetings(a, b, GENERIC_TOL)
             if i != j and len(recs) % 2:
                 # Two closed curves in general position cross an even number of times.
                 raise DegeneracyError(
-                    f"strands {strands[i].label!r} and {strands[j].label!r} "
-                    f"cross {len(recs)} times, an odd number"
+                    f"strands {a.label!r} and {b.label!r} cross {len(recs)} times, an odd number"
                 )
             for seg_a, t_a, seg_b, t_b, point, depth_a, depth_b in recs:
-                ta, tb = line_i.steps[seg_a].tolist(), line_j.steps[seg_b].tolist()
+                ta, tb = a.steps[seg_a].tolist(), b.steps[seg_b].tolist()
                 meetings.append(
                     Meeting(
-                        i, line_i.arclength(seg_a, t_a), tuple(ta), depth_a,
-                        j, line_j.arclength(seg_b, t_b), tuple(tb), depth_b, point,
+                        i, a.arclength(seg_a, t_a), tuple(ta), depth_a,
+                        j, b.arclength(seg_b, t_b), tuple(tb), depth_b, point,
                     )
                 )
 
@@ -487,9 +479,8 @@ def diagram_from_strands(strands: Sequence[PlanarStrand]) -> LinkDiagram:
             Visit(crossing, slot, param)
             for param, crossing, slot in sorted(passages[i])
         )
-        components.append(
-            Component(label=strand.label, visits=visits, path=strand.points)
-        )
+        path = tuple(map(tuple, strand.points.tolist()))
+        components.append(Component(label=strand.label, visits=visits, path=path))
     diagram = LinkDiagram(components=tuple(components), crossings=tuple(crossings))
     validate_diagram(diagram)
     return diagram
@@ -532,6 +523,8 @@ def _twist_unknot() -> LinkDiagram:
     Depth ``sin(theta)`` puts the earlier passage through the crossing
     (theta = 2pi/3, before 4pi/3) over; the resulting writhe is +1.
     """
+    from .polyline import PlanarStrand
+
     n = 256
     pts = []
     depths = []
@@ -540,11 +533,13 @@ def _twist_unknot() -> LinkDiagram:
         r = 0.5 + math.cos(theta)
         pts.append((r * math.cos(theta), r * math.sin(theta)))
         depths.append(math.sin(theta))
-    return diagram_from_strands([PlanarStrand("K", tuple(pts), tuple(depths))])
+    return diagram_from_strands([PlanarStrand("K", pts, depths)])
 
 
 def _trefoil() -> LinkDiagram:
     """Alternating 3-crossing trefoil from the standard parametric space curve."""
+    from .polyline import PlanarStrand
+
     n = 240
     pts = []
     depths = []
@@ -552,8 +547,7 @@ def _trefoil() -> LinkDiagram:
         t = 2.0 * math.pi * k / n
         pts.append((math.sin(t) + 2.0 * math.sin(2.0 * t), math.cos(t) - 2.0 * math.cos(2.0 * t)))
         depths.append(-math.sin(3.0 * t))
-    strand = PlanarStrand("K", tuple(pts), tuple(depths))
-    return diagram_from_strands([strand])
+    return diagram_from_strands([PlanarStrand("K", pts, depths)])
 
 
 def builtin_diagram(name: str) -> LinkDiagram:
@@ -674,6 +668,8 @@ def diagram_from_text(text: str) -> LinkDiagram:
                 components.append(Component(label.strip(), tuple(visits)))
             elif head == "crossing":
                 fields = rest.split()
+                if int(fields[0]) != len(crossings):
+                    raise ValueError(f"expected crossing {len(crossings)}")
                 over_entry = int(fields[fields.index("over-entry") + 1])
                 if over_entry not in (1, 3):
                     raise ValueError("over-entry slot must be 1 or 3")

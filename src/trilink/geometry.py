@@ -20,11 +20,11 @@ from typing import Sequence
 import numpy as np
 
 from .diagram import GENERIC_TOL  # noqa: F401 (re-exported)
-from .diagram import DEFAULT_SEGMENTS, REALIZE_KINDS, SCENE_KINDS, LinkDiagram, PlanarStrand
+from .diagram import DEFAULT_SEGMENTS, REALIZE_KINDS, SCENE_KINDS, LinkDiagram
 from .diagram import diagram_from_strands
 from .errors import DegeneracyError, InputError
 from .invariants import signed_linking_numbers
-from .polyline import Polyline, near_segment_pairs
+from .polyline import PlanarStrand, Polyline, near_segment_pairs
 
 DIRECTION_SEED = 61803
 MIN_CURVE_SEPARATION = 1e-6
@@ -34,30 +34,28 @@ MAX_DIRECTION_RETRIES = 100
 MAX_SEGMENTS = 16384
 
 
-@dataclass(frozen=True, eq=False)
-class PolyCurve3:
-    """A closed polygonal curve in 3-space (last point connects to first), finite throughout."""
+class PolyCurve3(Polyline):
+    """A closed polygonal curve in 3-space (last point connects to first), finite throughout.
 
-    label: str
-    points: np.ndarray  # (n, 3)
-    polyline: Polyline = field(init=False, repr=False)
+    Curves compare by identity and their points are read-only, so a curve
+    can key a cache.
+    """
 
-    def __post_init__(self):
-        pts = np.array(self.points, dtype=float)
+    def __init__(self, label: str, points):
+        pts = np.array(points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 8:
             raise InputError("a curve needs at least 8 points of dimension 3")
         if not np.all(np.isfinite(pts)):
             raise InputError("curve points must be finite")
         pts.setflags(write=False)
         with np.errstate(over="ignore"):
-            line = Polyline(pts)
-            lengths = line.lengths
+            super().__init__(pts)
+            lengths = self.lengths
         if np.any(lengths == 0.0):
             raise InputError("curve has a zero-length segment")
         if not np.all(np.isfinite(lengths)):
             raise InputError("curve has a segment too long to measure")
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "polyline", line)
+        self.label = label
 
     @property
     def segment_count(self) -> int:
@@ -287,7 +285,7 @@ def scene(kind: str) -> Scene3D:
     raise InputError(f"unknown scene {kind!r}; valid kinds: " + ", ".join(SCENE_KINDS))
 
 
-def _circle_frame(prim: CirclePrim) -> tuple[np.ndarray, np.ndarray]:
+def _circle_frame(prim: CirclePrim | ArcPrim) -> tuple[np.ndarray, np.ndarray]:
     n = np.asarray(prim.normal, dtype=float)
     n = n / np.linalg.norm(n)
     helper = np.array([0.0, 0.0, 1.0]) if abs(n[2]) < 0.9 else np.array([1.0, 0.0, 0.0])
@@ -297,12 +295,12 @@ def _circle_frame(prim: CirclePrim) -> tuple[np.ndarray, np.ndarray]:
     return e1, e2
 
 
-def _circle_points(prim: CirclePrim, segments: int) -> np.ndarray:
+def _circle_points(prim: CirclePrim | ArcPrim, angles: np.ndarray) -> np.ndarray:
+    """Points at ``angles`` on the circle (center, normal, radius) of a circle or arc."""
     e1, e2 = _circle_frame(prim)
-    t = np.linspace(0.0, 2.0 * math.pi, segments, endpoint=False)
     return (
         np.asarray(prim.center)
-        + prim.radius * (np.outer(np.cos(t), e1) + np.outer(np.sin(t), e2))
+        + prim.radius * (np.outer(np.cos(angles), e1) + np.outer(np.sin(angles), e2))
     )
 
 
@@ -352,7 +350,6 @@ def curve_distance(a: PolyCurve3, b: PolyCurve3) -> float:
     of ``_DISTANCE_CHUNK`` pairs; the minimum equals the full table's.
     Curves too large to measure give a distance that is not finite.
     """
-    a, b = a.polyline, b.polyline
     with np.errstate(over="ignore", invalid="ignore"):
         I, J = near_segment_pairs(a, b, reach=None)
         chunks = (slice(lo, lo + _DISTANCE_CHUNK) for lo in range(0, len(I), _DISTANCE_CHUNK))
@@ -453,18 +450,10 @@ def _project_curves(
     curves: Sequence[PolyCurve3], direction: np.ndarray
 ) -> list[PlanarStrand]:
     u, v, d = _projection_frame(direction)
-    strands = []
-    for curve in curves:
-        xy = np.stack([curve.points @ u, curve.points @ v], axis=1)
-        depth = curve.points @ d
-        strands.append(
-            PlanarStrand(
-                label=curve.label,
-                points=tuple(map(tuple, xy.tolist())),
-                depths=tuple(depth.tolist()),
-            )
-        )
-    return strands
+    return [
+        PlanarStrand(c.label, np.stack([c.points @ u, c.points @ v], axis=1), c.points @ d)
+        for c in curves
+    ]
 
 
 def _check_separation(a: PolyCurve3, b: PolyCurve3) -> None:
@@ -507,7 +496,6 @@ def gauss_linking_integral(a: PolyCurve3, b: PolyCurve3) -> float:
     O(block * m).
     """
     _check_separation(a, b)
-    a, b = a.polyline, b.polyline
     origin = a.points[0]
     ma = (a.points + a.ends) / 2.0 - origin
     mb = (b.points + b.ends) / 2.0 - origin

@@ -10,7 +10,6 @@ import functools
 
 import numpy as np
 
-from .diagram import PlanarStrand
 from .errors import DegeneracyError, InputError
 
 #: Segments per leaf box, and leaves per group box, of :func:`near_segment_pairs`.
@@ -48,22 +47,30 @@ class Polyline:
         return self._boxes[widen]
 
 
-def strand_record(strand: PlanarStrand) -> tuple[Polyline, np.ndarray]:
-    """Record and depths of a strand of at least 3 finite (x, y) points, a finite depth each."""
-    name, count = f"strand {strand.label!r}", len(strand.points)
-    if count < 3:
-        raise InputError(f"{name} has {count} points; a closed strand needs at least 3")
-    if len(strand.depths) != count:
-        raise InputError(f"{name} has {count} points but {len(strand.depths)} depths")
-    try:
-        points = np.array(strand.points, dtype=float)
-        depths = np.array(strand.depths, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"{name} points and depths form no numeric array: {exc}") from exc
-    finite = np.isfinite(points).all() and np.isfinite(depths).all()
-    if points.shape != (count, 2) or depths.shape != (count,) or not finite:
-        raise InputError(f"{name} needs finite (x, y) points and finite depths")
-    return Polyline(points), depths
+class PlanarStrand(Polyline):
+    """A labelled closed planar polyline with a depth per vertex.
+
+    Building one raises :class:`InputError`, naming the strand, unless it
+    has at least 3 finite (x, y) points and a finite depth for each.
+    """
+
+    def __init__(self, label: str, points, depths):
+        name, count = f"strand {label!r}", len(points)
+        if count < 3:
+            raise InputError(f"{name} has {count} points; a closed strand needs at least 3")
+        if len(depths) != count:
+            raise InputError(f"{name} has {count} points but {len(depths)} depths")
+        try:
+            xy = np.array(points, dtype=float)
+            depths = np.array(depths, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"{name} points and depths form no numeric array: {exc}") from exc
+        finite = np.isfinite(xy).all() and np.isfinite(depths).all()
+        if xy.shape != (count, 2) or depths.shape != (count,) or not finite:
+            raise InputError(f"{name} needs finite (x, y) points and finite depths")
+        super().__init__(xy)
+        self.label = label
+        self.depths = depths
 
 
 def _box_gaps_squared(lo_a, hi_a, lo_b, hi_b) -> np.ndarray:
@@ -160,14 +167,15 @@ def near_segment_pairs(
 
 
 def segment_meetings(
-    a: Polyline, da: np.ndarray | None, b: Polyline, db: np.ndarray | None, same: bool, tol: float
+    a: PlanarStrand, b: PlanarStrand, tol: float
 ) -> list[tuple[int, float, int, float, tuple[float, float], float, float]]:
-    """All transverse interior intersections between two closed planar polylines.
+    """All transverse interior intersections of two strands, or of a strand with itself.
 
     Returns (seg_a, t_a, seg_b, t_b, point, depth_a, depth_b) records.
     Rejects (raises DegeneracyError) near-parallel meetings and meetings
     too close to a segment endpoint, so callers can retry another
-    projection direction.  Records come in (seg_a, seg_b) order.
+    projection direction.  Records come in (seg_a, seg_b) order, with
+    seg_a < seg_b when ``a is b``.
 
     Only segment pairs whose 4-segment leaves have overlapping boxes are
     tested (:func:`near_segment_pairs`); each box is widened by ``tol``
@@ -176,9 +184,10 @@ def segment_meetings(
     """
     na, nb = len(a.points), len(b.points)
     r, s = a.steps, b.steps
+    da, db = a.depths, b.depths
 
     I, J = near_segment_pairs(a, b, 0.0, widen=tol)
-    if same:
+    if a is b:
         # i < j, and a segment and its neighbors share endpoints.
         keep = (I < J) & (J - I != 1) & (J - I != na - 1)
         I, J = I[keep], J[keep]
@@ -207,7 +216,7 @@ def segment_meetings(
         if abs(rn[0] * sn[1] - rn[1] * sn[0]) < tol:
             raise DegeneracyError("near-tangent crossing")
         point = a.points[i] + ti * r[i]
-        depth_a = 0.0 if da is None else float(da[i] + ti * (da[(i + 1) % na] - da[i]))
-        depth_b = 0.0 if db is None else float(db[j] + uj * (db[(j + 1) % nb] - db[j]))
+        depth_a = float(da[i] + ti * (da[(i + 1) % na] - da[i]))
+        depth_b = float(db[j] + uj * (db[(j + 1) % nb] - db[j]))
         out.append((i, ti, j, uj, (float(point[0]), float(point[1])), depth_a, depth_b))
     return out

@@ -192,18 +192,14 @@ def _sample_primitive(prim: object) -> list[tuple[str, np.ndarray]]:
     """Turn a primitive into (tag, 3D polyline) pieces for projection."""
     import numpy as np
 
-    from .geometry import ArcPrim, CirclePrim, PatchPrim, _circle_frame, _circle_points
+    from .geometry import ArcPrim, CirclePrim, PatchPrim, _circle_points
     out: list[tuple[str, np.ndarray]] = []
     if isinstance(prim, CirclePrim):
-        out.append((prim.tag, _circle_points(prim, 96)))
+        angles = np.linspace(0.0, 2.0 * math.pi, 96, endpoint=False)
+        out.append((prim.tag, _circle_points(prim, angles)))
     elif isinstance(prim, ArcPrim):
-        e1, e2 = _circle_frame(CirclePrim(prim.center, prim.normal, prim.radius))
-        t = np.linspace(prim.angle_start, prim.angle_end, 48)
-        pts = (
-            np.asarray(prim.center)
-            + prim.radius * (np.outer(np.cos(t), e1) + np.outer(np.sin(t), e2))
-        )
-        out.append((prim.tag, pts))
+        angles = np.linspace(prim.angle_start, prim.angle_end, 48)
+        out.append((prim.tag, _circle_points(prim, angles)))
     elif isinstance(prim, PatchPrim):
         grid = prim.grid
         for i in range(0, grid.shape[0], 4):

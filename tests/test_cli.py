@@ -69,6 +69,23 @@ def test_numpy_is_imported_only_where_geometry_runs(argv, loads_numpy):
     assert run_in_fresh_interpreter(*argv) == (0, loads_numpy)
 
 
+def test_polyline_imports_no_diagram():
+    # The package's __init__ imports ``diagram``; a bare package object in
+    # its place runs only the imports of ``polyline`` itself.
+    probe = (
+        "import sys, types\n"
+        "package = types.ModuleType('trilink')\n"
+        f"package.__path__ = [{str(SRC / 'trilink')!r}]\n"
+        "sys.modules['trilink'] = package\n"
+        "import trilink.polyline\n"
+        "print(*sorted(name for name in sys.modules if name.startswith('trilink')))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=120, check=True
+    )
+    assert done.stdout.split() == ["trilink", "trilink.errors", "trilink.polyline"]
+
+
 class TestCensusCommand:
     def test_table_headline(self, capsys):
         code, out, _ = run_cli(capsys, "census", "--format", "table")
@@ -174,6 +191,20 @@ class TestRenderCommand:
         code, _, err = run_cli(capsys, "render", "111100", "--color", "D=#101010")
         assert code == 2
         assert "color overrides" in err
+
+    @pytest.mark.parametrize(
+        "spec",
+        ['A=red" onload="alert(1)', "A=#12345", "B=#ggg", "C=", "C=url(#x)", "A=dark-red"],
+    )
+    def test_color_value_must_be_hex_or_name(self, capsys, spec):
+        code, out, err = run_cli(capsys, "render", "111100", "--color", spec)
+        assert (code, out) == (2, "")
+        assert "color overrides" in err
+
+    def test_color_names_and_short_hex_accepted(self, capsys):
+        code, out, _ = run_cli(capsys, "render", "111100", "--color", "A=Teal,B=#abc")
+        assert code == 0
+        assert 'stroke="Teal"' in out and 'stroke="#abc"' in out
 
     @pytest.mark.parametrize(
         "subject, spec",

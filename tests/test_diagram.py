@@ -8,7 +8,6 @@ from trilink.diagram import (
     BUILTIN_NAMES,
     CIRCLE_RADIUS,
     CircleId,
-    PlanarStrand,
     assignment_from_index,
     assignment_from_text,
     builtin_diagram,
@@ -21,6 +20,7 @@ from trilink.diagram import (
     validate_diagram,
 )
 from trilink.errors import InputError
+from trilink.polyline import PlanarStrand
 
 
 def _crossing_angles_oracle(proj, circle, other):
@@ -322,12 +322,12 @@ class TestDiagramFromStrands:
     def test_vertex_and_depth_must_be_finite_numbers(self, vertex, depth, message):
         circle, points, depths = self.crossing_circles()
         points[0], depths[0] = vertex, depth
-        strands = [circle, PlanarStrand("K", tuple(points), tuple(depths))]
         if message is None:
+            strands = [circle, PlanarStrand("K", tuple(points), tuple(depths))]
             assert diagram_from_strands(strands).crossing_count == 2
             return
         with pytest.raises(InputError, match=f"strand 'K' .*{message}"):
-            diagram_from_strands(strands)
+            diagram_from_strands([circle, PlanarStrand("K", tuple(points), tuple(depths))])
 
     def test_three_coordinate_vertices_rejected(self):
         circle, points, depths = self.crossing_circles()
@@ -427,6 +427,22 @@ def test_malformed_text_raises_input_error(old, new):
     assert old in _HOPF_TEXT
     with pytest.raises(InputError):
         diagram_from_text(_HOPF_TEXT.replace(old, new))
+
+
+@pytest.mark.parametrize("edit", ["wrong-number", "out-of-order", "repeated-number"])
+def test_crossing_lines_must_be_numbered_in_order(all_diagrams, edit):
+    lines = diagram_to_text(all_diagrams[0b111000]).splitlines()
+    k = lines.index("crossings 6") + 1
+    if edit == "wrong-number":
+        lines[k + 5] = lines[k + 5].replace("crossing 5 ", "crossing 9 ")
+    elif edit == "out-of-order":
+        # Crossings 0 and 2 both have over-entry 3: listed 2 before 0, they
+        # used to be read with their sites and positions exchanged.
+        lines[k], lines[k + 2] = lines[k + 2], lines[k]
+    else:
+        lines[k + 1] = lines[k + 1].replace("crossing 1 ", "crossing 0 ")
+    with pytest.raises(InputError, match="expected crossing"):
+        diagram_from_text("\n".join(lines))
 
 
 @pytest.mark.parametrize(

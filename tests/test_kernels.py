@@ -113,9 +113,10 @@ def segments(curve):
 
 
 def pruned_segment_meetings(pa, da, pb, db, same, tol):
-    """:func:`trilink.polyline.segment_meetings` on records of the point arrays."""
-    a = P.Polyline(pa)
-    return P.segment_meetings(a, da, a if pb is pa else P.Polyline(pb), db, same, tol)
+    """:func:`trilink.polyline.segment_meetings` on strands of the arrays (depth 0 for ``None``)."""
+    a = P.PlanarStrand("a", pa, np.zeros(len(pa)) if da is None else da)
+    b = a if same else P.PlanarStrand("b", pb, np.zeros(len(pb)) if db is None else db)
+    return P.segment_meetings(a, b, tol)
 
 
 def dense_gauss_integral(a, b):
