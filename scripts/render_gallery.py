@@ -9,7 +9,7 @@ import argparse
 from pathlib import Path
 
 from trilink import geometry
-from trilink.diagram import build_canonical_projection, to_diagram
+from trilink.diagram import to_diagram
 from trilink.render import svg_diagram, svg_scene
 from trilink.symmetry import orbit_partition
 
@@ -20,11 +20,10 @@ def main() -> None:
     args = parser.parse_args()
     args.outdir.mkdir(parents=True, exist_ok=True)
 
-    proj = build_canonical_projection()
     for orbit_id, orbit in enumerate(orbit_partition()):
         rep = orbit.representative
         name = f"orbit-{orbit_id:02d}-rep-{rep.word}.svg"
-        (args.outdir / name).write_text(svg_diagram(to_diagram(proj, rep)))
+        (args.outdir / name).write_text(svg_diagram(to_diagram(rep)))
         print(f"wrote {name} (orbit size {orbit.size})")
 
     for kind in geometry.SCENE_KINDS:

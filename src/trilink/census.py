@@ -14,6 +14,7 @@ every run; invariants and realizations are derived anew on each call.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import io
@@ -27,7 +28,6 @@ from .diagram import (
     LinkDiagram,
     all_assignments,
     assignment_from_text,
-    build_canonical_projection,
     builtin_diagram,
     flip_all_crossings,
     remove_component,
@@ -97,8 +97,7 @@ class CensusSummary:
 @functools.cache
 def census_diagrams() -> tuple[LinkDiagram, ...]:
     """The 64 depictions' diagrams, indexed by assignment index; built once."""
-    proj = build_canonical_projection()
-    return tuple(to_diagram(proj, asg) for asg in all_assignments())
+    return tuple(map(to_diagram, all_assignments()))
 
 
 def run_census() -> tuple[tuple[CensusRecord, ...], CensusSummary]:
@@ -186,23 +185,40 @@ def census_to_csv(records: tuple[CensusRecord, ...]) -> str:
     return out.getvalue()
 
 
+@contextlib.contextmanager
+def _census_input(kind: str):
+    """Re-raise a bare error from parsing census ``kind`` text as :class:`InputError`."""
+    try:
+        yield
+    except InputError:
+        raise
+    except (KeyError, IndexError, TypeError, AttributeError, ValueError) as exc:
+        raise InputError(f"malformed census {kind}: {exc!r}") from exc
+
+
+def _integer(value) -> int:
+    if type(value) is not int:
+        raise ValueError(f"expected an integer, got {value!r}")
+    return value
+
+
 def parse_census_csv(text: str) -> tuple[CensusRecord, ...]:
     """Re-parse the CSV export back into records (round-trips exactly)."""
-    reader = csv.DictReader(io.StringIO(text))
     records = []
-    for row in reader:
-        records.append(
-            CensusRecord(
-                assignment=assignment_from_text(row["bitword"]),
-                orbit_id=int(row["orbit_id"]),
-                orbit_size=int(row["orbit_size"]),
-                embedding_type=EmbeddingType(row["embedding_type"]),
-                linking_profile=LinkingProfile(
-                    int(row["lk_ab"]), int(row["lk_bc"]), int(row["lk_ca"])
-                ),
-                bracket=LaurentPoly.from_text(row["bracket"]),
+    with _census_input("CSV"):
+        for row in csv.DictReader(io.StringIO(text)):
+            records.append(
+                CensusRecord(
+                    assignment=assignment_from_text(row["bitword"]),
+                    orbit_id=int(row["orbit_id"]),
+                    orbit_size=int(row["orbit_size"]),
+                    embedding_type=EmbeddingType(row["embedding_type"]),
+                    linking_profile=LinkingProfile(
+                        int(row["lk_ab"]), int(row["lk_bc"]), int(row["lk_ca"])
+                    ),
+                    bracket=LaurentPoly.from_text(row["bracket"]),
+                )
             )
-        )
     return tuple(records)
 
 
@@ -237,32 +253,34 @@ def census_to_json(
 
 
 def parse_census_json(text: str) -> tuple[tuple[CensusRecord, ...], CensusSummary]:
-    doc = json.loads(text)
-    if doc.get("schema_version") != CENSUS_SCHEMA_VERSION:
-        raise InputError(
-            f"unsupported census schema version {doc.get('schema_version')!r}"
+    with _census_input("JSON"):
+        doc = json.loads(text)
+        if doc.get("schema_version") != CENSUS_SCHEMA_VERSION:
+            raise InputError(
+                f"unsupported census schema version {doc.get('schema_version')!r}"
+            )
+        records = tuple(
+            CensusRecord(
+                assignment=assignment_from_text(rec["bitword"]),
+                orbit_id=_integer(rec["orbit_id"]),
+                orbit_size=_integer(rec["orbit_size"]),
+                embedding_type=EmbeddingType(rec["embedding_type"]),
+                linking_profile=LinkingProfile(*map(_integer, rec["linking_profile"])),
+                bracket=LaurentPoly.from_text(rec["bracket"]),
+            )
+            for rec in doc["records"]
         )
-    records = tuple(
-        CensusRecord(
-            assignment=assignment_from_text(rec["bitword"]),
-            orbit_id=rec["orbit_id"],
-            orbit_size=rec["orbit_size"],
-            embedding_type=EmbeddingType(rec["embedding_type"]),
-            linking_profile=LinkingProfile(*rec["linking_profile"]),
-            bracket=LaurentPoly.from_text(rec["bracket"]),
+        summary = CensusSummary(
+            total_depictions=_integer(doc["total_depictions"]),
+            orbit_count=_integer(doc["orbit_count"]),
+            per_type_orbit_counts={
+                EmbeddingType(k): _integer(v) for k, v in doc["per_type_orbit_counts"].items()
+            },
+            per_type_depiction_counts={
+                EmbeddingType(k): _integer(v)
+                for k, v in doc["per_type_depiction_counts"].items()
+            },
         )
-        for rec in doc["records"]
-    )
-    summary = CensusSummary(
-        total_depictions=doc["total_depictions"],
-        orbit_count=doc["orbit_count"],
-        per_type_orbit_counts={
-            EmbeddingType(k): v for k, v in doc["per_type_orbit_counts"].items()
-        },
-        per_type_depiction_counts={
-            EmbeddingType(k): v for k, v in doc["per_type_depiction_counts"].items()
-        },
-    )
     return records, summary
 
 

@@ -21,7 +21,6 @@ from .diagram import (
     REALIZE_KINDS,
     SCENE_KINDS,
     assignment_from_text,
-    build_canonical_projection,
     builtin_diagram,
     diagram_to_text,
     to_diagram,
@@ -161,7 +160,7 @@ def _cmd_census(args) -> int:
 
 def _cmd_classify(args) -> int:
     asg = assignment_from_text(args.bitword)
-    d = _diagram_from_args(args)
+    d = to_diagram(asg)
     orbit = orbit_of(asg)
     profile = pairwise_linking(d)
     lines = [
@@ -178,7 +177,7 @@ def _cmd_classify(args) -> int:
 def _diagram_from_args(args):
     if getattr(args, "builtin", None):
         return builtin_diagram(args.builtin)
-    return to_diagram(build_canonical_projection(), assignment_from_text(args.bitword))
+    return to_diagram(assignment_from_text(args.bitword))
 
 
 def _cmd_invariants(args) -> int:

@@ -36,6 +36,7 @@ import enum
 import functools
 import itertools
 import math
+import re
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
@@ -78,29 +79,6 @@ class CrossingSite:
     position: tuple[float, float]
 
 
-@dataclass(frozen=True)
-class CanonicalProjection:
-    """Geometry of the fixed three-circle shadow."""
-
-    circles: dict[CircleId, tuple[tuple[float, float], float]]
-    sites: tuple[CrossingSite, ...]
-
-    def center(self, c: CircleId) -> tuple[float, float]:
-        return self.circles[c][0]
-
-    def radius(self, c: CircleId) -> float:
-        return self.circles[c][1]
-
-
-def _circle_centers() -> dict[CircleId, tuple[float, float]]:
-    half_sqrt3 = math.sqrt(3.0) / 2.0
-    return {
-        CircleId.A: (0.0, CENTER_DISTANCE),
-        CircleId.B: (-half_sqrt3 * CENTER_DISTANCE, -0.5 * CENTER_DISTANCE),
-        CircleId.C: (half_sqrt3 * CENTER_DISTANCE, -0.5 * CENTER_DISTANCE),
-    }
-
-
 def _circle_intersections(
     c1: tuple[float, float], c2: tuple[float, float], radius: float
 ) -> tuple[tuple[float, float], tuple[float, float]]:
@@ -118,21 +96,28 @@ def _circle_intersections(
     return ((mx + h * nx, my + h * ny), (mx - h * nx, my - h * ny))
 
 
-def build_canonical_projection() -> CanonicalProjection:
-    """Construct the fixed projection (deterministic, closed-form geometry)."""
-    centers = _circle_centers()
-    circles = {c: (centers[c], CIRCLE_RADIUS) for c in CircleId}
+_HALF_SQRT3 = math.sqrt(3.0) / 2.0
+
+#: Center of each circle of the fixed projection.
+CENTERS: dict[CircleId, tuple[float, float]] = {
+    CircleId.A: (0.0, CENTER_DISTANCE),
+    CircleId.B: (-_HALF_SQRT3 * CENTER_DISTANCE, -0.5 * CENTER_DISTANCE),
+    CircleId.C: (_HALF_SQRT3 * CENTER_DISTANCE, -0.5 * CENTER_DISTANCE),
+}
+
+
+def _sites() -> tuple[CrossingSite, ...]:
     sites: list[CrossingSite] = []
     for pair_index, (lead, partner) in enumerate(SITE_PAIRS):
-        p1, p2 = _circle_intersections(centers[lead], centers[partner], CIRCLE_RADIUS)
+        p1, p2 = _circle_intersections(CENTERS[lead], CENTERS[partner], CIRCLE_RADIUS)
         inner, outer = (p1, p2) if math.hypot(*p1) <= math.hypot(*p2) else (p2, p1)
-        sites.append(
-            CrossingSite(2 * pair_index, (lead, partner), "inner", inner)
-        )
-        sites.append(
-            CrossingSite(2 * pair_index + 1, (lead, partner), "outer", outer)
-        )
-    return CanonicalProjection(circles=circles, sites=tuple(sites))
+        sites.append(CrossingSite(2 * pair_index, (lead, partner), "inner", inner))
+        sites.append(CrossingSite(2 * pair_index + 1, (lead, partner), "outer", outer))
+    return tuple(sites)
+
+
+#: The six crossing sites of the fixed projection, in site-index order.
+SITES = _sites()
 
 
 # ---------------------------------------------------------------------------
@@ -385,17 +370,17 @@ def _circle_diagram(
     return LinkDiagram(components=tuple(components), crossings=tuple(crossings))
 
 
-def to_diagram(proj: CanonicalProjection, asg: CrossingAssignment) -> LinkDiagram:
+def to_diagram(asg: CrossingAssignment) -> LinkDiagram:
     """Build the depiction of ``asg`` over the fixed projection.
 
     Crossing ids coincide with site indices.  Components are the circles
     A, B, C, each traversed counterclockwise from angle -pi.
     """
     meetings = []
-    for site in proj.sites:
+    for site in SITES:
         over, under = site.pair if asg.bit(site.site_index) else site.pair[::-1]
         meetings.append((over.name, under.name, site.position, site.site_index))
-    circles = [(c.name, proj.center(c), proj.radius(c)) for c in CircleId]
+    circles = [(c.name, CENTERS[c], CIRCLE_RADIUS) for c in CircleId]
     return _circle_diagram(circles, meetings)
 
 
@@ -646,44 +631,71 @@ def diagram_to_text(d: LinkDiagram) -> str:
     return "\n".join(lines) + "\n"
 
 
+#: Each line of a record after the header: its documented form, and a
+#: pattern of exactly that form (numbers of at most 9 digits).
+_RECORD_LINES = {
+    "components": ("components N", re.compile(r"components (\d{1,9})")),
+    "crossings": ("crossings N", re.compile(r"crossings (\d{1,9})")),
+    "component": (
+        "component LABEL : c.s ...",
+        re.compile(r"component (\S+) :((?: \d{1,9}\.\d{1,9})*)"),
+    ),
+    "crossing": (
+        "crossing K : over-entry S [site N] [pos X Y], S 1 or 3",
+        re.compile(
+            r"crossing (\d{1,9}) : over-entry ([13])"
+            r"(?: site (\d{1,9}))?(?: pos (\S+) (\S+))?"
+        ),
+    ),
+}
+
+
+def _coordinate(token: str) -> float:
+    """A ``pos`` coordinate, kept at the 12 significant digits a record is written with."""
+    value = float(token)
+    if not math.isfinite(value):
+        raise ValueError(f"coordinate {token} is not finite")
+    return float(f"{value:.12g}")
+
+
 def diagram_from_text(text: str) -> LinkDiagram:
-    """Parse the output of :func:`diagram_to_text` (combinatorics only, no paths)."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    """Parse the output of :func:`diagram_to_text` (combinatorics only, no paths).
+
+    Every line after the header must have one of the forms of
+    ``_RECORD_LINES``, fields in that order; anything else raises
+    :class:`InputError`.
+    """
+    lines = [" ".join(ln.split()) for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != EXPORT_SCHEMA:
         raise InputError(f"expected header {EXPORT_SCHEMA!r}")
     components: list[Component] = []
     crossings: list[Crossing] = []
     counts: dict[str, int] = {}
     for line in lines[1:]:
-        head, _, rest = line.partition(" ")
-        if head not in ("components", "crossings", "component", "crossing"):
+        head = line.partition(" ")[0]
+        if head not in _RECORD_LINES:
             raise InputError(f"unrecognized record {line!r}")
+        form, pattern = _RECORD_LINES[head]
+        match = pattern.fullmatch(line)
         try:
+            if match is None:
+                raise ValueError(f"expected {form!r}")
             if head == "component":
-                label, _, cycle = rest.partition(":")
-                visits = []
-                for token in cycle.split():
-                    cr, _, slot = token.partition(".")
-                    visits.append(Visit(int(cr), int(slot)))
-                components.append(Component(label.strip(), tuple(visits)))
+                label, cycle = match.groups()
+                visits = (Visit(*map(int, token.split("."))) for token in cycle.split())
+                components.append(Component(label, tuple(visits)))
             elif head == "crossing":
-                fields = rest.split()
-                if int(fields[0]) != len(crossings):
+                number, over_entry, site, x, y = match.groups()
+                if int(number) != len(crossings):
                     raise ValueError(f"expected crossing {len(crossings)}")
-                over_entry = int(fields[fields.index("over-entry") + 1])
-                if over_entry not in (1, 3):
-                    raise ValueError("over-entry slot must be 1 or 3")
-                site = None
-                position = None
-                if "site" in fields:
-                    site = int(fields[fields.index("site") + 1])
-                if "pos" in fields:
-                    k = fields.index("pos")
-                    position = (float(fields[k + 1]), float(fields[k + 2]))
-                crossings.append(Crossing(over_entry, position, site))
+                position = None if x is None else (_coordinate(x), _coordinate(y))
+                site_index = None if site is None else int(site)
+                crossings.append(Crossing(int(over_entry), position, site_index))
+            elif head in counts:
+                raise ValueError(f"a second {head} line")
             else:
-                counts[head] = int(rest)
-        except (ValueError, IndexError) as exc:
+                counts[head] = int(match.group(1))
+        except ValueError as exc:
             raise InputError(f"malformed record {line!r}: {exc}") from exc
     found = {"components": len(components), "crossings": len(crossings)}
     for head, count in counts.items():

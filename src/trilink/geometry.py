@@ -11,9 +11,9 @@ Projection directions are drawn from a seeded generator
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
+import weakref
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -37,8 +37,9 @@ MAX_SEGMENTS = 16384
 class PolyCurve3(Polyline):
     """A closed polygonal curve in 3-space (last point connects to first), finite throughout.
 
-    Curves compare by identity and their points are read-only, so a curve
-    can key a cache.
+    Curves compare by identity and their points are read-only, so each
+    curve keeps the distances measured to other curves in ``distances``,
+    keyed weakly by the other curve.
     """
 
     def __init__(self, label: str, points):
@@ -56,6 +57,7 @@ class PolyCurve3(Polyline):
         if not np.all(np.isfinite(lengths)):
             raise InputError("curve has a segment too long to measure")
         self.label = label
+        self.distances: weakref.WeakKeyDictionary[PolyCurve3, float] = weakref.WeakKeyDictionary()
 
     @property
     def segment_count(self) -> int:
@@ -362,21 +364,21 @@ def curve_distance(a: PolyCurve3, b: PolyCurve3) -> float:
         return float(np.min(minima))
 
 
-@functools.lru_cache(maxsize=6)
 def _finite_distance(a: PolyCurve3, b: PolyCurve3) -> float:
     """:func:`curve_distance`, raising :class:`InputError` when it is not finite.
 
-    Cached by curve identity (``PolyCurve3`` compares by identity and its
-    points are read-only), so the separation checks of a projection, of
-    :func:`validate_disjoint` and of the Gauss integral measure a pair once.
-    Six entries hold the pairs of two three-curve realizations, the most
-    ``trilink verify`` checks in turn.
+    Kept on both curves (``PolyCurve3.distances``), so the separation
+    checks of a projection, of :func:`validate_disjoint` and of the Gauss
+    integral measure a pair once, and a curve's partners die with it.
     """
+    if b in a.distances:
+        return a.distances[b]
     dist = curve_distance(a, b)
     if not math.isfinite(dist):
         raise InputError(
             f"distance of curves {a.label!r} and {b.label!r} is not finite ({dist})"
         )
+    a.distances[b] = b.distances[a] = dist
     return dist
 
 

@@ -62,52 +62,12 @@ class SiteAction:
     site_perm: tuple[int, int, int, int, int, int]
     flip_mask: tuple[bool, bool, bool, bool, bool, bool]
 
-    def compose(self, first: "SiteAction") -> "SiteAction":
-        """Action equal to applying ``first`` and then ``self``."""
-        perm = tuple(self.site_perm[first.site_perm[i]] for i in range(6))
-        flips = tuple(
-            first.flip_mask[i] ^ self.flip_mask[first.site_perm[i]] for i in range(6)
-        )
-        return SiteAction(perm, flips)  # type: ignore[arg-type]
-
-    def inverse(self) -> "SiteAction":
-        inv_perm = [0] * 6
-        for i in range(6):
-            inv_perm[self.site_perm[i]] = i
-        flips = tuple(self.flip_mask[inv_perm[j]] for j in range(6))
-        return SiteAction(tuple(inv_perm), flips)  # type: ignore[arg-type]
-
 
 def group_elements() -> tuple[SymmetryElement, ...]:
     """All twelve elements, identity first, interchange-free ones before the rest."""
     plain = tuple(SymmetryElement(name, False) for name in D3_NAMES)
     mirrored = tuple(SymmetryElement(name, True) for name in D3_NAMES)
     return plain + mirrored
-
-
-def compose(g: SymmetryElement, h: SymmetryElement) -> SymmetryElement:
-    """Group product: apply ``h`` first, then ``g``."""
-    gm, hm = g.label_map(), h.label_map()
-    combined = {c: gm[hm[c]] for c in CircleId}
-    for name, label_map in _D3_LABEL_MAPS.items():
-        if label_map == combined:
-            return SymmetryElement(name, g.mirror ^ h.mirror)
-    raise AssertionError("dihedral composition fell outside the group")
-
-
-def inverse(g: SymmetryElement) -> SymmetryElement:
-    inv = {v: k for k, v in g.label_map().items()}
-    for name, label_map in _D3_LABEL_MAPS.items():
-        if label_map == inv:
-            return SymmetryElement(name, g.mirror)
-    raise AssertionError("dihedral inverse fell outside the group")
-
-
-def _pair_index(pair: frozenset[CircleId]) -> int:
-    for k, (lead, partner) in enumerate(SITE_PAIRS):
-        if frozenset((lead, partner)) == pair:
-            return k
-    raise AssertionError("unknown circle pair")
 
 
 def site_action(g: SymmetryElement) -> SiteAction:
@@ -121,14 +81,13 @@ def site_action(g: SymmetryElement) -> SiteAction:
     perm = [0] * 6
     flips = [False] * 6
     for p, (lead, partner) in enumerate(SITE_PAIRS):
-        image_pair = frozenset((label_map[lead], label_map[partner]))
-        p_image = _pair_index(image_pair)
-        image_lead = SITE_PAIRS[p_image][0]
-        lead_moves_to_lead = label_map[lead] is image_lead
+        image = (label_map[lead], label_map[partner])
+        # The lead's image is the image pair's partner when the labels trade roles.
+        traded = image not in SITE_PAIRS
+        p_image = SITE_PAIRS.index(image[::-1] if traded else image)
         for depth in (0, 1):
-            i = 2 * p + depth
-            perm[i] = 2 * p_image + depth
-            flips[i] = (not lead_moves_to_lead) ^ g.mirror
+            perm[2 * p + depth] = 2 * p_image + depth
+            flips[2 * p + depth] = traded ^ g.mirror
     return SiteAction(tuple(perm), tuple(flips))  # type: ignore[arg-type]
 
 
@@ -138,10 +97,6 @@ def apply_action(action: SiteAction, asg: CrossingAssignment) -> CrossingAssignm
     for i in range(6):
         bits[action.site_perm[i]] = asg.bits[i] ^ action.flip_mask[i]
     return CrossingAssignment(tuple(bits))  # type: ignore[arg-type]
-
-
-def apply_element(g: SymmetryElement, asg: CrossingAssignment) -> CrossingAssignment:
-    return apply_action(site_action(g), asg)
 
 
 @dataclass(frozen=True)

@@ -5,12 +5,6 @@ import pytest
 
 from trilink import geometry as G
 from trilink.census import census_diagrams, run_census, verify_claims
-from trilink.diagram import build_canonical_projection
-
-
-@pytest.fixture(scope="session")
-def projection():
-    return build_canonical_projection()
 
 
 @pytest.fixture(scope="session")

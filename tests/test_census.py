@@ -1,5 +1,7 @@
 import dataclasses
 
+import pytest
+
 from trilink import census
 from trilink.census import (
     EXPECTED_ORBITS_PER_TYPE,
@@ -12,10 +14,10 @@ from trilink.census import (
 )
 from trilink.diagram import (
     assignment_from_index,
-    build_canonical_projection,
     diagram_to_text,
     to_diagram,
 )
+from trilink.errors import InputError
 from trilink.invariants import EmbeddingType
 
 
@@ -65,11 +67,10 @@ class TestCensusDiagrams:
         assert census.census_diagrams() is census.census_diagrams()
 
     def test_entries_equal_fresh_diagrams(self):
-        proj = build_canonical_projection()
         diagrams = census.census_diagrams()
         assert len(diagrams) == 64
         for i, d in enumerate(diagrams):
-            assert d == to_diagram(proj, assignment_from_index(i))
+            assert d == to_diagram(assignment_from_index(i))
 
 
 class TestSerialization:
@@ -105,6 +106,32 @@ class TestSerialization:
         assert table.rstrip().endswith(
             "10 patterns in 5 embedding types; 64 depictions"
         )
+
+    @pytest.mark.parametrize(
+        "fmt, old, new",
+        [
+            pytest.param("json", None, '{"schema_version": 1}', id="json-no-records"),
+            pytest.param("json", None, "[1]", id="json-not-an-object"),
+            pytest.param("json", "\n  ]\n}\n", "", id="json-truncated"),
+            pytest.param("json", '"orbit_id": 0', '"orbit_id": "zero"', id="json-text-orbit-id"),
+            pytest.param("csv", None, "a,b\n1,2\n", id="csv-unknown-header"),
+            pytest.param("csv", "000000,0,", "000000,zero,", id="csv-text-orbit-id"),
+            pytest.param("csv", ",0,0,0,0,", ",0,0,0,", id="csv-short-row"),
+        ],
+    )
+    def test_malformed_input_raises_input_error(self, census_results, fmt, old, new):
+        records, summary = census_results
+        if fmt == "json":
+            text, parse = census_to_json(records, summary), parse_census_json
+        else:
+            text, parse = census_to_csv(records), parse_census_csv
+        if old is None:
+            text = new
+        else:
+            assert old in text
+            text = text.replace(old, new, 1)
+        with pytest.raises(InputError, match="malformed census"):
+            parse(text)
 
 
 class TestCutChecks:

@@ -86,6 +86,14 @@ def test_polyline_imports_no_diagram():
     assert done.stdout.split() == ["trilink", "trilink.errors", "trilink.polyline"]
 
 
+def test_every_public_name_resolves():
+    import trilink
+
+    assert len(set(trilink.__all__)) == len(trilink.__all__)
+    missing = [name for name in trilink.__all__ if not hasattr(trilink, name)]
+    assert missing == []
+
+
 class TestCensusCommand:
     def test_table_headline(self, capsys):
         code, out, _ = run_cli(capsys, "census", "--format", "table")

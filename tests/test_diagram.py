@@ -1,12 +1,15 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from trilink.census import census_diagrams
 from trilink.diagram import (
     BUILTIN_NAMES,
+    CENTERS,
     CIRCLE_RADIUS,
+    SITES,
     CircleId,
     assignment_from_index,
     assignment_from_text,
@@ -23,17 +26,17 @@ from trilink.errors import InputError
 from trilink.polyline import PlanarStrand
 
 
-def _crossing_angles_oracle(proj, circle, other):
+def _crossing_angles_oracle(circle, other):
     """Independent crossing finder: scan the circle for sign changes of the
     distance to the other circle, then bisect.  Avoids the closed-form
     intersection used by the implementation."""
-    cx, cy = proj.center(circle)
-    ox, oy = proj.center(other)
-    r = proj.radius(circle)
+    cx, cy = CENTERS[circle]
+    ox, oy = CENTERS[other]
+    r = CIRCLE_RADIUS
 
     def gap(theta):
         px, py = cx + r * math.cos(theta), cy + r * math.sin(theta)
-        return math.hypot(px - ox, py - oy) - proj.radius(other)
+        return math.hypot(px - ox, py - oy) - CIRCLE_RADIUS
 
     n = 4096
     roots = []
@@ -54,49 +57,49 @@ def _crossing_angles_oracle(proj, circle, other):
     return roots
 
 
-def _visit_order(proj, circle):
+def _visit_order(circle):
     """Crossing (= site) ids in the order the census diagram traverses ``circle``."""
-    d = to_diagram(proj, assignment_from_index(0))
+    d = to_diagram(assignment_from_index(0))
     return tuple(v.crossing for v in d.component(circle).visits)
 
 
 class TestCanonicalProjection:
-    def test_site_and_circle_counts(self, projection):
-        assert len(projection.sites) == 6
-        assert len(projection.circles) == 3
+    def test_site_and_circle_counts(self):
+        assert len(SITES) == 6
+        assert len(CENTERS) == 3
 
-    def test_site_index_layout(self, projection):
-        for k, site in enumerate(projection.sites):
+    def test_site_index_layout(self):
+        for k, site in enumerate(SITES):
             assert site.site_index == k
             assert site.depth == ("inner" if k % 2 == 0 else "outer")
-        pairs = [tuple(c.name for c in s.pair) for s in projection.sites]
+        pairs = [tuple(c.name for c in s.pair) for s in SITES]
         assert pairs == [
             ("A", "B"), ("A", "B"),
             ("B", "C"), ("B", "C"),
             ("C", "A"), ("C", "A"),
         ]
 
-    def test_inner_sites_closer_to_origin(self, projection):
+    def test_inner_sites_closer_to_origin(self):
         for k in (0, 2, 4):
-            inner = math.hypot(*projection.sites[k].position)
-            outer = math.hypot(*projection.sites[k + 1].position)
+            inner = math.hypot(*SITES[k].position)
+            outer = math.hypot(*SITES[k + 1].position)
             assert inner < outer
 
-    def test_visit_orders_alternate_partners(self, projection):
+    def test_visit_orders_alternate_partners(self):
         for c in CircleId:
             partners = []
-            for idx in _visit_order(projection, c):
-                site = projection.sites[idx]
+            for idx in _visit_order(c):
+                site = SITES[idx]
                 partners.append(site.pair[0] if site.pair[1] is c else site.pair[1])
             assert partners[0] is partners[2]
             assert partners[1] is partners[3]
             assert partners[0] is not partners[1]
 
-    def test_visit_order_matches_independent_root_finder(self, projection):
+    def test_visit_order_matches_independent_root_finder(self):
         # Circle A meets B and C alternately; recover the order by scanning.
         angles = []
         for other in (CircleId.B, CircleId.C):
-            for theta in _crossing_angles_oracle(projection, CircleId.A, other):
+            for theta in _crossing_angles_oracle(CircleId.A, other):
                 angles.append((theta, other))
         angles.sort()
         assert len(angles) == 4
@@ -107,44 +110,38 @@ class TestCanonicalProjection:
         )
         # The implementation's visit order agrees with the scan.
         expected = []
-        for idx in _visit_order(projection, CircleId.A):
-            site = projection.sites[idx]
+        for idx in _visit_order(CircleId.A):
+            site = SITES[idx]
             expected.append(site.pair[0] if site.pair[1] is CircleId.A else site.pair[1])
         assert sequence == expected
 
-    def test_bc_sites_on_vertical_axis(self, projection):
-        assert abs(projection.sites[2].position[0]) < 1e-12
-        assert abs(projection.sites[3].position[0]) < 1e-12
+    def test_bc_sites_on_vertical_axis(self):
+        assert abs(SITES[2].position[0]) < 1e-12
+        assert abs(SITES[3].position[0]) < 1e-12
 
-    def test_no_triple_point(self, projection):
-        for site in projection.sites:
+    def test_no_triple_point(self):
+        for site in SITES:
             on = 0
             for c in CircleId:
-                cx, cy = projection.center(c)
+                cx, cy = CENTERS[c]
                 dist = math.hypot(site.position[0] - cx, site.position[1] - cy)
-                if abs(dist - projection.radius(c)) < 1e-9:
+                if abs(dist - CIRCLE_RADIUS) < 1e-9:
                     on += 1
             assert on == 2
 
-    def test_threefold_rotation_maps_sites_to_sites(self, projection):
+    def test_threefold_rotation_maps_sites_to_sites(self):
         cos120, sin120 = math.cos(2 * math.pi / 3), math.sin(2 * math.pi / 3)
-        positions = [s.position for s in projection.sites]
+        positions = [s.position for s in SITES]
         for x, y in positions:
             rx, ry = cos120 * x - sin120 * y, sin120 * x + cos120 * y
             best = min(math.hypot(rx - px, ry - py) for px, py in positions)
             assert best < 1e-9
 
-    def test_mirror_symmetry_maps_sites_to_sites(self, projection):
-        positions = [s.position for s in projection.sites]
+    def test_mirror_symmetry_maps_sites_to_sites(self):
+        positions = [s.position for s in SITES]
         for x, y in positions:
             best = min(math.hypot(-x - px, y - py) for px, py in positions)
             assert best < 1e-9
-
-    def test_deterministic_rebuild(self, projection):
-        from trilink.diagram import build_canonical_projection
-
-        again = build_canonical_projection()
-        assert again == projection
 
 
 class TestAssignments:
@@ -172,16 +169,16 @@ class TestAssignments:
 
 
 class TestToDiagram:
-    def test_height_stack_over_roles(self, projection):
-        d = to_diagram(projection, assignment_from_text("111100"))
-        over = _over_material(d, projection)
+    def test_height_stack_over_roles(self):
+        d = to_diagram(assignment_from_text("111100"))
+        over = _over_material(d)
         assert over[0] == "A" and over[1] == "A"  # AB sites
         assert over[2] == "B" and over[3] == "B"  # BC sites
         assert over[4] == "A" and over[5] == "A"  # CA sites: bit false, C not over
 
-    def test_cyclic_dominance_at_zero_word(self, projection):
-        d = to_diagram(projection, assignment_from_text("000000"))
-        over = _over_material(d, projection)
+    def test_cyclic_dominance_at_zero_word(self):
+        d = to_diagram(assignment_from_text("000000"))
+        over = _over_material(d)
         assert over == ["B", "B", "C", "C", "A", "A"]
 
     @pytest.mark.parametrize("index", range(64))
@@ -205,7 +202,7 @@ class TestToDiagram:
         }
 
 
-def _over_material(d, projection):
+def _over_material(d):
     """Label of the circle passing over at each site of a census diagram."""
     over = [None] * 6
     for comp in d.components:
@@ -421,6 +418,19 @@ crossing 2 : over-entry 1
         pytest.param("components 2", "components 3", id="component-count-disagrees"),
         pytest.param("crossings 2", "crossings 1", id="crossing-count-disagrees"),
         pytest.param(_HOPF_TEXT, _ODD_SHARED_TEXT, id="odd-crossings-between-components"),
+        pytest.param("crossing 0 : over-entry 3", "crossing 0 junk over-entry 3", id="unknown-token"),
+        pytest.param("crossing 0 : over-entry 3", "crossing 0 over-entry 3", id="no-colon"),
+        pytest.param("pos 0 0.62449979984\n", "pos 0 0.62449979984 colour 7\n", id="trailing-field"),
+        pytest.param(
+            "over-entry 3 pos 0 0.62449979984",
+            "over-entry 3 site 1 pos 0 -0.5 site 9 pos 0 0.62449979984",
+            id="repeated-site-and-pos",
+        ),
+        pytest.param(
+            "over-entry 3 pos 0 0.62449979984", "pos 0 0.62 over-entry 3", id="fields-out-of-order"
+        ),
+        pytest.param("pos 0 0.62449979984", "pos 0 1e999", id="infinite-coordinate"),
+        pytest.param("components 2\n", "components 2\ncomponents 2\n", id="repeated-count"),
     ],
 )
 def test_malformed_text_raises_input_error(old, new):
@@ -459,3 +469,53 @@ def test_repeated_component_label_raises_input_error(all_diagrams, index, old):
     assert text.count(old) == 1
     with pytest.raises(InputError, match="component labels repeat"):
         diagram_from_text(text.replace(old, "component B"))
+
+
+_VALID_RECORDS = [diagram_to_text(d) for d in census_diagrams()] + [
+    diagram_to_text(builtin_diagram(name)) for name in BUILTIN_NAMES
+]
+_INSERTED_TOKENS = (
+    "junk", ":", "0", "3", "-1", "0.5", "1.0", "site", "pos", "over-entry", "crossing",
+)
+
+
+@st.composite
+def mutated_records(draw):
+    """A valid record with 1-3 edits: a token dropped, duplicated or inserted,
+    two lines swapped, or a number edited."""
+    lines = [line.split() for line in draw(st.sampled_from(_VALID_RECORDS)).splitlines()]
+    for _ in range(draw(st.integers(1, 3))):
+        edit = draw(st.sampled_from(["drop", "duplicate", "insert", "swap", "number"]))
+        k = draw(st.integers(0, len(lines) - 1))
+        tokens = lines[k]
+        if edit == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[k], lines[j] = lines[j], lines[k]
+        elif edit == "insert":
+            token = draw(st.sampled_from(_INSERTED_TOKENS))
+            tokens.insert(draw(st.integers(0, len(tokens))), token)
+        elif edit == "number":
+            numbers = [i for i, token in enumerate(tokens) if any(map(str.isdigit, token))]
+            if numbers:
+                i = draw(st.sampled_from(numbers))
+                pos = draw(st.integers(0, len(tokens[i]) - 1))
+                ch = draw(st.sampled_from("0123456789.-e"))
+                tokens[i] = tokens[i][:pos] + ch + tokens[i][pos + 1:]
+        elif tokens:
+            i = draw(st.integers(0, len(tokens) - 1))
+            tokens[i:i + 1] = [] if edit == "drop" else [tokens[i], tokens[i]]
+    return "\n".join(" ".join(tokens) for tokens in lines) + "\n"
+
+
+# The VM's CPU speed switches between two levels about 1.6x apart, so this
+# test runs without a per-example deadline.
+@settings(deadline=None)
+@given(mutated_records())
+# A coordinate with more digits than a record is written with.
+@example(_HOPF_TEXT.replace("pos 0 -0.62449979984", "pos 0 50.62449979984"))
+def test_mutated_record_is_rejected_or_round_trips(text):
+    try:
+        d = diagram_from_text(text)
+    except InputError:
+        return
+    assert diagram_from_text(diagram_to_text(d)) == d

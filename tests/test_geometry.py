@@ -1,6 +1,8 @@
+import gc
 import itertools
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -110,6 +112,39 @@ class TestRealize:
             tracemalloc.stop()
         assert G.MAX_SEGMENTS == 16384
         assert peak < 100_000
+
+
+class TestDistanceCache:
+    def test_each_pair_measured_once(self, monkeypatch):
+        r = G.realize("torus-villarceau", segments=64)
+        measured = []
+        measure = G.curve_distance
+        monkeypatch.setattr(
+            G, "curve_distance", lambda a, b: measured.append((a.label, b.label)) or measure(a, b)
+        )
+        G.diagram_from_curves(r)
+        G.validate_disjoint(r)
+        G.gauss_linking_integral(r.curves[1], r.curves[0])
+        assert measured == [("A", "B"), ("A", "C"), ("B", "C")]
+
+    def test_curves_die_with_their_realization(self):
+        r = G.realize("torus-villarceau", segments=64)
+        G.validate_disjoint(r)
+        curves = [weakref.ref(curve) for curve in r.curves]
+        del r
+        gc.collect()
+        assert [curve() for curve in curves] == [None, None, None]
+
+    def test_long_lived_curve_keeps_no_partner_alive(self, villarceau):
+        kept = villarceau.curves[0]
+        partner = G.PolyCurve3("T", kept.points + 10.0)
+        known = len(kept.distances)
+        assert G.validate_disjoint(G.Realization3D((kept, partner), "pair")) > 1.0
+        gone = weakref.ref(partner)
+        del partner
+        gc.collect()
+        assert gone() is None
+        assert len(kept.distances) == known
 
 
 class TestLinkingNumbers3D:

@@ -20,7 +20,6 @@ from trilink.census import census_table, census_to_csv, census_to_json, run_cens
 from trilink.diagram import (
     BUILTIN_NAMES,
     all_assignments,
-    build_canonical_projection,
     builtin_diagram,
     diagram_to_text,
     to_diagram,
@@ -33,16 +32,14 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
 def _diagram_records() -> str:
-    proj = build_canonical_projection()
-    named = [(asg.word, to_diagram(proj, asg)) for asg in all_assignments()]
+    named = [(asg.word, to_diagram(asg)) for asg in all_assignments()]
     named += [(name, builtin_diagram(name)) for name in BUILTIN_NAMES]
     return "".join(f"== {name}\n{diagram_to_text(d)}" for name, d in named)
 
 
 def _svg_digests() -> str:
-    proj = build_canonical_projection()
     named = [
-        (orbit.representative.word, svg_diagram(to_diagram(proj, orbit.representative)))
+        (orbit.representative.word, svg_diagram(to_diagram(orbit.representative)))
         for orbit in orbit_partition()
     ]
     named += [(name, svg_diagram(builtin_diagram(name))) for name in BUILTIN_NAMES]

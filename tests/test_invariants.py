@@ -31,8 +31,9 @@ from trilink.invariants import (
 from trilink.laurent import LOOP_FACTOR, LaurentPoly, equal_up_to_inversion
 from trilink.symmetry import (
     SymmetryElement,
-    apply_element,
+    apply_action,
     orbit_partition,
+    site_action,
 )
 
 ONE = LaurentPoly.one()
@@ -266,7 +267,7 @@ class TestClassification:
         rot = SymmetryElement("rot120", False)
         for index in range(64):
             asg = assignment_from_index(index)
-            rotated = apply_element(rot, asg)
+            rotated = apply_action(site_action(rot), asg)
             assert kauffman_bracket(all_diagrams[index]) == kauffman_bracket(
                 all_diagrams[rotated.index]
             )

@@ -25,7 +25,6 @@ from trilink.diagram import (
     LinkDiagram,
     all_assignments,
     assignment_from_text,
-    build_canonical_projection,
     builtin_diagram,
     flip_all_crossings,
     remove_component,
@@ -256,7 +255,7 @@ def test_pruned_meetings_match_dense_on_realizations():
 
 
 def _word_diagram(word):
-    return to_diagram(build_canonical_projection(), assignment_from_text(word))
+    return to_diagram(assignment_from_text(word))
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ import pytest
 
 from trilink import geometry as G
 from trilink.diagram import (
+    SITES,
     assignment_from_text,
     builtin_diagram,
     to_diagram,
@@ -26,32 +27,32 @@ def _strokes(text: str) -> dict[str, str]:
 
 
 class TestRenderStyle:
-    def test_default_palette(self, projection):
-        d = to_diagram(projection, assignment_from_text("111100"))
+    def test_default_palette(self):
+        d = to_diagram(assignment_from_text("111100"))
         assert _strokes(svg_diagram(d)) == DEFAULT_COLORS
         assert _strokes(svg_diagram(builtin_diagram("unknot"))) == {"K": "#444444"}
 
 
 class TestSvgDiagram:
-    def test_census_structure(self, projection):
-        d = to_diagram(projection, assignment_from_text("111100"))
+    def test_census_structure(self):
+        d = to_diagram(assignment_from_text("111100"))
         root = _parse(svg_diagram(d))
         assert root.get("version") == "1.1"
         groups = root.findall(f"{SVG_NS}g")
         assert len(groups) == 3
         assert sum(int(g.get("data-gaps")) for g in groups) == 6
 
-    def test_gap_count_equals_crossing_count(self, projection):
+    def test_gap_count_equals_crossing_count(self):
         for word in ("000000", "010101", "000110", "111111"):
-            d = to_diagram(projection, assignment_from_text(word))
+            d = to_diagram(assignment_from_text(word))
             root = _parse(svg_diagram(d))
             gaps = sum(
                 int(g.get("data-gaps")) for g in root.findall(f"{SVG_NS}g")
             )
             assert gaps == d.crossing_count
 
-    def test_gap_breaks_appear_as_subpaths(self, projection):
-        d = to_diagram(projection, assignment_from_text("111100"))
+    def test_gap_breaks_appear_as_subpaths(self):
+        d = to_diagram(assignment_from_text("111100"))
         root = _parse(svg_diagram(d))
         for group in root.findall(f"{SVG_NS}g"):
             gaps = int(group.get("data-gaps"))
@@ -61,19 +62,19 @@ class TestSvgDiagram:
             else:
                 assert path.count("M") == gaps
 
-    def test_deterministic(self, projection):
-        d = to_diagram(projection, assignment_from_text("010101"))
+    def test_deterministic(self):
+        d = to_diagram(assignment_from_text("010101"))
         assert svg_diagram(d) == svg_diagram(d)
 
-    def test_borromean_weave_structure(self, projection):
+    def test_borromean_weave_structure(self):
         # In the woven depiction every circle passes over one neighbor at
         # both shared crossings and under the other neighbor at both.
-        d = to_diagram(projection, assignment_from_text("000000"))
+        d = to_diagram(assignment_from_text("000000"))
         over_partners = {label: [] for label in "ABC"}
         for comp in d.components:
             for visit in comp.visits:
                 site = d.crossings[visit.crossing].site_index
-                pair = projection.sites[site].pair
+                pair = SITES[site].pair
                 partner = (
                     pair[0] if pair[1].name == comp.label else pair[1]
                 ).name
@@ -86,8 +87,8 @@ class TestSvgDiagram:
         gaps = [int(g.get("data-gaps")) for g in root.findall(f"{SVG_NS}g")]
         assert gaps == [2, 2, 2]
 
-    def test_color_override(self, projection):
-        d = to_diagram(projection, assignment_from_text("111100"))
+    def test_color_override(self):
+        d = to_diagram(assignment_from_text("111100"))
         colors = {"A": "#123456", "B": "#654321", "C": "#abcdef"}
         assert _strokes(svg_diagram(d, colors)) == colors
         assert _strokes(svg_diagram(builtin_diagram("unknot"), colors)) == {"K": "#444444"}
