@@ -9,6 +9,7 @@ import argparse
 from pathlib import Path
 
 from trilink.census import (
+    census_summary,
     census_table,
     census_to_csv,
     census_to_json,
@@ -26,10 +27,11 @@ def main() -> int:
     args = parser.parse_args()
 
     args.outdir.mkdir(parents=True, exist_ok=True)
-    records, summary = run_census()
+    records = run_census()
+    summary = census_summary(records)
     (args.outdir / "census.csv").write_text(census_to_csv(records))
-    (args.outdir / "census.json").write_text(census_to_json(records, summary))
-    (args.outdir / "census.txt").write_text(census_table(records, summary))
+    (args.outdir / "census.json").write_text(census_to_json(records))
+    (args.outdir / "census.txt").write_text(census_table(records))
     print(f"wrote census exports to {args.outdir}/")
     print(
         f"{summary.orbit_count} patterns, "

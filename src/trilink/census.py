@@ -1,19 +1,23 @@
 """Full enumeration of the 64 depictions, joined with orbits and invariants.
 
-``run_census`` is deterministic: records are grouped by orbit id, then
-sorted by bit word, orbits are ordered by their smallest member, and
-serialization uses fixed key order, so repeated runs emit byte-identical
-output.  A record's position is therefore not its word index: look records
-up by word through a map keyed on ``assignment.index``.  ``verify_claims``
-re-checks every headline property of the census and of the 3D realizations
-and returns a structured pass/fail report.  The 64 diagrams
-(``census_diagrams``), the orbit partition (``symmetry.orbit_partition``)
-and the circles' draw paths are computed once per process and shared by
-every run; invariants and realizations are derived anew on each call.
+The census is one table: ``run_census`` returns the 64 records indexed by
+word (``records[i].assignment.index == i``), as ``census_diagrams`` is, and
+``census_summary`` derives the headline counts from them.  The exporters
+take only the records and write them in orbit order (by orbit id, orbits
+numbered by their smallest member, then by word) with a fixed key order,
+so repeated runs emit byte-identical output.  The parsers return
+word-indexed records and accept exactly what the exporters write.
+``verify_claims`` re-checks every headline property of the census and of
+the 3D realizations and returns a structured pass/fail report.  The 64
+diagrams (``census_diagrams``), the orbit partition
+(``symmetry.orbit_partition``) and the circles' draw paths are computed
+once per process and shared by every run; invariants and realizations
+are derived anew on each call.
 """
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import csv
 import functools
@@ -67,13 +71,16 @@ EXPECTED_ORBITS_PER_TYPE = {
     EmbeddingType.Borromean: 1,
 }
 
-_TYPE_ORDER = (
-    EmbeddingType.TorusLink33,
-    EmbeddingType.Chain3,
-    EmbeddingType.HopfWithSplit,
-    EmbeddingType.Trivial3,
-    EmbeddingType.Borromean,
-)
+_TYPE_ORDER = tuple(EmbeddingType)
+
+#: The embedding types a depiction with each linked-pair count may have; the
+#: zero-linked case is split by the bracket.
+_TYPES_BY_LINKED_PAIRS = {
+    3: (EmbeddingType.TorusLink33,),
+    2: (EmbeddingType.Chain3,),
+    1: (EmbeddingType.HopfWithSplit,),
+    0: (EmbeddingType.Trivial3, EmbeddingType.Borromean),
+}
 
 
 @dataclass(frozen=True)
@@ -100,51 +107,38 @@ def census_diagrams() -> tuple[LinkDiagram, ...]:
     return tuple(map(to_diagram, all_assignments()))
 
 
-def run_census() -> tuple[tuple[CensusRecord, ...], CensusSummary]:
-    """Classify all 64 depictions and aggregate orbit/type counts.
-
-    Records come back grouped by orbit (sorted by orbit id, then word value)
-    so the report reads one pattern at a time.
-    """
-    diagrams = census_diagrams()
-    orbits = orbit_partition()
-    orbit_of_word: dict[int, tuple[int, int]] = {}
-    for orbit_id, orbit in enumerate(orbits):
-        for member in orbit.members:
-            orbit_of_word[member.index] = (orbit_id, orbit.size)
-
-    by_word: list[CensusRecord] = []
-    for asg in all_assignments():
-        d = diagrams[asg.index]
-        orbit_id, orbit_size = orbit_of_word[asg.index]
-        by_word.append(
-            CensusRecord(
-                assignment=asg,
-                orbit_id=orbit_id,
-                orbit_size=orbit_size,
-                embedding_type=classify(d),
-                linking_profile=pairwise_linking(d),
-                bracket=kauffman_bracket(d),
-            )
+def run_census() -> tuple[CensusRecord, ...]:
+    """Classify all 64 depictions; the records are indexed by assignment index."""
+    orbit_of_word = {
+        member.index: (orbit_id, orbit.size)
+        for orbit_id, orbit in enumerate(orbit_partition())
+        for member in orbit.members
+    }
+    return tuple(
+        CensusRecord(
+            asg, *orbit_of_word[asg.index], classify(d), pairwise_linking(d), kauffman_bracket(d)
         )
-
-    per_type_orbits = {t: 0 for t in _TYPE_ORDER}
-    for orbit in orbits:
-        per_type_orbits[by_word[orbit.representative.index].embedding_type] += 1
-    per_type_depictions = {t: 0 for t in _TYPE_ORDER}
-    for record in by_word:
-        per_type_depictions[record.embedding_type] += 1
-
-    records = tuple(
-        sorted(by_word, key=lambda r: (r.orbit_id, r.assignment.index))
+        for asg, d in zip(all_assignments(), census_diagrams())
     )
-    summary = CensusSummary(
+
+
+def census_summary(records: tuple[CensusRecord, ...]) -> CensusSummary:
+    """The headline counts of word-indexed records.
+
+    An orbit counts under its representative's type: the type of its
+    smallest word, the first of its records.
+    """
+    orbit_types: dict[int, EmbeddingType] = {}
+    for r in records:
+        orbit_types.setdefault(r.orbit_id, r.embedding_type)
+    orbits = collections.Counter(orbit_types.values())
+    depictions = collections.Counter(r.embedding_type for r in records)
+    return CensusSummary(
         total_depictions=len(records),
-        orbit_count=len(orbits),
-        per_type_orbit_counts=per_type_orbits,
-        per_type_depiction_counts=per_type_depictions,
+        orbit_count=len(orbit_types),
+        per_type_orbit_counts={t: orbits[t] for t in _TYPE_ORDER},
+        per_type_depiction_counts={t: depictions[t] for t in _TYPE_ORDER},
     )
-    return records, summary
 
 
 # ---------------------------------------------------------------------------
@@ -164,11 +158,16 @@ CSV_FIELDS = (
 )
 
 
+def _in_orbit_order(records: tuple[CensusRecord, ...]) -> list[CensusRecord]:
+    """The order every export writes: by orbit id, then by word."""
+    return sorted(records, key=lambda r: (r.orbit_id, r.assignment.index))
+
+
 def census_to_csv(records: tuple[CensusRecord, ...]) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(CSV_FIELDS)
-    for r in records:
+    for r in _in_orbit_order(records):
         writer.writerow(
             [
                 r.assignment.word,
@@ -187,44 +186,82 @@ def census_to_csv(records: tuple[CensusRecord, ...]) -> str:
 
 @contextlib.contextmanager
 def _census_input(kind: str):
-    """Re-raise a bare error from parsing census ``kind`` text as :class:`InputError`."""
+    """Re-raise any error from parsing census ``kind`` text as :class:`InputError`."""
     try:
         yield
-    except InputError:
-        raise
-    except (KeyError, IndexError, TypeError, AttributeError, ValueError) as exc:
+    except InputError as exc:
+        raise InputError(f"malformed census {kind}: {exc}") from exc
+    except (
+        LookupError, TypeError, AttributeError, ValueError, OverflowError, RecursionError
+    ) as exc:
         raise InputError(f"malformed census {kind}: {exc!r}") from exc
 
 
-def _integer(value) -> int:
-    if type(value) is not int:
-        raise ValueError(f"expected an integer, got {value!r}")
-    return value
+def _record(fields: dict, lks) -> CensusRecord:
+    """The record an exported row's ``fields`` describe; what ``int`` takes
+    beyond the exporters' numerals, the re-export comparison rejects."""
+    return CensusRecord(
+        assignment=assignment_from_text(fields["bitword"]),
+        orbit_id=int(fields["orbit_id"]),
+        orbit_size=int(fields["orbit_size"]),
+        embedding_type=EmbeddingType(fields["embedding_type"]),
+        linking_profile=LinkingProfile(*map(int, lks)),
+        bracket=LaurentPoly.from_text(fields["bracket"]),
+    )
+
+
+def _word_indexed(records: list[CensusRecord]) -> tuple[CensusRecord, ...]:
+    """``records`` indexed by word; each of the 64 words must be listed once."""
+    listed = collections.Counter(r.assignment.index for r in records)
+    for asg in all_assignments():
+        if listed[asg.index] != 1:
+            raise InputError(f"word {asg.word} is listed {listed[asg.index]} times, expected once")
+    return tuple(sorted(records, key=lambda r: r.assignment.index))
+
+
+def _leaves(value, place: str):
+    """``(place, value)`` of every scalar and empty container, in document order."""
+    if isinstance(value, dict) and value:
+        for key, item in value.items():
+            yield from _leaves(item, f"{place}.{key}")
+    elif isinstance(value, list) and value:
+        for i, item in enumerate(value):
+            yield from _leaves(item, f"{place}[{i}]")
+    else:
+        yield place, value
+
+
+def _same_as_export(parsed, exported, place: str) -> None:
+    """Raise naming the first leaf where the ``parsed`` value and ``exported`` differ."""
+    for pair in itertools.zip_longest(_leaves(parsed, place), _leaves(exported, place)):
+        got, want = (f"{p[0]} = {p[1]!r}" if p else "nothing" for p in pair)
+        if got != want:
+            raise InputError(f"{got}, expected {want}")
 
 
 def parse_census_csv(text: str) -> tuple[CensusRecord, ...]:
-    """Re-parse the CSV export back into records (round-trips exactly)."""
-    records = []
+    """Parse a CSV export into word-indexed records.
+
+    Accepts exactly what :func:`census_to_csv` writes for the records read,
+    with ``\n`` or ``\r\n`` line ends.
+    """
     with _census_input("CSV"):
-        for row in csv.DictReader(io.StringIO(text)):
-            records.append(
-                CensusRecord(
-                    assignment=assignment_from_text(row["bitword"]),
-                    orbit_id=int(row["orbit_id"]),
-                    orbit_size=int(row["orbit_size"]),
-                    embedding_type=EmbeddingType(row["embedding_type"]),
-                    linking_profile=LinkingProfile(
-                        int(row["lk_ab"]), int(row["lk_bc"]), int(row["lk_ca"])
-                    ),
-                    bracket=LaurentPoly.from_text(row["bracket"]),
-                )
-            )
-    return tuple(records)
+        records = _word_indexed(
+            [
+                _record(row, (row["lk_ab"], row["lk_bc"], row["lk_ca"]))
+                for row in csv.DictReader(io.StringIO(text))
+            ]
+        )
+        _same_as_export(
+            list(csv.reader(io.StringIO(text))),
+            list(csv.reader(io.StringIO(census_to_csv(records)))),
+            "rows",
+        )
+    return records
 
 
-def census_to_json(
-    records: tuple[CensusRecord, ...], summary: CensusSummary
-) -> str:
+def census_to_json(records: tuple[CensusRecord, ...]) -> str:
+    summary = census_summary(records)
     doc = {
         "schema_version": CENSUS_SCHEMA_VERSION,
         "kind": "trilink-census",
@@ -246,51 +283,33 @@ def census_to_json(
                 "linked_pairs": r.linking_profile.linked_pairs,
                 "bracket": r.bracket.to_text(),
             }
-            for r in records
+            for r in _in_orbit_order(records)
         ],
     }
     return json.dumps(doc, indent=2) + "\n"
 
 
-def parse_census_json(text: str) -> tuple[tuple[CensusRecord, ...], CensusSummary]:
+def parse_census_json(text: str) -> tuple[CensusRecord, ...]:
+    """Parse a JSON export into word-indexed records.
+
+    Accepts exactly the JSON value :func:`census_to_json` writes for the
+    records read, in any JSON whitespace.
+    """
     with _census_input("JSON"):
         doc = json.loads(text)
-        if doc.get("schema_version") != CENSUS_SCHEMA_VERSION:
-            raise InputError(
-                f"unsupported census schema version {doc.get('schema_version')!r}"
-            )
-        records = tuple(
-            CensusRecord(
-                assignment=assignment_from_text(rec["bitword"]),
-                orbit_id=_integer(rec["orbit_id"]),
-                orbit_size=_integer(rec["orbit_size"]),
-                embedding_type=EmbeddingType(rec["embedding_type"]),
-                linking_profile=LinkingProfile(*map(_integer, rec["linking_profile"])),
-                bracket=LaurentPoly.from_text(rec["bracket"]),
-            )
-            for rec in doc["records"]
-        )
-        summary = CensusSummary(
-            total_depictions=_integer(doc["total_depictions"]),
-            orbit_count=_integer(doc["orbit_count"]),
-            per_type_orbit_counts={
-                EmbeddingType(k): _integer(v) for k, v in doc["per_type_orbit_counts"].items()
-            },
-            per_type_depiction_counts={
-                EmbeddingType(k): _integer(v)
-                for k, v in doc["per_type_depiction_counts"].items()
-            },
-        )
-    return records, summary
+        records = _word_indexed([_record(rec, rec["linking_profile"]) for rec in doc["records"]])
+        _same_as_export(doc, json.loads(census_to_json(records)), "document")
+    return records
 
 
-def census_table(records: tuple[CensusRecord, ...], summary: CensusSummary) -> str:
+def census_table(records: tuple[CensusRecord, ...]) -> str:
     """Human-readable table; the final line repeats the headline counts."""
+    summary = census_summary(records)
     lines = [
         f"{'bitword':<8} {'orbit':>5} {'size':>4} {'type':<14} {'lk':<6} bracket",
         "-" * 64,
     ]
-    for r in records:
+    for r in _in_orbit_order(records):
         lines.append(
             f"{r.assignment.word:<8} {r.orbit_id:>5} {r.orbit_size:>4} "
             f"{r.embedding_type.value:<14} {str(r.linking_profile):<6} "
@@ -373,15 +392,15 @@ def verify_claims(segments: int = 512) -> VerificationReport:
     def tally(failures: list[str], total: int, what: str) -> str:
         return f"{total - len(failures)} of {total} {what} (expected {total})"
 
-    records, summary = run_census()
+    records = run_census()
+    summary = census_summary(records)
     diagrams = census_diagrams()
     orbits = orbit_partition()
-    record_by_word = {r.assignment.index: r for r in records}
 
     # 1. Census cardinality.
     add(
         "census-cardinality",
-        summary.total_depictions == 64 and len(records) == 64,
+        summary.total_depictions == 64,
         f"enumerated {summary.total_depictions} depictions (expected 64)",
     )
 
@@ -391,10 +410,9 @@ def verify_claims(segments: int = 512) -> VerificationReport:
         summary.orbit_count == 10,
         f"found {summary.orbit_count} patterns (expected 10)",
     )
-    per_type_ok = summary.per_type_orbit_counts == EXPECTED_ORBITS_PER_TYPE
     add(
         "pattern-counts-by-type",
-        per_type_ok,
+        summary.per_type_orbit_counts == EXPECTED_ORBITS_PER_TYPE,
         ", ".join(
             f"{t.value}={summary.per_type_orbit_counts[t]}" for t in _TYPE_ORDER
         ),
@@ -413,15 +431,10 @@ def verify_claims(segments: int = 512) -> VerificationReport:
     case_failures = []
     for r in records:
         lp = r.linking_profile.linked_pairs
-        t = r.embedding_type
-        expected_by_case = {
-            3: t is EmbeddingType.TorusLink33,
-            2: t is EmbeddingType.Chain3,
-            1: t is EmbeddingType.HopfWithSplit,
-            0: t in (EmbeddingType.Trivial3, EmbeddingType.Borromean),
-        }[lp]
-        if not expected_by_case:
-            case_failures.append(f"{r.assignment.word} has {lp} linked pairs but type {t}")
+        if r.embedding_type not in _TYPES_BY_LINKED_PAIRS[lp]:
+            case_failures.append(
+                f"{r.assignment.word} has {lp} linked pairs but type {r.embedding_type}"
+            )
     zero_linked = [r for r in records if r.linking_profile.linked_pairs == 0]
     split_failures = []
     for r in zero_linked:
@@ -466,7 +479,7 @@ def verify_claims(segments: int = 512) -> VerificationReport:
         depictions = [
             member
             for orbit in orbits
-            if record_by_word[orbit.representative.index].embedding_type is kind
+            if records[orbit.representative.index].embedding_type is kind
             for member in orbit.members
         ]
         expected = 3 * summary.per_type_depiction_counts[kind]
@@ -539,10 +552,9 @@ def verify_claims(segments: int = 512) -> VerificationReport:
 
     # 9. Mirror relation, exhaustively.
     mirror_failures = [
-        f"{asg.word}: bracket of its all-flips depiction is not the inverted bracket"
-        for asg in all_assignments()
-        if kauffman_bracket(flip_all_crossings(diagrams[asg.index]))
-        != record_by_word[asg.index].bracket.substitute_inverse()
+        f"{r.assignment.word}: bracket of its all-flips depiction is not the inverted bracket"
+        for r, d in zip(records, diagrams)
+        if kauffman_bracket(flip_all_crossings(d)) != r.bracket.substitute_inverse()
     ]
     add_exhaustive(
         "mirror-relation",
@@ -552,18 +564,15 @@ def verify_claims(segments: int = 512) -> VerificationReport:
     )
 
     # 10. Classification equivariance over all 64 x 12 pairs.
-    type_of: dict[int, EmbeddingType] = {
-        r.assignment.index: r.embedding_type for r in records
-    }
     equivariance_failures = []
     for g in group_elements():
         action = site_action(g)
-        for asg in all_assignments():
-            image = apply_action(action, asg)
-            if type_of[asg.index] is not type_of[image.index]:
+        for r in records:
+            image = records[apply_action(action, r.assignment).index]
+            if r.embedding_type is not image.embedding_type:
                 equivariance_failures.append(
-                    f"{g} maps {asg.word} ({type_of[asg.index]}) "
-                    f"to {image.word} ({type_of[image.index]})"
+                    f"{g} maps {r.assignment.word} ({r.embedding_type}) "
+                    f"to {image.assignment.word} ({image.embedding_type})"
                 )
     add_exhaustive(
         "classification-equivariance",
@@ -626,14 +635,11 @@ def verify_claims(segments: int = 512) -> VerificationReport:
     )
 
     # 13. Census determinism.
-    records2, summary2 = run_census()
+    records2 = run_census()
     determinism_failures = [
         f"the {name} exports of the two runs differ"
-        for name, first, second in (
-            ("JSON", census_to_json(records, summary), census_to_json(records2, summary2)),
-            ("CSV", census_to_csv(records), census_to_csv(records2)),
-        )
-        if first != second
+        for name, export in (("JSON", census_to_json), ("CSV", census_to_csv))
+        if export(records) != export(records2)
     ]
     add_exhaustive(
         "census-determinism",

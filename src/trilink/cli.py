@@ -147,14 +147,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_census(args) -> int:
-    records, summary = census_mod.run_census()
-    if args.format == "table":
-        text = census_mod.census_table(records, summary)
-    elif args.format == "json":
-        text = census_mod.census_to_json(records, summary)
-    else:
-        text = census_mod.census_to_csv(records)
-    _write_output(text, args.output)
+    exporters = {
+        "table": census_mod.census_table,
+        "json": census_mod.census_to_json,
+        "csv": census_mod.census_to_csv,
+    }
+    _write_output(exporters[args.format](census_mod.run_census()), args.output)
     return 0
 
 

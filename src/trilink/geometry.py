@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import weakref
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -178,9 +179,11 @@ def realize(kind: str, segments: int = DEFAULT_SEGMENTS, **params: float) -> Rea
 
     ``torus-villarceau`` accepts ``R`` and ``r`` (defaults 2, 1) with
     R > r > 0; ``borromean-ellipses`` accepts ``a`` and ``b`` (defaults
-    1.5, 0.8) with a > b > 0.  Parameters must be finite, and
-    ``segments`` must lie in 64..MAX_SEGMENTS.
+    1.5, 0.8) with a > b > 0.  Parameters must be finite real numbers, and
+    ``segments`` an integer in 64..MAX_SEGMENTS.
     """
+    if isinstance(segments, bool) or not isinstance(segments, numbers.Integral):
+        raise InputError(f"segments must be an integer, got {segments!r}")
     if not 64 <= segments <= MAX_SEGMENTS:
         raise InputError(f"segments must be in 64..{MAX_SEGMENTS}, got {segments}")
     if kind not in _REALIZE_PARAMS:
@@ -190,6 +193,9 @@ def realize(kind: str, segments: int = DEFAULT_SEGMENTS, **params: float) -> Rea
     defaults = _REALIZE_PARAMS[kind]
     if set(params) - set(defaults):
         raise InputError(f"unknown parameters: {sorted(set(params) - set(defaults))}")
+    for name, value in params.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise InputError(f"parameter {name} must be a real number, got {value!r}")
     used = {name: float(params.get(name, value)) for name, value in defaults.items()}
     (big_name, big), (small_name, small) = used.items()
     if not (math.isfinite(big) and math.isfinite(small)):

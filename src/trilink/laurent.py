@@ -12,8 +12,6 @@ from typing import Iterator, Mapping
 
 from .errors import InputError
 
-_TERM_RE = re.compile(r"^(?:(\d+)\s*)?(A(?:\^(-?\d+))?)?$")
-
 
 class LaurentPoly:
     """Immutable sparse Laurent polynomial with integer coefficients."""
@@ -122,39 +120,25 @@ class LaurentPoly:
 
     @classmethod
     def from_text(cls, text: str) -> "LaurentPoly":
-        """Parse the output of :meth:`to_text` (round-trips exactly)."""
-        s = text.strip()
-        if s == "0":
-            return cls.zero()
-        if not s:
-            raise InputError("empty polynomial text")
-        # Normalize to a list of (sign, body) chunks.
-        chunks: list[tuple[int, str]] = []
-        sign = 1
-        if s.startswith("-"):
-            sign = -1
-            s = s[1:].strip()
-        for piece in re.split(r"\s+([+-])\s+", s):
-            if piece == "+":
-                sign = 1
-            elif piece == "-":
-                sign = -1
-            else:
-                chunks.append((sign, piece.strip()))
+        """Parse exactly the text :meth:`to_text` writes.
+
+        The terms are read leniently, then any text that the value does not
+        reproduce raises :class:`InputError`: ``A + A``, ``1A``, ``A^01``,
+        terms out of order, outer spaces, garbage.
+        """
         terms: dict[int, int] = {}
-        for sgn, body in chunks:
-            m = _TERM_RE.match(body)
-            if not m or (m.group(1) is None and m.group(2) is None):
-                raise InputError(f"unparseable polynomial term: {body!r}")
-            coeff = int(m.group(1)) if m.group(1) else 1
-            if m.group(2) is None:
-                exp = 0
-            elif m.group(3) is None:
-                exp = 1
-            else:
-                exp = int(m.group(3))
-            terms[exp] = terms.get(exp, 0) + sgn * coeff
-        return cls(terms)
+        spaced = text.replace(" - ", " -").replace(" + ", " ")
+        try:
+            for sign, coeff, var, exp in re.findall(r"(-?)(\d*)(A?)(?:\^(-?\d+))?", spaced):
+                if coeff or var:
+                    power = int(exp) if exp else int(bool(var))
+                    terms[power] = terms.get(power, 0) + int(sign + (coeff or "1"))
+        except ValueError as exc:  # more digits than int() converts
+            raise InputError(f"polynomial text has too many digits: {text[:20]!r}...") from exc
+        poly = cls(terms)
+        if poly.to_text() != text:
+            raise InputError(f"not a polynomial in normal form: {text!r}")
+        return poly
 
     def __repr__(self) -> str:
         return f"LaurentPoly({self.to_text()!r})"

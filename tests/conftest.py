@@ -35,7 +35,7 @@ def circle_pair():
 
 
 @pytest.fixture(scope="session")
-def census_results():
+def census_records():
     return run_census()
 
 

@@ -1,10 +1,17 @@
+import csv
 import dataclasses
+import io
+import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from trilink import census
 from trilink.census import (
+    CSV_FIELDS,
     EXPECTED_ORBITS_PER_TYPE,
+    census_summary,
     census_table,
     census_to_csv,
     census_to_json,
@@ -22,18 +29,18 @@ from trilink.invariants import EmbeddingType
 
 
 class TestCounts:
-    def test_total_and_orbit_count(self, census_results):
-        records, summary = census_results
-        assert len(records) == 64
+    def test_total_and_orbit_count(self, census_records):
+        summary = census_summary(census_records)
+        assert len(census_records) == 64
         assert summary.total_depictions == 64
         assert summary.orbit_count == 10
 
-    def test_orbit_counts_per_type(self, census_results):
-        _, summary = census_results
+    def test_orbit_counts_per_type(self, census_records):
+        summary = census_summary(census_records)
         assert summary.per_type_orbit_counts == EXPECTED_ORBITS_PER_TYPE
 
-    def test_depiction_counts_per_type(self, census_results):
-        _, summary = census_results
+    def test_depiction_counts_per_type(self, census_records):
+        summary = census_summary(census_records)
         assert summary.per_type_depiction_counts == {
             EmbeddingType.TorusLink33: 8,
             EmbeddingType.Chain3: 24,
@@ -44,10 +51,21 @@ class TestCounts:
         assert sum(summary.per_type_depiction_counts.values()) == 64
         assert sum(summary.per_type_orbit_counts.values()) == summary.orbit_count
 
-    def test_orbit_members_share_type_and_linking(self, census_results):
-        records, _ = census_results
+    def test_orbit_counts_under_its_smallest_word(self, census_records):
+        # Retype 111111, the larger word of the Borromean orbit {000000, 111111}.
+        retyped = tuple(
+            dataclasses.replace(r, embedding_type=EmbeddingType.Trivial3)
+            if r.assignment.word == "111111"
+            else r
+            for r in census_records
+        )
+        summary = census_summary(retyped)
+        assert summary.per_type_orbit_counts == EXPECTED_ORBITS_PER_TYPE
+        assert summary.per_type_depiction_counts[EmbeddingType.Borromean] == 1
+
+    def test_orbit_members_share_type_and_linking(self, census_records):
         by_orbit = {}
-        for r in records:
+        for r in census_records:
             by_orbit.setdefault(r.orbit_id, []).append(r)
         for members in by_orbit.values():
             assert len({m.embedding_type for m in members}) == 1
@@ -55,11 +73,21 @@ class TestCounts:
             assert len({m.orbit_size for m in members}) == 1
             assert len(members) == members[0].orbit_size
 
-    def test_records_grouped_by_orbit(self, census_results):
-        records, _ = census_results
-        keys = [(r.orbit_id, r.assignment.index) for r in records]
-        assert keys == sorted(keys)
-        assert {r.assignment.index for r in records} == set(range(64))
+    def test_records_indexed_by_word(self, census_records):
+        assert [r.assignment.index for r in census_records] == list(range(64))
+
+    def test_exports_in_orbit_order(self, census_records):
+        csv_words = [row[0] for row in csv.reader(io.StringIO(census_to_csv(census_records)))]
+        json_words = [
+            rec["bitword"] for rec in json.loads(census_to_json(census_records))["records"]
+        ]
+        table_words = [line.split()[0] for line in census_table(census_records).splitlines()]
+        in_order = sorted(census_records, key=lambda r: (r.orbit_id, r.assignment.index))
+        words = [r.assignment.word for r in in_order]
+        assert in_order != list(census_records)
+        assert csv_words == ["bitword"] + words
+        assert json_words == words
+        assert table_words[2:66] == words
 
 
 class TestCensusDiagrams:
@@ -74,35 +102,29 @@ class TestCensusDiagrams:
 
 
 class TestSerialization:
-    def test_runs_are_byte_identical(self, census_results):
-        records, summary = census_results
-        again_records, again_summary = run_census()
-        assert census_to_json(records, summary) == census_to_json(
-            again_records, again_summary
-        )
-        assert census_to_csv(records) == census_to_csv(again_records)
-        assert census_table(records, summary) == census_table(
-            again_records, again_summary
-        )
+    def test_runs_are_byte_identical(self, census_records):
+        again = run_census()
+        for export in (census_to_json, census_to_csv, census_table):
+            assert export(census_records) == export(again)
 
-    def test_csv_round_trip(self, census_results):
-        records, _ = census_results
-        assert parse_census_csv(census_to_csv(records)) == records
+    def test_csv_round_trip(self, census_records):
+        assert parse_census_csv(census_to_csv(census_records)) == census_records
 
-    def test_json_round_trip(self, census_results):
-        records, summary = census_results
-        text = census_to_json(records, summary)
-        again_records, again_summary = parse_census_json(text)
-        assert again_records == records
-        assert again_summary == summary
+    def test_json_round_trip(self, census_records):
+        assert parse_census_json(census_to_json(census_records)) == census_records
 
-    def test_json_declares_schema_version(self, census_results):
-        records, summary = census_results
-        assert '"schema_version": 1' in census_to_json(records, summary)
+    def test_crlf_and_json_whitespace_accepted(self, census_records):
+        csv_text = census_to_csv(census_records)
+        assert parse_census_csv(csv_text.replace("\n", "\r\n")) == census_records
+        doc = json.loads(census_to_json(census_records))
+        for indent in (None, 4):
+            assert parse_census_json(json.dumps(doc, indent=indent)) == census_records
 
-    def test_table_headline(self, census_results):
-        records, summary = census_results
-        table = census_table(records, summary)
+    def test_json_declares_schema_version(self, census_records):
+        assert '"schema_version": 1' in census_to_json(census_records)
+
+    def test_table_headline(self, census_records):
+        table = census_table(census_records)
         assert table.rstrip().endswith(
             "10 patterns in 5 embedding types; 64 depictions"
         )
@@ -117,14 +139,25 @@ class TestSerialization:
             pytest.param("csv", None, "a,b\n1,2\n", id="csv-unknown-header"),
             pytest.param("csv", "000000,0,", "000000,zero,", id="csv-text-orbit-id"),
             pytest.param("csv", ",0,0,0,0,", ",0,0,0,", id="csv-short-row"),
+            pytest.param(
+                "json", '"linked_pairs": 0', '"linked_pairs": 1', id="json-linked-pairs"
+            ),
+            pytest.param("csv", ",0,0,1,1,", ",0,0,1,2,", id="csv-linked-pairs"),
+            pytest.param("json", '"orbit_count": 10', '"orbit_count": 11', id="json-orbit-count"),
+            pytest.param("json", '"bitword": "000000"', '"bitword": "000001"', id="json-repeated-word"),
+            pytest.param(
+                "csv",
+                "000000,0,2,Borromean,0,0,0,0,-A^-12 + 3A^-8 - 2A^-4 + 4 - 2A^4 + 3A^8 - A^12\n",
+                "",
+                id="csv-word-missing",
+            ),
         ],
     )
-    def test_malformed_input_raises_input_error(self, census_results, fmt, old, new):
-        records, summary = census_results
+    def test_malformed_input_raises_input_error(self, census_records, fmt, old, new):
         if fmt == "json":
-            text, parse = census_to_json(records, summary), parse_census_json
+            text, parse = census_to_json(census_records), parse_census_json
         else:
-            text, parse = census_to_csv(records), parse_census_csv
+            text, parse = census_to_csv(census_records), parse_census_csv
         if old is None:
             text = new
         else:
@@ -134,13 +167,125 @@ class TestSerialization:
             parse(text)
 
 
+    def test_error_names_the_first_difference(self, census_records):
+        header, first, second, *rest = census_to_csv(census_records).splitlines(keepends=True)
+        with pytest.raises(
+            InputError, match=r"^malformed census CSV: rows\[1\]\[0\] = '111111', "
+            r"expected rows\[1\]\[0\] = '000000'$",
+        ):
+            parse_census_csv("".join([header, second, first, *rest]))
+        text = census_to_json(census_records).replace(
+            '"linked_pairs": 0', '"linked_pairs": 1', 1
+        )
+        with pytest.raises(
+            InputError,
+            match=r"^malformed census JSON: document\.records\[0\]\.linked_pairs = 1, "
+            r"expected document\.records\[0\]\.linked_pairs = 0$",
+        ):
+            parse_census_json(text)
+        with pytest.raises(
+            InputError,
+            match="^malformed census JSON: word 000000 is listed 0 times, expected once$",
+        ):
+            parse_census_json(_mutated_json(census_records, _FOUND_EDITS))
+
+
+#: Edits of a census export's data rows (CSV) or records (JSON), by position.
+#: "take" sets a field to another row's value; "bump" adds to an integer field;
+#: "copy" overwrites the second row with the first; "count" adds to a summary
+#: count of the JSON document and leaves a CSV unchanged.
+_ROW = st.integers(0, 63)
+_EDIT = st.one_of(
+    st.tuples(st.just("take"), _ROW, st.sampled_from(CSV_FIELDS + ("linking_profile",)), _ROW),
+    st.tuples(
+        st.just("bump"), _ROW, st.sampled_from(["orbit_id", "orbit_size", "linked_pairs"]),
+        st.integers(-2, 2),
+    ),
+    st.tuples(st.sampled_from(["drop", "duplicate"]), _ROW),
+    st.tuples(st.sampled_from(["swap", "copy"]), _ROW, _ROW),
+    st.tuples(
+        st.just("count"),
+        st.sampled_from(
+            [
+                ("total_depictions",),
+                ("orbit_count",),
+                ("per_type_orbit_counts", "Chain3"),
+                ("per_type_depiction_counts", "Borromean"),
+            ]
+        ),
+        st.integers(-1, 1),
+    ),
+)
+
+#: The inconsistent document an earlier parser accepted: 111111 listed in
+#: place of 000000, and an orbit count of 11.
+_FOUND_EDITS = [("copy", 1, 0), ("count", ("orbit_count",), 1)]
+
+
+def _edit(rows: list[dict], summary: dict, edits) -> None:
+    for kind, *args in edits:
+        if kind == "count":
+            path, delta = args
+            if summary:
+                *outer, key = path
+                counts = summary
+                for name in outer:
+                    counts = counts[name]
+                counts[key] += delta
+            continue
+        i = args[0] % len(rows)
+        if kind == "take" and args[1] in rows[i]:
+            rows[i][args[1]] = rows[args[2] % len(rows)][args[1]]
+        elif kind == "bump":
+            field, delta = args[1:]
+            rows[i][field] = type(rows[i][field])(int(rows[i][field]) + delta)
+        elif kind == "drop" and len(rows) > 1:
+            del rows[i]
+        elif kind == "duplicate":
+            rows.insert(i, dict(rows[i]))
+        elif kind == "swap":
+            j = args[1] % len(rows)
+            rows[i], rows[j] = rows[j], rows[i]
+        elif kind == "copy":
+            rows[args[1] % len(rows)] = dict(rows[i])
+
+
+def _mutated_csv(records, edits) -> str:
+    header, *rows = csv.reader(io.StringIO(census_to_csv(records)))
+    rows = [dict(zip(header, row)) for row in rows]
+    _edit(rows, {}, edits)
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(row.values() for row in rows)
+    return out.getvalue()
+
+
+def _mutated_json(records, edits) -> str:
+    doc = json.loads(census_to_json(records))
+    _edit(doc["records"], doc, edits)
+    return json.dumps(doc, indent=2) + "\n"
+
+
+# The VM's CPU speed switches between two levels about 1.6x apart, so this
+# test runs without a per-example deadline.
+@settings(deadline=None)
+@given(st.sampled_from(["csv", "json"]), st.lists(_EDIT, min_size=1, max_size=3))
+@example("json", _FOUND_EDITS)
+def test_mutated_census_is_rejected_or_round_trips(census_records, fmt, edits):
+    if fmt == "csv":
+        text, parse, export = _mutated_csv(census_records, edits), parse_census_csv, census_to_csv
+    else:
+        text = _mutated_json(census_records, edits)
+        parse, export = parse_census_json, census_to_json
+    try:
+        records = parse(text)
+    except InputError:
+        return
+    assert export(records) == text
+
+
 class TestCutChecks:
-    """The cut checks find their depictions by word, not by record position."""
-
-    def test_record_position_is_not_word_index(self, census_results):
-        records, _ = census_results
-        assert any(r.assignment.index != i for i, r in enumerate(records))
-
     def test_cut_counts_are_exact(self, verification_report):
         # 2 Borromean and 8 TorusLink33 depictions, three rings cut in each.
         found = {c.name: c for c in verification_report.checks}
@@ -219,14 +364,12 @@ class TestCheckDetails:
         real = census.run_census
 
         def retyped():
-            records, summary = real()
-            records = [
+            return tuple(
                 dataclasses.replace(r, embedding_type=EmbeddingType.Borromean)
                 if r.assignment.word == "111100"
                 else r
-                for r in records
-            ]
-            return records, summary
+                for r in real()
+            )
 
         monkeypatch.setattr(census, "run_census", retyped)
         found = self.details(census.verify_claims(segments=64))

@@ -18,6 +18,7 @@ from trilink.invariants import (
     EmbeddingType,
     classify,
     is_brunnian,
+    kauffman_bracket,
     linking_numbers,
     normalized_invariant,
     signed_linking_numbers,
@@ -90,6 +91,29 @@ class TestRealize:
             G.realize("torus-villarceau", R=value)
         with pytest.raises(InputError, match="parameters must be finite"):
             G.realize("borromean-ellipses", b=value)
+
+    @pytest.mark.parametrize(
+        "arguments",
+        [
+            {"segments": 100.0},
+            {"segments": 256.5},
+            {"segments": "256"},
+            {"segments": None},
+            {"segments": True},
+            {"R": None},
+            {"R": "2"},
+            {"R": True},
+            {"r": 1j},
+        ],
+        ids=repr,
+    )
+    def test_argument_types_rejected(self, arguments):
+        with pytest.raises(InputError, match="must be an integer|must be a real number"):
+            G.realize("torus-villarceau", **arguments)
+
+    def test_numpy_scalars_accepted(self):
+        r = G.realize("torus-villarceau", segments=np.int64(64), R=np.float64(2.5))
+        assert r.params == {"R": 2.5, "r": 1.0}
 
     def test_unmeasurable_distance_rejected(self):
         # Finite segments, but the distance kernel overflows.
@@ -302,7 +326,12 @@ class TestDiagramFromCurves:
                 assume(False)
             assume(d.crossing_count <= BRACKET_CROSSING_LIMIT)
             answers.append((normalized_invariant(d), signed_linking_numbers(d), classify(d)))
+            mirror = kauffman_bracket(D.flip_all_crossings(d))
+            assert mirror == kauffman_bracket(d).substitute_inverse()
         assert all(answer == answers[0] for answer in answers)
+        lks = answers[0][1]
+        for a, b in itertools.combinations(curves, 2):
+            assert round(G.gauss_linking_integral(a, b)) == lks[frozenset((a.label, b.label))]
 
     def test_auto_direction_is_deterministic(self, ellipses):
         from trilink.diagram import diagram_to_text

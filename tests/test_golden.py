@@ -52,11 +52,11 @@ def _svg_digests() -> str:
 
 
 def _outputs() -> dict[str, str]:
-    records, summary = run_census()
+    records = run_census()
     return {
-        "census.json": census_to_json(records, summary),
+        "census.json": census_to_json(records),
         "census.csv": census_to_csv(records),
-        "census.txt": census_table(records, summary),
+        "census.txt": census_table(records),
         "diagrams.txt": _diagram_records(),
         "svg.sha256": _svg_digests(),
     }

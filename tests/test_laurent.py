@@ -32,6 +32,31 @@ def test_from_text_rejects_garbage():
         LaurentPoly.from_text("")
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "A + A",
+        "A^4 + A^-4",
+        "2 A",
+        "1A",
+        "A^1",
+        "A^01",
+        "A^-0",
+        "00",
+        "-0",
+        "0A",
+        "A^2 - A^2",
+        " A",
+        "A  + 1",
+        pytest.param("1" * 5000, id="5000-digit-coefficient"),
+        pytest.param("A^" + "1" * 5000, id="5000-digit-exponent"),
+    ],
+)
+def test_from_text_accepts_only_the_normal_form(text):
+    with pytest.raises(InputError):
+        LaurentPoly.from_text(text)
+
+
 def test_zero_coefficients_are_dropped():
     assert LaurentPoly({3: 0, 1: 2}) == LaurentPoly({1: 2})
     assert (LaurentPoly({1: 2}) - LaurentPoly({1: 2})).is_zero
