@@ -5,8 +5,8 @@ word (``records[i].assignment.index == i``), as ``census_diagrams`` is, and
 ``census_summary`` derives the headline counts from them.  The exporters
 take only the records and write them in orbit order (by orbit id, orbits
 numbered by their smallest member, then by word) with a fixed key order,
-so repeated runs emit byte-identical output.  The parsers return
-word-indexed records and accept exactly what the exporters write.
+so repeated runs emit byte-identical output.  The exports are written
+only, never read back: the census is recomputed on demand.
 ``verify_claims`` re-checks every headline property of the census and of
 the 3D realizations and returns a structured pass/fail report.  The 64
 diagrams (``census_diagrams``), the orbit partition
@@ -18,7 +18,6 @@ are derived anew on each call.
 from __future__ import annotations
 
 import collections
-import contextlib
 import csv
 import functools
 import io
@@ -31,13 +30,11 @@ from .diagram import (
     CrossingAssignment,
     LinkDiagram,
     all_assignments,
-    assignment_from_text,
     builtin_diagram,
     flip_all_crossings,
     remove_component,
     to_diagram,
 )
-from .errors import InputError
 from .invariants import (
     THREE_UNLINK_BRACKET,
     TWO_UNLINK_BRACKET,
@@ -184,82 +181,6 @@ def census_to_csv(records: tuple[CensusRecord, ...]) -> str:
     return out.getvalue()
 
 
-@contextlib.contextmanager
-def _census_input(kind: str):
-    """Re-raise any error from parsing census ``kind`` text as :class:`InputError`."""
-    try:
-        yield
-    except InputError as exc:
-        raise InputError(f"malformed census {kind}: {exc}") from exc
-    except (
-        LookupError, TypeError, AttributeError, ValueError, OverflowError, RecursionError
-    ) as exc:
-        raise InputError(f"malformed census {kind}: {exc!r}") from exc
-
-
-def _record(fields: dict, lks) -> CensusRecord:
-    """The record an exported row's ``fields`` describe; what ``int`` takes
-    beyond the exporters' numerals, the re-export comparison rejects."""
-    return CensusRecord(
-        assignment=assignment_from_text(fields["bitword"]),
-        orbit_id=int(fields["orbit_id"]),
-        orbit_size=int(fields["orbit_size"]),
-        embedding_type=EmbeddingType(fields["embedding_type"]),
-        linking_profile=LinkingProfile(*map(int, lks)),
-        bracket=LaurentPoly.from_text(fields["bracket"]),
-    )
-
-
-def _word_indexed(records: list[CensusRecord]) -> tuple[CensusRecord, ...]:
-    """``records`` indexed by word; each of the 64 words must be listed once."""
-    listed = collections.Counter(r.assignment.index for r in records)
-    for asg in all_assignments():
-        if listed[asg.index] != 1:
-            raise InputError(f"word {asg.word} is listed {listed[asg.index]} times, expected once")
-    return tuple(sorted(records, key=lambda r: r.assignment.index))
-
-
-def _leaves(value, place: str):
-    """``(place, value)`` of every scalar and empty container, in document order."""
-    if isinstance(value, dict) and value:
-        for key, item in value.items():
-            yield from _leaves(item, f"{place}.{key}")
-    elif isinstance(value, list) and value:
-        for i, item in enumerate(value):
-            yield from _leaves(item, f"{place}[{i}]")
-    else:
-        yield place, value
-
-
-def _same_as_export(parsed, exported, place: str) -> None:
-    """Raise naming the first leaf where the ``parsed`` value and ``exported`` differ."""
-    for pair in itertools.zip_longest(_leaves(parsed, place), _leaves(exported, place)):
-        got, want = (f"{p[0]} = {p[1]!r}" if p else "nothing" for p in pair)
-        if got != want:
-            raise InputError(f"{got}, expected {want}")
-
-
-def parse_census_csv(text: str) -> tuple[CensusRecord, ...]:
-    """Parse a CSV export into word-indexed records.
-
-    Accepts exactly what :func:`census_to_csv` writes for the records read,
-    with ``\n`` or ``\r\n`` line ends.
-    """
-    with _census_input("CSV"):
-        records = _word_indexed(
-            [
-                _record(row, (row["lk_ab"], row["lk_bc"], row["lk_ca"]))
-                for row in csv.DictReader(io.StringIO(text))
-            ]
-        )
-        _same_as_export(
-            list(csv.reader(io.StringIO(text))),
-            list(csv.reader(io.StringIO(census_to_csv(records)))),
-            "rows",
-        )
-    return records
-
-
 def census_to_json(records: tuple[CensusRecord, ...]) -> str:
     summary = census_summary(records)
     doc = {
@@ -287,19 +208,6 @@ def census_to_json(records: tuple[CensusRecord, ...]) -> str:
         ],
     }
     return json.dumps(doc, indent=2) + "\n"
-
-
-def parse_census_json(text: str) -> tuple[CensusRecord, ...]:
-    """Parse a JSON export into word-indexed records.
-
-    Accepts exactly the JSON value :func:`census_to_json` writes for the
-    records read, in any JSON whitespace.
-    """
-    with _census_input("JSON"):
-        doc = json.loads(text)
-        records = _word_indexed([_record(rec, rec["linking_profile"]) for rec in doc["records"]])
-        _same_as_export(doc, json.loads(census_to_json(records)), "document")
-    return records
 
 
 def census_table(records: tuple[CensusRecord, ...]) -> str:
