@@ -8,6 +8,7 @@ fails, 2 for invalid input (including unknown flags).
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import re
 import sys
@@ -89,7 +90,9 @@ def _curves_obj(r: Realization3D) -> str:
     return "\n".join(lines) + "\n"
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; ``parse_args`` makes a fresh namespace each call."""
     parser = argparse.ArgumentParser(
         prog="trilink",
         description=(

@@ -20,6 +20,7 @@ invariant under the single-kink move: a +1 kink has bracket -A^3.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -208,9 +209,15 @@ def kauffman_bracket(d: LinkDiagram) -> LaurentPoly:
     terms: dict[int, int] = {}
     for (a_count, loops), count in states[()].items():
         shift = a_count - (c - a_count)
-        for exp, coeff in (LOOP_FACTOR ** (loops - 1)).items():
+        for exp, coeff in _loop_factor_terms(loops - 1):
             terms[exp + shift] = terms.get(exp + shift, 0) + coeff * count
     return LaurentPoly(terms)
+
+
+@functools.cache
+def _loop_factor_terms(n: int) -> tuple[tuple[int, int], ...]:
+    """The terms of ``LOOP_FACTOR ** n``, built once per process for each ``n``."""
+    return tuple((LOOP_FACTOR ** n).items())
 
 
 def _contraction_order(arc_mate: list[int]) -> Iterator[int]:

@@ -59,8 +59,8 @@ class LaurentPoly:
         return LaurentPoly(terms)
 
     def __pow__(self, n: int) -> "LaurentPoly":
-        if n < 0:
-            raise InputError("negative powers are only defined for monomials")
+        if type(n) is not int or n < 0:
+            raise InputError(f"the exponent must be an int of at least 0, got {n!r}")
         result = LaurentPoly.one()
         base = self
         while n:

@@ -8,8 +8,10 @@ from pathlib import Path
 
 import pytest
 
+from trilink import render
 from trilink.census import census_table, census_to_csv, census_to_json
-from trilink.cli import main
+from trilink.cli import _build_parser, main
+from trilink.diagram import assignment_from_text, to_diagram
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -339,3 +341,36 @@ class TestArgumentHandling:
         )
         assert code == 2
         assert err.startswith("error:")
+
+
+class TestCachedParser:
+    """One parser serves every call of a process; no call leaks into the next."""
+
+    def test_parser_is_built_once(self):
+        assert _build_parser() is _build_parser()
+
+    def test_color_override_does_not_persist(self, capsys):
+        code, out, _ = run_cli(capsys, "render", "101010", "--color", "A=#123456")
+        assert code == 0
+        assert "#123456" in out
+        code, out, _ = run_cli(capsys, "render", "101010")
+        assert code == 0
+        default = render.svg_diagram(
+            to_diagram(assignment_from_text("101010")), render.DEFAULT_COLORS
+        )
+        assert out == default
+        assert "#123456" not in out
+
+    def test_bad_flag_does_not_disturb_the_next_call(self, capsys):
+        outputs = []
+        for _ in range(2):
+            code, out, err = run_cli(capsys, "classify", "101010", "--bogus")
+            assert code == 2
+            assert out == ""
+            assert "unrecognized arguments: --bogus" in err
+            code, out, err = run_cli(capsys, "classify", "101010")
+            assert code == 0
+            assert err == ""
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
+        assert outputs[0].startswith("bitword          101010\nembedding type   ")

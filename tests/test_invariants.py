@@ -19,6 +19,7 @@ from trilink.invariants import (
     THREE_UNLINK_BRACKET,
     TWO_UNLINK_BRACKET,
     EmbeddingType,
+    _loop_factor_terms,
     classify,
     is_brunnian,
     kauffman_bracket,
@@ -123,6 +124,13 @@ class TestBracketOracles:
         assert kauffman_bracket(builtin_diagram("trefoil")) == LaurentPoly(
             {-7: 1, -3: -1, 5: -1}
         )
+
+    def test_loop_factor_table(self):
+        # Repeated multiplication, an independent path from ``__pow__``.
+        power = ONE
+        for n in range(17):
+            assert _loop_factor_terms(n) == tuple(power.items())
+            power = power * LOOP_FACTOR
 
     def test_capacity_limit(self):
         # A 17-crossing diagram trips the capacity check before any walk.

@@ -51,8 +51,9 @@ def test_monomial_powers():
     cube = LaurentPoly.monomial(-1, 3)
     assert cube ** 2 == LaurentPoly({6: 1})
     assert cube ** 3 == LaurentPoly({9: -1})
-    with pytest.raises(InputError):
-        cube ** -1
+    for exponent in (-1, 1.5, True):
+        with pytest.raises(InputError, match="must be an int of at least 0"):
+            cube ** exponent
 
 
 @given(polys, polys)
