@@ -11,8 +11,8 @@ only, never read back: the census is recomputed on demand.
 the 3D realizations and returns a structured pass/fail report.  The 64
 diagrams (``census_diagrams``), the orbit partition
 (``symmetry.orbit_partition``) and the circles' draw paths are computed
-once per process and shared by every run; invariants and realizations
-are derived anew on each call.
+once per process and shared by every run; invariants (the 64 brackets
+from one state table) and realizations are derived anew on each call.
 """
 
 from __future__ import annotations
@@ -40,7 +40,10 @@ from .invariants import (
     TWO_UNLINK_BRACKET,
     EmbeddingType,
     LinkingProfile,
+    _flip_brackets,
+    _normalized,
     classify,
+    embedding_type,
     is_brunnian,
     kauffman_bracket,
     linking_numbers,
@@ -105,18 +108,25 @@ def census_diagrams() -> tuple[LinkDiagram, ...]:
 
 
 def run_census() -> tuple[CensusRecord, ...]:
-    """Classify all 64 depictions; the records are indexed by assignment index."""
+    """Classify all 64 depictions; the records are indexed by assignment index.
+
+    A word's diagram flips word 000000's crossings at the word's set bits,
+    so one state table of that diagram gives all 64 brackets.
+    """
     orbit_of_word = {
         member.index: (orbit_id, orbit.size)
         for orbit_id, orbit in enumerate(orbit_partition())
         for member in orbit.members
     }
-    return tuple(
-        CensusRecord(
-            asg, *orbit_of_word[asg.index], classify(d), pairwise_linking(d), kauffman_bracket(d)
-        )
-        for asg, d in zip(all_assignments(), census_diagrams())
-    )
+    diagrams = census_diagrams()
+    brackets = _flip_brackets(diagrams[0])
+    records = []
+    for asg, d in zip(all_assignments(), diagrams):
+        flips = sum(asg.bit(x.site_index) << k for k, x in enumerate(diagrams[0].crossings))
+        bracket, profile = brackets[flips], pairwise_linking(d)
+        kind = embedding_type(profile, functools.partial(_normalized, bracket, d))
+        records.append(CensusRecord(asg, *orbit_of_word[asg.index], kind, profile, bracket))
+    return tuple(records)
 
 
 def census_summary(records: tuple[CensusRecord, ...]) -> CensusSummary:

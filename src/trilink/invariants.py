@@ -5,9 +5,10 @@ smoothing states.  Each crossing contributes a factor of the variable
 (first smoothing) or its inverse (second smoothing), and a state that
 closes up into L loops contributes loop_factor^(L-1), where
 loop_factor = -A^2 - A^-2.  The empty-crossing unknot has bracket 1.
-The sum is not enumerated state by state: the crossings are contracted
-one at a time, and partial states that join the open ends of the placed
-crossings alike are counted together (Kauffman 1987; Bar-Natan 2007).
+The bracket contracts the crossings one at a time and counts partial
+states that join the open ends of the placed crossings alike together
+(Kauffman 1987; Bar-Natan 2007).  The census enumerates the states once
+for all crossing flips of its one shadow instead (``_flip_brackets``).
 
 Smoothing convention, matched to the slot layout of
 :mod:`trilink.diagram` (slots counterclockwise, under-strand on 0/2):
@@ -19,13 +20,14 @@ invariant under the single-kink move: a +1 kink has bracket -A^3.
 
 from __future__ import annotations
 
+import collections
 import enum
 import functools
 import itertools
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
-from .diagram import CircleId, LinkDiagram, remove_component
+from .diagram import SITE_PAIRS, LinkDiagram, remove_component
 from .errors import CapacityError, InputError
 from .laurent import LOOP_FACTOR, LaurentPoly, equal_up_to_inversion
 
@@ -112,17 +114,9 @@ def linking_numbers(d: LinkDiagram) -> dict[frozenset[str], int]:
 
 
 def pairwise_linking(d: LinkDiagram) -> LinkingProfile:
-    """Linking profile over the pairs AB, BC, CA (absent pairs count 0)."""
+    """Linking profile over the site pairs AB, BC, CA (absent pairs count 0)."""
     numbers = linking_numbers(d)
-
-    def get(x: CircleId, y: CircleId) -> int:
-        return numbers.get(frozenset((x.name, y.name)), 0)
-
-    return LinkingProfile(
-        lk_ab=get(CircleId.A, CircleId.B),
-        lk_bc=get(CircleId.B, CircleId.C),
-        lk_ca=get(CircleId.C, CircleId.A),
-    )
+    return LinkingProfile(*(numbers.get(frozenset((x.name, y.name)), 0) for x, y in SITE_PAIRS))
 
 
 def kauffman_bracket(d: LinkDiagram) -> LaurentPoly:
@@ -206,12 +200,47 @@ def kauffman_bracket(d: LinkDiagram) -> LaurentPoly:
                     target[key] = target.get(key, 0) + count
         states = contracted
 
+    return _state_sum(states[()], c)
+
+
+def _state_sum(tally: dict[tuple[int, int], int], c: int) -> LaurentPoly:
+    """Sum of ``count`` states A^(2a - c) loop_factor^(loops - 1) per ``(a, loops): count``."""
     terms: dict[int, int] = {}
-    for (a_count, loops), count in states[()].items():
-        shift = a_count - (c - a_count)
+    for (a_count, loops), count in tally.items():
+        shift = 2 * a_count - c
         for exp, coeff in _loop_factor_terms(loops - 1):
             terms[exp + shift] = terms.get(exp + shift, 0) + coeff * count
     return LaurentPoly(terms)
+
+
+def _flip_brackets(d: LinkDiagram) -> tuple[LaurentPoly, ...]:
+    """Brackets of ``d`` with the crossings of each mask m (bit k: crossing k) flipped.
+
+    A flip turns a crossing's slot labels by an odd step, swapping its A- and
+    B-smoothings.  So if the state A-smoothing the crossings in t has L(t)
+    loops, flip m has bracket sum_t A^(2|t xor m| - c) loop_factor^(L(t) - 1):
+    one table of 2^c loop counts serves all 2^c flips, in 4^c steps.
+    """
+    c = d.crossing_count
+    arc_mate = [0] * (4 * c)
+    for (k, slot), (k2, slot2) in d.arc_mates().items():
+        arc_mate[4 * k + slot] = 4 * k2 + slot2
+    loops_of = []
+    for t in range(1 << c):
+        slots = [(_B_SMOOTH_SLOT, _A_SMOOTH_SLOT)[t >> k & 1] for k in range(c)]
+        smooth = [v - v % 4 + slots[v // 4][v % 4] for v in range(4 * c)]
+        visited = bytearray(4 * c)
+        loops = d.free_component_count()
+        for v in range(4 * c):
+            loops += not visited[v]
+            while not visited[v]:
+                visited[v] = visited[smooth[v]] = 1
+                v = arc_mate[smooth[v]]
+        loops_of.append(loops)
+    return tuple(
+        _state_sum(collections.Counter(((t ^ m).bit_count(), n) for t, n in enumerate(loops_of)), c)
+        for m in range(1 << c)
+    )
 
 
 @functools.cache
@@ -237,32 +266,38 @@ def _contraction_order(arc_mate: list[int]) -> Iterator[int]:
 
 def normalized_invariant(d: LinkDiagram) -> LaurentPoly:
     """Writhe-normalized bracket: (-A^3)^(-w) times the bracket."""
+    return _normalized(kauffman_bracket(d), d)
+
+
+def _normalized(bracket: LaurentPoly, d: LinkDiagram) -> LaurentPoly:
+    """``bracket``, the bracket of ``d``, times (-A^3)^(-w) for the writhe w of ``d``."""
     w = writhe(d)
-    correction = LaurentPoly.monomial(-1 if w % 2 else 1, -3 * w)
-    return kauffman_bracket(d) * correction
+    return bracket * LaurentPoly.monomial(-1 if w % 2 else 1, -3 * w)
 
 
 def classify(d: LinkDiagram) -> EmbeddingType:
-    """Embedding type of a 3-component diagram.
-
-    Three linked pairs give the torus link, two the chain, one the Hopf
-    link with split component.  With no linked pairs the normalized
-    bracket separates the trivial link from the woven one: equality with
-    the 3-unlink value (up to inverting the variable) means trivial.
-    """
+    """Embedding type of a 3-component diagram (see :func:`embedding_type`)."""
     if d.component_count != 3:
         raise InputError(
             f"classification needs a 3-component diagram, got {d.component_count}"
         )
-    profile = pairwise_linking(d)
+    return embedding_type(pairwise_linking(d), lambda: normalized_invariant(d))
+
+
+def embedding_type(profile: LinkingProfile, normalized: Callable[[], LaurentPoly]) -> EmbeddingType:
+    """Embedding type of a 3-component diagram from its linking profile.
+
+    Three linked pairs give the torus link, two the chain, one the Hopf link
+    with split component.  With none, the link is trivial if ``normalized()``,
+    its normalized bracket, is the 3-unlink's up to inverting the variable.
+    """
     if profile.linked_pairs == 3:
         return EmbeddingType.TorusLink33
     if profile.linked_pairs == 2:
         return EmbeddingType.Chain3
     if profile.linked_pairs == 1:
         return EmbeddingType.HopfWithSplit
-    invariant = normalized_invariant(d)
-    if equal_up_to_inversion(invariant, THREE_UNLINK_BRACKET):
+    if equal_up_to_inversion(normalized(), THREE_UNLINK_BRACKET):
         return EmbeddingType.Trivial3
     return EmbeddingType.Borromean
 

@@ -3,7 +3,7 @@ import dataclasses
 import io
 import json
 
-from trilink import census
+from trilink import census, invariants
 from trilink.census import (
     EXPECTED_ORBITS_PER_TYPE,
     census_summary,
@@ -91,6 +91,24 @@ class TestCensusDiagrams:
         assert len(diagrams) == 64
         for i, d in enumerate(diagrams):
             assert d == to_diagram(assignment_from_index(i))
+
+
+class TestStateTable:
+    def test_run_census_makes_no_bracket_call(self, monkeypatch):
+        # All 64 brackets come from one state table, none from the contraction.
+        real, calls = invariants.kauffman_bracket, []
+
+        def counted(d):
+            calls.append(d)
+            return real(d)
+
+        for module in (census, invariants):
+            monkeypatch.setattr(module, "kauffman_bracket", counted)
+        run_census()
+        assert calls == []
+        # The seam does count: classifying the zero-linked 000000 brackets it.
+        invariants.classify(census.census_diagrams()[0])
+        assert len(calls) == 1
 
 
 class TestSerialization:
@@ -226,26 +244,29 @@ class TestCheckDetails:
             "first failure: the CSV exports of the two runs differ",
         )
 
-    def test_determinism_check_runs_the_census_twice(self, monkeypatch, all_diagrams):
+    def test_determinism_check_runs_the_census_twice(self, monkeypatch):
         # Retype 111100 during the second census pass only; a census served
         # from a cache on the second pass would hide the difference.
-        stack = diagram_to_text(all_diagrams[0b111100])
-        real_run, real_classify = census.run_census, census.classify
-        passes = []
+        # ``run_census`` types the words once each, in index order.
+        real_run, real_type = census.run_census, census.embedding_type
+        passes, typed = [], []
 
         def counted():
             passes.append(1)
+            typed.clear()
             return real_run()
 
-        def retyping(d):
-            if len(passes) == 2 and diagram_to_text(d) == stack:
+        def retyping(profile, normalized):
+            typed.append(1)
+            if len(passes) == 2 and len(typed) == 0b111100 + 1:
                 return EmbeddingType.Borromean
-            return real_classify(d)
+            return real_type(profile, normalized)
 
         monkeypatch.setattr(census, "run_census", counted)
-        monkeypatch.setattr(census, "classify", retyping)
+        monkeypatch.setattr(census, "embedding_type", retyping)
         found = self.details(census.verify_claims(segments=64))
         assert len(passes) == 2
+        assert len(typed) == 64
         assert found["census-determinism"] == (
             False,
             "0 of 2 export formats serialize byte-identically (expected 2); "

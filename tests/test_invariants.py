@@ -2,7 +2,9 @@ import math
 
 import pytest
 
+from trilink import geometry as G
 from trilink.diagram import (
+    BUILTIN_NAMES,
     Component,
     Crossing,
     LinkDiagram,
@@ -19,6 +21,7 @@ from trilink.invariants import (
     THREE_UNLINK_BRACKET,
     TWO_UNLINK_BRACKET,
     EmbeddingType,
+    _flip_brackets,
     _loop_factor_terms,
     classify,
     is_brunnian,
@@ -151,6 +154,30 @@ class TestBracketOracles:
         # No loop at all: the state sum has no term to normalize by.
         with pytest.raises(InputError, match="at least one component"):
             kauffman_bracket(LinkDiagram(components=(), crossings=()))
+
+
+class TestFlipTable:
+    """One state table gives the brackets of every crossing flip of a diagram."""
+
+    @staticmethod
+    def diagram(name):
+        if name in BUILTIN_NAMES:
+            return builtin_diagram(name)
+        if name == "ellipses-cut-at-A":
+            return remove_component(
+                G.diagram_from_curves(G.realize("borromean-ellipses", segments=64)), "A"
+            )
+        return G.diagram_from_curves(G.realize("torus-villarceau", segments=64))
+
+    @pytest.mark.parametrize(
+        "name", BUILTIN_NAMES + ("ellipses-cut-at-A", "villarceau-64")
+    )
+    def test_no_flips_and_all_flips_match_the_contraction(self, name):
+        d = self.diagram(name)
+        table = _flip_brackets(d)
+        assert len(table) == 1 << d.crossing_count
+        assert table[0] == kauffman_bracket(d)
+        assert table[-1] == kauffman_bracket(flip_all_crossings(d))
 
 
 class TestWrithe:

@@ -31,7 +31,7 @@ from trilink.diagram import (
     to_diagram,
 )
 from trilink.errors import DegeneracyError
-from trilink.invariants import BRACKET_CROSSING_LIMIT, kauffman_bracket
+from trilink.invariants import BRACKET_CROSSING_LIMIT, classify, kauffman_bracket
 from trilink.laurent import LOOP_FACTOR, LaurentPoly
 
 
@@ -270,6 +270,15 @@ def test_bracket_matches_reference(name):
         diagram = _word_diagram(name)
     for d in (diagram, flip_all_crossings(diagram)):
         assert kauffman_bracket(d) == reference_bracket(d)
+
+
+@pytest.mark.parametrize("word", [a.word for a in all_assignments()])
+def test_census_record_matches_the_contraction_and_reference(census_records, word):
+    # The census brackets every word from one state table of 000000's diagram.
+    asg = assignment_from_text(word)
+    record, d = census_records[asg.index], to_diagram(asg)
+    assert record.bracket == kauffman_bracket(d) == reference_bracket(d)
+    assert record.embedding_type is classify(d)
 
 
 @pytest.mark.parametrize("word", [a.word for a in all_assignments()])
