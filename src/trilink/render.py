@@ -1,8 +1,10 @@
 """Publication-style SVG output for diagrams, scenes and 3D realizations.
 
 Diagrams are drawn one path group per component; wherever a component
-passes under a crossing its stroke is interrupted by a gap centered on
-the crossing, so the number of breaks equals the crossing count.  3D
+passes under a crossing its stroke is cut by a gap centered on the
+crossing.  ``data-gaps`` counts these cuts; gaps that overlap merge into
+one break, so a path can have fewer breaks than cuts.  A component with
+a cut whose perimeter is not longer than the gap raises InputError.  3D
 content is projected orthographically and painted back-to-front per
 segment.  Output is deterministic: fixed float formatting, fixed element
 order, and fixed measurements (gap, stroke, canvas, camera) below.
@@ -45,12 +47,10 @@ def _fmt(x: float) -> str:
 
 
 def _path_from_points(points: Sequence[tuple[float, float]], close: bool) -> str:
-    cmds = [f"M {_fmt(points[0][0])} {_fmt(points[0][1])}"]
-    for x, y in points[1:]:
-        cmds.append(f"L {_fmt(x)} {_fmt(y)}")
-    if close:
-        cmds.append("Z")
-    return " ".join(cmds)
+    # Every number follows a space and has 4 decimals, so the replace
+    # applies _fmt's rule to whole numbers only.
+    text = "M " + " L ".join(map("%.4f %.4f".__mod__, points)) + (" Z" if close else "")
+    return text.replace(" -0.0000", " 0.0000")
 
 
 def _cut_closed_path(
@@ -60,75 +60,71 @@ def _cut_closed_path(
 
     ``cut_params`` are arclength positions along the polyline; each cut
     removes the interval of length ``gap`` centered there.  Returns the
-    kept arcs as point lists (resampled at the exact window boundaries).
+    kept arcs as point lists: the kept vertices as given, plus a point
+    interpolated at each window boundary.
     """
     n = len(points)
-    seg_vec = [
-        (x1 - x0, y1 - y0)
+    seg_len = [
+        math.sqrt((x1 - x0) * (x1 - x0) + (y1 - y0) * (y1 - y0))
         for (x0, y0), (x1, y1) in zip(points, itertools.chain(points[1:], points[:1]))
     ]
-    seg_len = [math.sqrt(dx * dx + dy * dy) for dx, dy in seg_vec]
     cumulative = list(itertools.accumulate(seg_len, initial=0.0))
     total = cumulative[-1]
+    if total <= gap:
+        raise InputError(f"perimeter {total:.4g} is not longer than the gap {gap}")
 
     def at(s: float) -> tuple[float, float]:
         s = s % total
         k = bisect.bisect_right(cumulative, s) - 1
         k = min(max(k, 0), n - 1)
         t = (s - cumulative[k]) / seg_len[k] if seg_len[k] > 0 else 0.0
-        (x, y), (dx, dy) = points[k], seg_vec[k]
-        return (float(x + t * dx), float(y + t * dy))
+        (x, y), (x1, y1) = points[k], points[(k + 1) % n]
+        return (float(x + t * (x1 - x)), float(y + t * (y1 - y)))
 
-    # Sweep the circle once; window boundaries close/open the current arc.
-    events: list[tuple[float, int, str]] = []
+    # Window boundaries as (arclength, opens), in arclength order (stable,
+    # so one arclength keeps the cut order); each comes before a vertex at
+    # the same arclength.
+    windows: list[tuple[float, bool]] = []
     inside_at_zero = False
     for c in cut_params:
         s0 = (c - gap / 2.0) % total
         s1 = (s0 + gap) % total
-        if s0 > s1:
-            inside_at_zero = True
-        events.append((s0, 0, "close"))
-        events.append((s1, 0, "open"))
-    for k in range(n):
-        events.append((cumulative[k], 1, "vertex"))
-    events.sort(key=lambda e: (e[0], e[1]))
+        inside_at_zero = inside_at_zero or s0 > s1
+        windows += [(s0, False), (s1, True)]
+    windows.sort(key=lambda e: e[0])
 
+    # Walk the vertices once; window boundaries close/open the current arc.
     arcs: list[list[tuple[float, float]]] = []
     open_arc = not inside_at_zero
-    current: list[tuple[float, float]] = [at(0.0)] if open_arc else []
-    for s, _, kind in events:
-        if kind == "vertex":
+    current: list[tuple[float, float]] = [points[0]] if open_arc else []
+    k = 0
+    for s, opens in windows:
+        end = bisect.bisect_left(cumulative, s, k, n)
+        if open_arc:
+            current.extend(points[k:end])
+        k = end
+        if opens != open_arc:  # a close while open, or an open while closed
+            current.append(at(s))
             if open_arc:
-                current.append(at(s))
-        elif kind == "close":
-            if open_arc:
-                current.append(at(s))
                 arcs.append(current)
                 current = []
-                open_arc = False
-        else:  # open
-            if not open_arc:
-                current = [at(s)]
-                open_arc = True
-    if open_arc and current:
+            open_arc = opens
+    if open_arc:
+        current.extend(points[k:])
         if arcs and not inside_at_zero:
             arcs[0] = current + arcs[0]  # wraps through param 0
         else:
-            current.append(at(0.0))
-            arcs.append(current)
+            arcs.append(current + [points[0]])
     return arcs
 
 
 def _diagram_bounds(d: LinkDiagram) -> tuple[float, float, float, float]:
-    xs: list[float] = []
-    ys: list[float] = []
     for comp in d.components:
         if comp.path is None:
             raise InputError(
                 f"component {comp.label} lacks planar position data; cannot render"
             )
-        xs.extend(p[0] for p in comp.path)
-        ys.extend(p[1] for p in comp.path)
+    xs, ys = zip(*itertools.chain.from_iterable(comp.path for comp in d.components))
     return min(xs), min(ys), max(xs), max(ys)
 
 
@@ -142,8 +138,8 @@ def svg_diagram(d: LinkDiagram, colors: Mapping[str, str] = DEFAULT_COLORS) -> s
     x0, y0, x1, y1 = x0 - margin, y0 - margin, x1 + margin, y1 + margin
     scale = min(_CANVAS_PX / (x1 - x0), _CANVAS_PX / (y1 - y0))
 
-    def to_px(p: tuple[float, float]) -> tuple[float, float]:
-        return ((p[0] - x0) * scale, _CANVAS_PX - (p[1] - y0) * scale)
+    def to_px(arc: Sequence[tuple[float, float]]) -> list[tuple[float, float]]:
+        return [((x - x0) * scale, _CANVAS_PX - (y - y0) * scale) for x, y in arc]
 
     stroke_px = _STROKE_WIDTH * scale
     groups: list[str] = []
@@ -160,13 +156,13 @@ def svg_diagram(d: LinkDiagram, colors: Mapping[str, str] = DEFAULT_COLORS) -> s
             )
         color = colors.get(comp.label, _FALLBACK_COLOR)
         if cuts:
-            arcs = _cut_closed_path(comp.path, cuts, _GAP_WIDTH)
-            body = " ".join(
-                _path_from_points([to_px(p) for p in arc], close=False)
-                for arc in arcs
-            )
+            try:
+                arcs = _cut_closed_path(comp.path, cuts, _GAP_WIDTH)
+            except InputError as exc:
+                raise InputError(f"component {comp.label}: {exc}; cannot render") from None
+            body = " ".join(_path_from_points(to_px(arc), close=False) for arc in arcs)
         else:
-            body = _path_from_points([to_px(p) for p in comp.path], close=True)
+            body = _path_from_points(to_px(comp.path), close=True)
         groups.append(
             f'  <g id="component-{comp.label}" data-gaps="{len(cuts)}">\n'
             f'    <path d="{body}" fill="none" stroke="{color}" '
@@ -249,23 +245,21 @@ def svg_scene(subject: Scene3D | Realization3D) -> str:
     else:
         raise InputError(f"cannot render object of type {type(subject).__name__}")
 
-    segments: list[tuple[float, str, tuple[float, float], tuple[float, float]]] = []
+    # Per segment: its ends in the view plane (x1 y1 x2 y2), its mid-depth
+    # and the index of its curve.
+    ends: list[np.ndarray] = [np.empty((0, 4))]
+    mids: list[np.ndarray] = [np.empty(0)]
+    owners: list[np.ndarray] = [np.empty(0, dtype=int)]
     all_xy: list[np.ndarray] = []
-    for tag, pts, closed in curves:
+    for i, (tag, pts, closed) in enumerate(curves):
         xy = np.stack([pts @ u, pts @ v], axis=1)
         depth = pts @ d
         all_xy.append(xy)
         count = len(pts) if closed else len(pts) - 1
-        for k in range(count):
-            k2 = (k + 1) % len(pts)
-            segments.append(
-                (
-                    float(depth[k] + depth[k2]) / 2.0,
-                    tag,
-                    (float(xy[k][0]), float(xy[k][1])),
-                    (float(xy[k2][0]), float(xy[k2][1])),
-                )
-            )
+        k2 = (np.arange(count) + 1) % len(pts)
+        ends.append(np.hstack([xy[:count], xy[k2]]))
+        mids.append((depth[:count] + depth[k2]) / 2.0)
+        owners.append(np.full(count, i))
     sphere_records = []
     for sphere in spheres:
         c = np.asarray(sphere.center)
@@ -296,6 +290,15 @@ def svg_scene(subject: Scene3D | Realization3D) -> str:
     def to_px(p: tuple[float, float]) -> tuple[float, float]:
         return ((p[0] - x0) * scale, _SCENE_PX - (p[1] - y0) * scale)
 
+    segment_px = (np.vstack(ends) - [x0, y0, x0, y0]) * scale
+    segment_px[:, 1::2] = _SCENE_PX - segment_px[:, 1::2]
+    # Back to front; stable, so equal depths keep the curves' order.
+    order = np.argsort(np.concatenate(mids), kind="stable")
+    styles = [(tag, colors.get(tag.removeprefix("curve-"), "#333333")) for tag, _, _ in curves]
+    line = (
+        '  <line class="%s" x1="%.4f" y1="%.4f" x2="%.4f" y2="%.4f" stroke="%s" '
+        'stroke-width="2.4" stroke-linecap="round"/>'
+    )
     body: list[str] = []
     for depth, center_xy, radius in sorted(sphere_records, key=lambda rec: rec[0]):
         cx, cy = to_px(center_xy)
@@ -304,15 +307,9 @@ def svg_scene(subject: Scene3D | Realization3D) -> str:
             f'r="{_fmt(radius * scale)}" fill="#f3f3f3" fill-opacity="0.85" '
             f'stroke="#666666" stroke-width="1.5"/>'
         )
-    for depth, tag, p1, p2 in sorted(segments, key=lambda rec: rec[0]):
-        a = to_px(p1)
-        b = to_px(p2)
-        color = colors.get(tag.removeprefix("curve-"), "#333333")
-        body.append(
-            f'  <line class="{tag}" x1="{_fmt(a[0])}" y1="{_fmt(a[1])}" '
-            f'x2="{_fmt(b[0])}" y2="{_fmt(b[1])}" stroke="{color}" '
-            f'stroke-width="2.4" stroke-linecap="round"/>'
-        )
+    for i, row in zip(np.concatenate(owners)[order].tolist(), segment_px[order].tolist()):
+        tag, color = styles[i]
+        body.append(line % (tag, *row, color))
     for tag, pos in marker_records:
         cx, cy = to_px(pos)
         body.append(
@@ -326,4 +323,5 @@ def svg_scene(subject: Scene3D | Realization3D) -> str:
         *body,
         "</svg>",
     ]
-    return "\n".join(parts) + "\n"
+    # _fmt's rule for the segment ends, which are formatted with %.4f.
+    return ("\n".join(parts) + "\n").replace('="-0.0000"', '="0.0000"')

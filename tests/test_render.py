@@ -1,15 +1,33 @@
+"""SVG output: structure, style, and byte equality with reference renderers.
+
+The references are the straightforward versions of the path cutter, the
+path writer and the 3D renderer: every vertex re-located on the polyline
+and re-interpolated, every coordinate formatted on its own, and every 3D
+segment built and sorted as a Python tuple.  The module's renderers must
+give the same bytes.
+"""
+
+import bisect
+import itertools
+import math
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from trilink import geometry as G
+from trilink import render as R
 from trilink.diagram import (
+    BUILTIN_NAMES,
     SITES,
+    all_assignments,
     assignment_from_text,
     builtin_diagram,
     to_diagram,
 )
-from trilink.errors import InputError
+from trilink.errors import DegeneracyError, InputError
 from trilink.render import DEFAULT_COLORS, svg_diagram, svg_scene
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
@@ -148,3 +166,334 @@ class TestSvgScene:
     def test_deterministic(self):
         scene = G.scene("great-circles")
         assert svg_scene(scene) == svg_scene(scene)
+
+
+def reference_cut_closed_path(points, cut_params, gap):
+    """Sweep of sorted window and vertex events; every point re-interpolated."""
+    n = len(points)
+    seg_vec = [
+        (x1 - x0, y1 - y0)
+        for (x0, y0), (x1, y1) in zip(points, itertools.chain(points[1:], points[:1]))
+    ]
+    seg_len = [math.sqrt(dx * dx + dy * dy) for dx, dy in seg_vec]
+    cumulative = list(itertools.accumulate(seg_len, initial=0.0))
+    total = cumulative[-1]
+
+    def at(s):
+        s = s % total
+        k = bisect.bisect_right(cumulative, s) - 1
+        k = min(max(k, 0), n - 1)
+        t = (s - cumulative[k]) / seg_len[k] if seg_len[k] > 0 else 0.0
+        (x, y), (dx, dy) = points[k], seg_vec[k]
+        return (float(x + t * dx), float(y + t * dy))
+
+    events = []
+    inside_at_zero = False
+    for c in cut_params:
+        s0 = (c - gap / 2.0) % total
+        s1 = (s0 + gap) % total
+        if s0 > s1:
+            inside_at_zero = True
+        events.append((s0, 0, "close"))
+        events.append((s1, 0, "open"))
+    for k in range(n):
+        events.append((cumulative[k], 1, "vertex"))
+    events.sort(key=lambda e: (e[0], e[1]))
+
+    arcs = []
+    open_arc = not inside_at_zero
+    current = [at(0.0)] if open_arc else []
+    for s, _, kind in events:
+        if kind == "vertex":
+            if open_arc:
+                current.append(at(s))
+        elif kind == "close":
+            if open_arc:
+                current.append(at(s))
+                arcs.append(current)
+                current = []
+                open_arc = False
+        else:
+            if not open_arc:
+                current = [at(s)]
+                open_arc = True
+    if open_arc and current:
+        if arcs and not inside_at_zero:
+            arcs[0] = current + arcs[0]
+        else:
+            current.append(at(0.0))
+            arcs.append(current)
+    return arcs
+
+
+def reference_path_from_points(points, close):
+    cmds = [f"M {R._fmt(points[0][0])} {R._fmt(points[0][1])}"]
+    for x, y in points[1:]:
+        cmds.append(f"L {R._fmt(x)} {R._fmt(y)}")
+    if close:
+        cmds.append("Z")
+    return " ".join(cmds)
+
+
+def reference_svg_diagram(d, colors=DEFAULT_COLORS):
+    x0, y0, x1, y1 = R._diagram_bounds(d)
+    margin = 0.08 * max(x1 - x0, y1 - y0)
+    x0, y0, x1, y1 = x0 - margin, y0 - margin, x1 + margin, y1 + margin
+    scale = min(R._CANVAS_PX / (x1 - x0), R._CANVAS_PX / (y1 - y0))
+
+    def to_px(p):
+        return ((p[0] - x0) * scale, R._CANVAS_PX - (p[1] - y0) * scale)
+
+    groups = []
+    for comp in d.components:
+        cuts = [v.path_param for v in comp.visits if v.role == "under"]
+        color = colors.get(comp.label, R._FALLBACK_COLOR)
+        if cuts:
+            arcs = reference_cut_closed_path(comp.path, cuts, R._GAP_WIDTH)
+            body = " ".join(
+                reference_path_from_points([to_px(p) for p in arc], close=False)
+                for arc in arcs
+            )
+        else:
+            body = reference_path_from_points([to_px(p) for p in comp.path], close=True)
+        groups.append(
+            f'  <g id="component-{comp.label}" data-gaps="{len(cuts)}">\n'
+            f'    <path d="{body}" fill="none" stroke="{color}" '
+            f'stroke-width="{R._fmt(R._STROKE_WIDTH * scale)}" stroke-linecap="round"/>\n'
+            f"  </g>"
+        )
+    parts = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        f'width="{R._CANVAS_PX}" height="{R._CANVAS_PX}" '
+        f'viewBox="0 0 {R._CANVAS_PX} {R._CANVAS_PX}">',
+        *groups,
+        "</svg>",
+    ]
+    return "\n".join(parts) + "\n"
+
+
+def reference_svg_scene(subject):
+    """Every 3D segment a Python tuple, sorted by mid-depth, formatted field by field."""
+    u, v, d = G._projection_frame(np.asarray(R._CAMERA))
+    curves, spheres, markers = [], [], []
+    if isinstance(subject, G.Realization3D):
+        for curve in subject.curves:
+            curves.append((f"curve-{curve.label}", curve.points, True))
+        colors = DEFAULT_COLORS
+    else:
+        for prim in subject.primitives:
+            if isinstance(prim, G.SpherePrim):
+                spheres.append(prim)
+            elif isinstance(prim, G.MarkerPrim):
+                markers.append(prim)
+            else:
+                for tag, pts in R._sample_primitive(prim):
+                    curves.append((tag, pts, isinstance(prim, G.CirclePrim)))
+        colors = {}
+
+    segments, all_xy = [], []
+    for tag, pts, closed in curves:
+        xy = np.stack([pts @ u, pts @ v], axis=1)
+        depth = pts @ d
+        all_xy.append(xy)
+        count = len(pts) if closed else len(pts) - 1
+        for k in range(count):
+            k2 = (k + 1) % len(pts)
+            segments.append(
+                (
+                    float(depth[k] + depth[k2]) / 2.0,
+                    tag,
+                    (float(xy[k][0]), float(xy[k][1])),
+                    (float(xy[k2][0]), float(xy[k2][1])),
+                )
+            )
+    sphere_records = []
+    for sphere in spheres:
+        c = np.asarray(sphere.center)
+        sphere_records.append((float(c @ d), (float(c @ u), float(c @ v)), sphere.radius))
+        ring = np.linspace(0.0, 2.0 * math.pi, 8)
+        all_xy.append(
+            np.stack(
+                [c @ u + sphere.radius * np.cos(ring), c @ v + sphere.radius * np.sin(ring)],
+                axis=1,
+            )
+        )
+    marker_records = []
+    for marker in markers:
+        p = np.asarray(marker.position)
+        marker_records.append((marker.tag, (float(p @ u), float(p @ v))))
+        all_xy.append(np.array([[float(p @ u), float(p @ v)]]))
+
+    stacked = np.vstack(all_xy)
+    x0, y0 = stacked.min(axis=0)
+    x1, y1 = stacked.max(axis=0)
+    span = max(x1 - x0, y1 - y0, 1e-9)
+    margin = 0.08 * span
+    x0, y0, span = x0 - margin, y0 - margin, span + 2 * margin
+    scale = R._SCENE_PX / span
+
+    def to_px(p):
+        return ((p[0] - x0) * scale, R._SCENE_PX - (p[1] - y0) * scale)
+
+    fmt = R._fmt
+    body = []
+    for depth, center_xy, radius in sorted(sphere_records, key=lambda rec: rec[0]):
+        cx, cy = to_px(center_xy)
+        body.append(
+            f'  <circle class="sphere" cx="{fmt(cx)}" cy="{fmt(cy)}" '
+            f'r="{fmt(radius * scale)}" fill="#f3f3f3" fill-opacity="0.85" '
+            f'stroke="#666666" stroke-width="1.5"/>'
+        )
+    for depth, tag, p1, p2 in sorted(segments, key=lambda rec: rec[0]):
+        a = to_px(p1)
+        b = to_px(p2)
+        color = colors.get(tag.removeprefix("curve-"), "#333333")
+        body.append(
+            f'  <line class="{tag}" x1="{fmt(a[0])}" y1="{fmt(a[1])}" '
+            f'x2="{fmt(b[0])}" y2="{fmt(b[1])}" stroke="{color}" '
+            f'stroke-width="2.4" stroke-linecap="round"/>'
+        )
+    for tag, pos in marker_records:
+        cx, cy = to_px(pos)
+        body.append(
+            f'  <circle class="{tag}" cx="{fmt(cx)}" cy="{fmt(cy)}" r="4" '
+            f'fill="#111111"/>'
+        )
+    parts = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        f'width="{R._SCENE_PX}" height="{R._SCENE_PX}" '
+        f'viewBox="0 0 {R._SCENE_PX} {R._SCENE_PX}">',
+        *body,
+        "</svg>",
+    ]
+    return "\n".join(parts) + "\n"
+
+
+_OVERRIDE_COLORS = {"A": "#123456", "B": "navy", "C": "#abc"}
+
+
+def _realization_diagrams():
+    """Projections of both realization kinds at several sizes, along seeded directions."""
+    out = []
+    for kind in G.REALIZE_KINDS:
+        for segments in (64, 256, 1000):
+            curves = G.realize(kind, segments=segments)
+            for seed in range(3):
+                direction = np.random.default_rng(seed).normal(size=3)
+                try:
+                    out.append(G.diagram_from_curves(curves, direction=direction))
+                except DegeneracyError:
+                    continue
+    return out
+
+
+class TestSameBytesAsReference:
+    @pytest.mark.parametrize("colors", [DEFAULT_COLORS, _OVERRIDE_COLORS])
+    def test_every_word(self, colors):
+        for asg in all_assignments():
+            d = to_diagram(asg)
+            assert svg_diagram(d, colors) == reference_svg_diagram(d, colors), asg.word
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_builtin(self, name):
+        d = builtin_diagram(name)
+        assert svg_diagram(d) == reference_svg_diagram(d)
+
+    def test_realization_diagrams(self):
+        diagrams = _realization_diagrams()
+        assert len(diagrams) >= 12
+        for d in diagrams:
+            assert svg_diagram(d) == reference_svg_diagram(d)
+
+    @pytest.mark.parametrize("kind", G.SCENE_KINDS)
+    def test_scene(self, kind):
+        subject = G.scene(kind)
+        assert svg_scene(subject) == reference_svg_scene(subject)
+
+    @pytest.mark.parametrize("segments", [64, 777])
+    @pytest.mark.parametrize(
+        "kind, params",
+        [("torus-villarceau", {"R": 3.5, "r": 1.25}), ("borromean-ellipses", {"a": 2.2, "b": 0.6})],
+    )
+    def test_realization(self, kind, params, segments):
+        subject = G.realize(kind, segments=segments, **params)
+        assert svg_scene(subject) == reference_svg_scene(subject)
+
+
+def _arclengths(points):
+    """Vertex arclengths as the path cutter sums them, then the perimeter."""
+    closing = itertools.chain(points[1:], points[:1])
+    lengths = [
+        math.sqrt((x1 - x0) * (x1 - x0) + (y1 - y0) * (y1 - y0))
+        for (x0, y0), (x1, y1) in zip(points, closing)
+    ]
+    return list(itertools.accumulate(lengths, initial=0.0))
+
+
+@st.composite
+def cut_cases(draw):
+    """A closed polyline, cuts along it, and a gap shorter than its perimeter.
+
+    Half the polylines keep lattice points of a rectangle's boundary, with
+    gaps that are binary fractions, so a cut at a vertex's arclength plus or
+    minus half the gap puts a window edge exactly on that vertex.  Cuts fall
+    anywhere from before 0 to past the perimeter, so windows wrap through
+    arclength 0 and overlap one another.
+    """
+    if draw(st.booleans()):
+        w, h = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+        ring = (
+            [(x, 0) for x in range(w)] + [(w, y) for y in range(h)]
+            + [(x, h) for x in range(w, 0, -1)] + [(0, y) for y in range(h, 0, -1)]
+        )
+        keep = draw(st.lists(st.booleans(), min_size=len(ring), max_size=len(ring)))
+        points = [(float(x), float(y)) for (x, y), kept in zip(ring, keep) if kept]
+        gaps = st.sampled_from([0.25, 0.5, 1.0, 2.5])
+    else:
+        coord = st.floats(-10.0, 10.0, allow_nan=False)
+        points = draw(st.lists(st.tuples(coord, coord), min_size=3, max_size=24))
+        gaps = st.floats(0.01, 8.0)
+    assume(len(points) >= 3)
+    assume(all(math.dist(p, q) > 1e-3 for p, q in zip(points, points[1:] + points[:1])))
+    cumulative = _arclengths(points)
+    total = cumulative[-1]
+    gap = draw(gaps)
+    assume(gap < total)
+    anywhere = st.floats(-0.25, 1.25).map(lambda f: f * total)
+    on_vertex = st.tuples(st.sampled_from(cumulative[:-1]), st.sampled_from([-0.5, 0.5])).map(
+        lambda pair: pair[0] + pair[1] * gap
+    )
+    cuts = draw(st.lists(st.one_of(anywhere, on_vertex), max_size=6))
+    return points, cuts, gap
+
+
+_SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
+
+
+# The VM's CPU speed switches between two levels about 1.6x apart, so this
+# test runs without a per-example deadline.
+@settings(deadline=None)
+@given(cut_cases())
+# A window through arclength 0, and two windows that overlap.
+@example((_SQUARE, [0.1, 1.5, 1.7], 0.5))
+# Window edges exactly on the vertices at arclengths 1 and 3, one of them
+# closing and one opening.
+@example((_SQUARE, [1.25, 2.75], 0.5))
+# Two cuts at one arclength: their boundaries keep the cut order.
+@example((_SQUARE, [2.0, 2.0, 3.75], 0.5))
+def test_cut_closed_path_equals_reference(case):
+    points, cuts, gap = case
+    assert R._cut_closed_path(points, cuts, gap) == reference_cut_closed_path(points, cuts, gap)
+
+
+class TestShortComponent:
+    def test_component_shorter_than_gap_is_rejected(self):
+        tiny = G.diagram_from_curves(G.realize("borromean-ellipses", a=0.02, b=0.01))
+        with pytest.raises(InputError, match=r"component A: perimeter 0\.09\d* is not longer"):
+            svg_diagram(tiny)
+
+    def test_path_cutter_rejects_a_gap_as_long_as_the_perimeter(self):
+        with pytest.raises(InputError, match="perimeter 4 is not longer than the gap 4"):
+            R._cut_closed_path(_SQUARE, [1.0], 4.0)
