@@ -412,6 +412,25 @@ class TestSameBytesAsReference:
         subject = G.scene(kind)
         assert svg_scene(subject) == reference_svg_scene(subject)
 
+    def test_path_writer_prints_no_negative_zero(self):
+        points = [(-0.00001, 1.0), (-0.0, -2.5), (3.00004, -0.00004)]
+        for close in (False, True):
+            assert R._path_from_points(points, close) == reference_path_from_points(points, close)
+
+    def test_equal_depths_keep_the_primitive_order(self):
+        # Twin primitives give every segment an exact tie in mid-depth with a
+        # segment of another class; the tied segments keep the scene's order.
+        twins = tuple(
+            prim
+            for tag in ("a", "b")
+            for prim in (
+                G.CirclePrim((0.0, 0.0, 0.0), (1.0, 2.0, 3.0), 1.0, tag),
+                G.ArcPrim((0.5, 0.0, 0.0), (0.3, -0.2, 0.9), 0.7, 0.0, 2.0, f"{tag}-arc"),
+            )
+        )
+        subject = G.Scene3D("twins", twins)
+        assert svg_scene(subject) == reference_svg_scene(subject)
+
     @pytest.mark.parametrize("segments", [64, 777])
     @pytest.mark.parametrize(
         "kind, params",
