@@ -39,8 +39,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 #: A run.py call ends within its own 180 s budget; allow some slack.
 RUN_TIMEOUT_S = 240
-#: The benchmark's workloads that a series measures.
-WORKLOADS = ("queries", "realize")
+#: The benchmark's workloads that a series measures.  ``verify`` is not one
+#: BENCHMARK.json gates, but it runs every check, census and bracket path.
+WORKLOADS = ("queries", "realize", "verify")
 
 
 def run_benchmark(

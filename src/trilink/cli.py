@@ -28,10 +28,10 @@ from .diagram import (
 )
 from .errors import CapacityError, DegeneracyError, InputError
 from .invariants import (
+    _normalized,
     classify,
     kauffman_bracket,
     linking_numbers,
-    normalized_invariant,
     pairwise_linking,
     signed_linking_numbers,
     writhe,
@@ -191,9 +191,10 @@ def _cmd_invariants(args) -> int:
             for pair, value in sorted(linking_numbers(d).items(), key=lambda kv: sorted(kv[0]))
         )
         lines.append(f"linking          {pair_text} (profile {profile})")
+    bracket = kauffman_bracket(d)
     lines.append(f"writhe           {writhe(d)}")
-    lines.append(f"bracket          {kauffman_bracket(d).to_text()}")
-    lines.append(f"normalized       {normalized_invariant(d).to_text()}")
+    lines.append(f"bracket          {bracket.to_text()}")
+    lines.append(f"normalized       {_normalized(bracket, d).to_text()}")
     sys.stdout.write("\n".join(lines) + "\n")
     return 0
 

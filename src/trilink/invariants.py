@@ -5,10 +5,11 @@ smoothing states.  Each crossing contributes a factor of the variable
 (first smoothing) or its inverse (second smoothing), and a state that
 closes up into L loops contributes loop_factor^(L-1), where
 loop_factor = -A^2 - A^-2.  The empty-crossing unknot has bracket 1.
-The bracket contracts the crossings one at a time and counts partial
-states that join the open ends of the placed crossings alike together
-(Kauffman 1987; Bar-Natan 2007).  The census enumerates the states once
-for all crossing flips of its one shadow instead (``_flip_brackets``).
+One contraction traces the states: it places the crossings one at a time
+and counts partial states that join the open ends of the placed crossings
+alike together (Kauffman 1987; Bar-Natan 2007).  An A-smoothed crossing
+adds its weight to the state's key: 1 for the bracket, 2^k to key the
+census's table of every crossing flip (``_flip_brackets``, a 4^c fold).
 
 Smoothing convention, matched to the slot layout of
 :mod:`trilink.diagram` (slots counterclockwise, under-strand on 0/2):
@@ -122,13 +123,8 @@ def pairwise_linking(d: LinkDiagram) -> LinkingProfile:
 def kauffman_bracket(d: LinkDiagram) -> LaurentPoly:
     """Bracket state sum of the diagram (exact integer arithmetic).
 
-    Dart ``4k + slot`` is slot ``slot`` of crossing ``k``.  The crossings
-    are contracted one at a time in :func:`_contraction_order`.  A partial
-    state is the pairing of the open darts (placed darts whose arc leads
-    to an unplaced crossing) by the paths through the placed smoothings;
-    for each pairing the states are tallied by (A-smoothing count, closed
-    loops).  Each final tally is multiplied by its power of the loop
-    factor once, so the result is the full 2^c state sum's.
+    Each (A-smoothing count, loops) entry of :func:`_smoothing_tally` is
+    multiplied by its power of the loop factor once.
     """
     c = d.crossing_count
     if c > BRACKET_CROSSING_LIMIT:
@@ -137,11 +133,24 @@ def kauffman_bracket(d: LinkDiagram) -> LaurentPoly:
         )
     if not d.components:
         raise InputError("the bracket needs at least one component")
+    return _state_sum(_smoothing_tally(d, [1] * c), c)
+
+
+def _smoothing_tally(d: LinkDiagram, a_steps: list[int]) -> dict[tuple[int, int], int]:
+    """States of ``d`` tallied by (sum of ``a_steps[k]`` over A-smoothed k, loops).
+
+    Dart ``4k + slot`` is slot ``slot`` of crossing ``k``.  The crossings
+    are contracted one at a time in :func:`_contraction_order`.  A partial
+    state is the pairing of the open darts (placed darts whose arc leads
+    to an unplaced crossing) by the paths through the placed smoothings;
+    for each pairing the states are tallied by (key, closed loops).
+    """
+    c = d.crossing_count
     arc_mate = [0] * (4 * c)
     for (k, slot), (k2, slot2) in d.arc_mates().items():
         arc_mate[4 * k + slot] = 4 * k2 + slot2
 
-    # Pairing (partner position of each open dart) -> {(A count, loops): states}.
+    # Pairing (partner position of each open dart) -> {(A key, loops): states}.
     states: dict[tuple[int, ...], dict[tuple[int, int], int]] = {
         (): {(0, d.free_component_count()): 1}
     }
@@ -165,7 +174,7 @@ def kauffman_bracket(d: LinkDiagram) -> LaurentPoly:
         open_darts = [open_darts[v] if v < n else 4 * k + v - n for v in ends]
 
         contracted: dict[tuple[int, ...], dict[tuple[int, int], int]] = {}
-        for smooth_slot, a_step in ((_A_SMOOTH_SLOT, 1), (_B_SMOOTH_SLOT, 0)):
+        for smooth_slot, a_step in ((_A_SMOOTH_SLOT, a_steps[k]), (_B_SMOOTH_SLOT, 0)):
             smooth = tuple(n + m for m in smooth_slot)
             for pairing, tally in states.items():
                 # A path alternates inner edges (pairing or smoothing) and arcs.
@@ -195,12 +204,11 @@ def kauffman_bracket(d: LinkDiagram) -> LaurentPoly:
                         visited[v] = 1
                         v = inner[v]
                 target = contracted.setdefault(tuple(paired), {})
-                for (a_count, loops), count in tally.items():
-                    key = (a_count + a_step, loops + closed)
+                for (a_key, loops), count in tally.items():
+                    key = (a_key + a_step, loops + closed)
                     target[key] = target.get(key, 0) + count
         states = contracted
-
-    return _state_sum(states[()], c)
+    return states[()]
 
 
 def _state_sum(tally: dict[tuple[int, int], int], c: int) -> LaurentPoly:
@@ -219,26 +227,12 @@ def _flip_brackets(d: LinkDiagram) -> tuple[LaurentPoly, ...]:
     A flip turns a crossing's slot labels by an odd step, swapping its A- and
     B-smoothings.  So if the state A-smoothing the crossings in t has L(t)
     loops, flip m has bracket sum_t A^(2|t xor m| - c) loop_factor^(L(t) - 1):
-    one table of 2^c loop counts serves all 2^c flips, in 4^c steps.
+    one tally keyed by t, one state per key, serves all 2^c flips in 4^c steps.
     """
     c = d.crossing_count
-    arc_mate = [0] * (4 * c)
-    for (k, slot), (k2, slot2) in d.arc_mates().items():
-        arc_mate[4 * k + slot] = 4 * k2 + slot2
-    loops_of = []
-    for t in range(1 << c):
-        slots = [(_B_SMOOTH_SLOT, _A_SMOOTH_SLOT)[t >> k & 1] for k in range(c)]
-        smooth = [v - v % 4 + slots[v // 4][v % 4] for v in range(4 * c)]
-        visited = bytearray(4 * c)
-        loops = d.free_component_count()
-        for v in range(4 * c):
-            loops += not visited[v]
-            while not visited[v]:
-                visited[v] = visited[smooth[v]] = 1
-                v = arc_mate[smooth[v]]
-        loops_of.append(loops)
+    table = _smoothing_tally(d, [1 << k for k in range(c)])
     return tuple(
-        _state_sum(collections.Counter(((t ^ m).bit_count(), n) for t, n in enumerate(loops_of)), c)
+        _state_sum(collections.Counter(((t ^ m).bit_count(), loops) for t, loops in table), c)
         for m in range(1 << c)
     )
 

@@ -2,8 +2,8 @@
 
 Diagrams are drawn one path group per component; wherever a component
 passes under a crossing its stroke is cut by a gap centered on the
-crossing.  ``data-gaps`` counts these cuts; gaps that overlap merge into
-one break, so a path can have fewer breaks than cuts.  A component with
+crossing.  ``data-gaps`` counts these cuts; gaps that overlap merge as
+their union, so a path can have fewer breaks than cuts.  A component with
 a cut whose perimeter is not longer than the gap raises InputError.  3D
 content is projected orthographically and painted back-to-front per
 segment.  Output is deterministic: fixed float formatting, fixed element
@@ -81,37 +81,38 @@ def _cut_closed_path(
         (x, y), (x1, y1) = points[k], points[(k + 1) % n]
         return (float(x + t * (x1 - x)), float(y + t * (y1 - y)))
 
-    # Window boundaries as (arclength, opens), in arclength order (stable,
-    # so one arclength keeps the cut order); each comes before a vertex at
-    # the same arclength.
-    windows: list[tuple[float, bool]] = []
-    inside_at_zero = False
+    # Window boundaries as (arclength, +1 at a start, -1 at an end), in
+    # arclength order (stable, so one arclength keeps the cut order); each
+    # comes before a vertex at the same arclength.  ``depth`` counts the
+    # windows covering the sweep, starting with those that wrap through 0.
+    windows: list[tuple[float, int]] = []
+    depth = 0
     for c in cut_params:
         s0 = (c - gap / 2.0) % total
         s1 = (s0 + gap) % total
-        inside_at_zero = inside_at_zero or s0 > s1
-        windows += [(s0, False), (s1, True)]
+        depth += s0 > s1
+        windows += [(s0, 1), (s1, -1)]
     windows.sort(key=lambda e: e[0])
 
-    # Walk the vertices once; window boundaries close/open the current arc.
+    # Walk the vertices once; the stroke is drawn where no window covers it,
+    # so overlapping windows cut their union.
     arcs: list[list[tuple[float, float]]] = []
-    open_arc = not inside_at_zero
-    current: list[tuple[float, float]] = [points[0]] if open_arc else []
+    current: list[tuple[float, float]] = [] if depth else [points[0]]
     k = 0
-    for s, opens in windows:
+    for s, step in windows:
         end = bisect.bisect_left(cumulative, s, k, n)
-        if open_arc:
+        if not depth:
             current.extend(points[k:end])
         k = end
-        if opens != open_arc:  # a close while open, or an open while closed
+        if not depth or depth + step == 0:  # the first window opens, or the last ends
             current.append(at(s))
-            if open_arc:
+            if step > 0:
                 arcs.append(current)
                 current = []
-            open_arc = opens
-    if open_arc:
+        depth += step
+    if not depth:  # the sweep ends as it began, drawing at arclength 0
         current.extend(points[k:])
-        if arcs and not inside_at_zero:
+        if arcs:
             arcs[0] = current + arcs[0]  # wraps through param 0
         else:
             arcs.append(current + [points[0]])

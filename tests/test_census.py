@@ -110,6 +110,17 @@ class TestStateTable:
         invariants.classify(census.census_diagrams()[0])
         assert len(calls) == 1
 
+    def test_run_census_contracts_once(self, monkeypatch):
+        real, calls = invariants._smoothing_tally, []
+
+        def counted(d, a_steps):
+            calls.append(a_steps)
+            return real(d, a_steps)
+
+        monkeypatch.setattr(invariants, "_smoothing_tally", counted)
+        run_census()
+        assert calls == [[1 << k for k in range(6)]]
+
 
 class TestSerialization:
     def test_runs_are_byte_identical(self, census_records):

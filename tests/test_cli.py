@@ -8,10 +8,11 @@ from pathlib import Path
 
 import pytest
 
-from trilink import render
+from trilink import cli, invariants, render
 from trilink.census import census_table, census_to_csv, census_to_json
-from trilink.cli import _build_parser, main
+from trilink.cli import _build_parser, _diagram_from_args, main
 from trilink.diagram import assignment_from_text, to_diagram
+from trilink.invariants import kauffman_bracket, normalized_invariant
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -158,6 +159,23 @@ class TestInvariantsCommand:
         code, out, _ = run_cli(capsys, "invariants", "010101")
         assert code == 0
         assert "profile 1,1,1" in out
+
+    @pytest.mark.parametrize("argv", [("000000",), ("010101",), ("--builtin", "trefoil")])
+    def test_brackets_once(self, capsys, monkeypatch, argv):
+        d = _diagram_from_args(_build_parser().parse_args(["invariants", *argv]))
+        bracket, normalized = kauffman_bracket(d).to_text(), normalized_invariant(d).to_text()
+        calls = []
+
+        def counted(diagram):
+            calls.append(diagram)
+            return kauffman_bracket(diagram)
+
+        for module in (cli, invariants):
+            monkeypatch.setattr(module, "kauffman_bracket", counted)
+        code, out, _ = run_cli(capsys, "invariants", *argv)
+        assert code == 0
+        assert len(calls) == 1
+        assert out.endswith(f"bracket          {bracket}\nnormalized       {normalized}\n")
 
 
 class TestRenderCommand:

@@ -187,37 +187,39 @@ def reference_cut_closed_path(points, cut_params, gap):
         (x, y), (dx, dy) = points[k], seg_vec[k]
         return (float(x + t * dx), float(y + t * dy))
 
+    # A window start counts +1 and an end -1; the stroke is drawn where the
+    # count is 0, starting from the windows that wrap through arclength 0.
     events = []
-    inside_at_zero = False
+    depth = 0
     for c in cut_params:
         s0 = (c - gap / 2.0) % total
         s1 = (s0 + gap) % total
         if s0 > s1:
-            inside_at_zero = True
-        events.append((s0, 0, "close"))
-        events.append((s1, 0, "open"))
+            depth += 1
+        events.append((s0, 0, "start"))
+        events.append((s1, 0, "end"))
     for k in range(n):
         events.append((cumulative[k], 1, "vertex"))
     events.sort(key=lambda e: (e[0], e[1]))
 
     arcs = []
-    open_arc = not inside_at_zero
-    current = [at(0.0)] if open_arc else []
+    inside_at_zero = depth > 0
+    current = [] if inside_at_zero else [at(0.0)]
     for s, _, kind in events:
         if kind == "vertex":
-            if open_arc:
+            if depth == 0:
                 current.append(at(s))
-        elif kind == "close":
-            if open_arc:
+        elif kind == "start":
+            if depth == 0:
                 current.append(at(s))
                 arcs.append(current)
                 current = []
-                open_arc = False
+            depth += 1
         else:
-            if not open_arc:
+            depth -= 1
+            if depth == 0:
                 current = [at(s)]
-                open_arc = True
-    if open_arc and current:
+    if depth == 0 and current:
         if arcs and not inside_at_zero:
             arcs[0] = current + arcs[0]
         else:
@@ -505,6 +507,36 @@ _SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
 def test_cut_closed_path_equals_reference(case):
     points, cuts, gap = case
     assert R._cut_closed_path(points, cuts, gap) == reference_cut_closed_path(points, cuts, gap)
+
+
+def _kept_vertex_distances(points, cuts, gap):
+    """Arclength around the loop from each kept input vertex to its nearest cut."""
+    cumulative = _arclengths(points)
+    total = cumulative[-1]
+    where = dict(zip(points, cumulative))
+    kept = [where[p] for arc in R._cut_closed_path(points, cuts, gap) for p in arc if p in where]
+    return [min(min((s - c) % total, (c - s) % total) for c in cuts) for s in kept]
+
+
+@settings(deadline=None)
+@given(cut_cases())
+# The first window ends inside the second, which covers the vertex at 1.
+@example((_SQUARE, [0.7, 1.0], 0.5))
+def test_kept_vertices_lie_outside_every_window(case):
+    points, cuts, gap = case
+    assume(cuts and len(set(points)) == len(points))  # each kept point names one vertex
+    assert min(_kept_vertex_distances(points, cuts, gap), default=gap) >= gap / 2 - 1e-9
+
+
+def test_realization_projections_keep_every_vertex_out_of_the_gaps():
+    # The default borromean-ellipses projection has overlapping windows on
+    # components A and C.
+    defaults = [G.diagram_from_curves(G.realize(kind)) for kind in G.REALIZE_KINDS]
+    for d in defaults + _realization_diagrams():
+        for comp in d.components:
+            cuts = [v.path_param for v in comp.visits if v.role == "under"]
+            if cuts:
+                assert min(_kept_vertex_distances(comp.path, cuts, R._GAP_WIDTH)) >= R._GAP_WIDTH / 2
 
 
 class TestShortComponent:

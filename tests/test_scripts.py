@@ -103,7 +103,7 @@ def test_bench_series(tmp_path):
     assert report["seeds"] == [1]
     entry = report["trees"]["stale"]
     assert entry["machine"]["nproc"] >= 1
-    assert sorted(entry["end_to_end"]) == sorted(entry["traced"]) == ["queries", "realize"]
+    assert sorted(entry["end_to_end"]) == sorted(entry["traced"]) == ["queries", "realize", "verify"]
     for workload, series in entry["end_to_end"].items():
         assert series["ok"], workload
         p50 = series["op_p50_ms"]

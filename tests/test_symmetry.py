@@ -215,3 +215,20 @@ class TestBurnside:
     def test_matches_direct_partition(self):
         count, _ = burnside_count()
         assert count == len(orbit_partition()) == 10
+
+
+class TestBracketEquivariance:
+    def test_image_bracket_is_the_bracket_or_its_inverse_exactly(self, census_records):
+        # A reflection of the plane and the over/under interchange each mirror
+        # the link, inverting A in its bracket; doing both keeps it.  "Equal or
+        # inverse" would be weak: 56 of the 64 brackets are palindromic.
+        reverses = {g: g.d3_part.startswith("refl") ^ g.mirror for g in ELEMENTS}
+        assert sum(reverses.values()) == 6
+        assert sum(r.bracket != r.bracket.substitute_inverse() for r in census_records) == 8
+        wrong = []
+        for g in ELEMENTS:
+            for r, image in zip(census_records, WORD_MAPS[g]):
+                expected = r.bracket.substitute_inverse() if reverses[g] else r.bracket
+                if census_records[image].bracket != expected:
+                    wrong.append((str(g), r.assignment.word))
+        assert wrong == []
