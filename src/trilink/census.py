@@ -9,10 +9,10 @@ so repeated runs emit byte-identical output.  The exports are written
 only, never read back: the census is recomputed on demand.
 ``verify_claims`` re-checks every headline property of the census and of
 the 3D realizations and returns a structured pass/fail report.  The 64
-diagrams (``census_diagrams``), the orbit partition
-(``symmetry.orbit_partition``) and the circles' draw paths are computed
+diagrams (``census_diagrams``, each a flip of one shadow), the orbit
+partition (``symmetry.orbit_partition``) and the shadow are computed
 once per process and shared by every run; invariants (the 64 brackets
-from one state table) and realizations are derived anew on each call.
+from the shadow's state table) and realizations are derived anew on each call.
 """
 
 from __future__ import annotations
@@ -110,8 +110,8 @@ def census_diagrams() -> tuple[LinkDiagram, ...]:
 def run_census() -> tuple[CensusRecord, ...]:
     """Classify all 64 depictions; the records are indexed by assignment index.
 
-    A word's diagram flips word 000000's crossings at the word's set bits,
-    so one state table of that diagram gives all 64 brackets.
+    A word's diagram is the shadow, word 000000's diagram, flipped at the
+    word's index, so the shadow's one table of flip brackets gives all 64.
     """
     orbit_of_word = {
         member.index: (orbit_id, orbit.size)
@@ -122,8 +122,7 @@ def run_census() -> tuple[CensusRecord, ...]:
     brackets = _flip_brackets(diagrams[0])
     records = []
     for asg, d in zip(all_assignments(), diagrams):
-        flips = sum(asg.bit(x.site_index) << k for k, x in enumerate(diagrams[0].crossings))
-        bracket, profile = brackets[flips], pairwise_linking(d)
+        bracket, profile = brackets[asg.index], pairwise_linking(d)
         kind = embedding_type(profile, functools.partial(_normalized, bracket, d))
         records.append(CensusRecord(asg, *orbit_of_word[asg.index], kind, profile, bracket))
     return tuple(records)
@@ -286,11 +285,15 @@ class VerificationReport:
         return json.dumps(doc, indent=2) + "\n"
 
 
-def verify_claims(segments: int = 512) -> VerificationReport:
+#: Curve segments of each realization that ``verify_claims`` checks.
+VERIFY_SEGMENTS = 512
+
+
+def verify_claims() -> VerificationReport:
     """Re-derive and check every headline property.
 
-    Only the 64 diagrams, the orbit partition and the circles' draw paths
-    are shared with earlier runs in the process; the rest is derived anew.
+    Only the 64 diagrams, the orbit partition and the shadow are shared
+    with earlier runs in the process; the rest is derived anew.
     """
     from . import geometry  # numpy; only the realization checks need it
     checks: list[CheckResult] = []
@@ -459,13 +462,12 @@ def verify_claims(segments: int = 512) -> VerificationReport:
     )
 
     # 8. Twist invariance.
-    twist = builtin_diagram("twist-unknot")
-    unknot = builtin_diagram("unknot")
+    twist = normalized_invariant(builtin_diagram("twist-unknot"))
+    unknot = normalized_invariant(builtin_diagram("unknot"))
     add(
         "twist-invariance",
-        normalized_invariant(twist) == normalized_invariant(unknot),
-        f"normalized single-kink value {normalized_invariant(twist).to_text()} "
-        f"equals unknot value {normalized_invariant(unknot).to_text()}",
+        twist == unknot,
+        f"normalized single-kink value {twist.to_text()} equals unknot value {unknot.to_text()}",
     )
 
     # 9. Mirror relation, exhaustively.
@@ -505,7 +507,7 @@ def verify_claims(segments: int = 512) -> VerificationReport:
 
     # 11. Geometry round trips: one projection per realization gives every
     # pair's signed linking number and the classification.
-    villarceau = geometry.realize("torus-villarceau", segments=segments)
+    villarceau = geometry.realize("torus-villarceau", segments=VERIFY_SEGMENTS)
     roundness = max(geometry.roundness_deviation(c) for c in villarceau.curves)
     v_diagram = geometry.diagram_from_curves(villarceau)
     v_lks = signed_linking_numbers(v_diagram)
@@ -519,7 +521,7 @@ def verify_claims(segments: int = 512) -> VerificationReport:
         f"{sorted(abs(v) for v in v_lks.values())}, roundness {roundness:.2e}",
     )
 
-    ellipses = geometry.realize("borromean-ellipses", segments=segments)
+    ellipses = geometry.realize("borromean-ellipses", segments=VERIFY_SEGMENTS)
     a, b = ellipses.params["a"], ellipses.params["b"]
     ratio = min(geometry.noncircularity_ratio(c) for c in ellipses.curves)
     e_diagram = geometry.diagram_from_curves(ellipses)
@@ -549,7 +551,7 @@ def verify_claims(segments: int = 512) -> VerificationReport:
         "gauss-vs-combinatorial",
         integral_ok,
         f"largest |integral - crossing count/2| = {worst:.2e} "
-        f"over 6 pairs at {segments} segments (tolerance 1e-3)",
+        f"over 6 pairs at {VERIFY_SEGMENTS} segments (tolerance 1e-3)",
     )
 
     # 13. Census determinism.

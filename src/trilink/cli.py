@@ -29,7 +29,7 @@ from .diagram import (
 from .errors import CapacityError, DegeneracyError, InputError
 from .invariants import (
     _normalized,
-    classify,
+    embedding_type,
     kauffman_bracket,
     linking_numbers,
     pairwise_linking,
@@ -164,12 +164,13 @@ def _cmd_classify(args) -> int:
     d = to_diagram(asg)
     orbit = orbit_of(asg)
     profile = pairwise_linking(d)
+    bracket = kauffman_bracket(d)
     lines = [
         f"bitword          {asg.word}",
-        f"embedding type   {classify(d).value}",
+        f"embedding type   {embedding_type(profile, lambda: _normalized(bracket, d)).value}",
         f"orbit rep        {orbit.representative.word} (size {orbit.size})",
         f"linking profile  {profile}",
-        f"bracket          {kauffman_bracket(d).to_text()}",
+        f"bracket          {bracket.to_text()}",
     ]
     sys.stdout.write("\n".join(lines) + "\n")
     return 0
@@ -269,14 +270,11 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (InputError, CapacityError) as exc:
+    except (InputError, CapacityError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except DegeneracyError as exc:
         sys.stderr.write(f"error: degenerate geometry: {exc}\n")
-        return 2
-    except OSError as exc:
-        sys.stderr.write(f"error: {exc}\n")
         return 2
 
 

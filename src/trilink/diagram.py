@@ -139,9 +139,6 @@ class CrossingAssignment:
     def index(self) -> int:
         return int(self.word, 2)
 
-    def bit(self, site_index: int) -> bool:
-        return self.bits[site_index]
-
     def __str__(self) -> str:
         return self.word
 
@@ -370,18 +367,21 @@ def _circle_diagram(
     return LinkDiagram(components=tuple(components), crossings=tuple(crossings))
 
 
+@functools.cache
+def _shadow() -> LinkDiagram:
+    """The depiction of word 000000, the partner circle over at every site; built once."""
+    meetings = [(x.pair[1].name, x.pair[0].name, x.position, x.site_index) for x in SITES]
+    circles = [(c.name, CENTERS[c], CIRCLE_RADIUS) for c in CircleId]
+    return _circle_diagram(circles, meetings)
+
+
 def to_diagram(asg: CrossingAssignment) -> LinkDiagram:
-    """Build the depiction of ``asg`` over the fixed projection.
+    """The depiction of ``asg``: the shadow flipped at the word's index as a mask.
 
     Crossing ids coincide with site indices.  Components are the circles
     A, B, C, each traversed counterclockwise from angle -pi.
     """
-    meetings = []
-    for site in SITES:
-        over, under = site.pair if asg.bit(site.site_index) else site.pair[::-1]
-        meetings.append((over.name, under.name, site.position, site.site_index))
-    circles = [(c.name, CENTERS[c], CIRCLE_RADIUS) for c in CircleId]
-    return _circle_diagram(circles, meetings)
+    return flip_crossings(_shadow(), asg.index)
 
 
 # ---------------------------------------------------------------------------
@@ -580,24 +580,19 @@ def remove_component(d: LinkDiagram, label: str | CircleId) -> LinkDiagram:
     return LinkDiagram(components=tuple(components), crossings=crossings)
 
 
-def flip_all_crossings(d: LinkDiagram) -> LinkDiagram:
-    """Swap over and under at every crossing (the mirror depiction).
+def flip_crossings(d: LinkDiagram, mask: int) -> LinkDiagram:
+    """Swap over and under at the crossings of ``mask``, read like a word.
 
-    Slot labels at each flipped crossing rotate so the new under-strand
-    enters at slot 0 again; the planar cyclic order is unchanged.
+    Crossing 0 is the most significant of ``d.crossing_count`` bits.  Slot
+    labels at each flipped crossing rotate so the new under-strand enters
+    at slot 0 again; the planar cyclic order is unchanged.
     """
-    shifts = {}
-    crossings = []
-    for idx, c in enumerate(d.crossings):
-        shift = c.over_entry_slot  # old over entry becomes new slot 0
-        shifts[idx] = shift
-        crossings.append(
-            Crossing(
-                over_entry_slot=(0 - shift) % 4,
-                position=c.position,
-                site_index=c.site_index,
-            )
-        )
+    c = d.crossing_count
+    shifts = [x.over_entry_slot * (mask >> (c - 1 - k) & 1) for k, x in enumerate(d.crossings)]
+    crossings = tuple(
+        Crossing((x.over_entry_slot - 2 * shift) % 4, x.position, x.site_index)
+        for x, shift in zip(d.crossings, shifts)
+    )
     components = []
     for comp in d.components:
         visits = tuple(
@@ -605,7 +600,12 @@ def flip_all_crossings(d: LinkDiagram) -> LinkDiagram:
             for v in comp.visits
         )
         components.append(Component(comp.label, visits, comp.path))
-    return LinkDiagram(components=tuple(components), crossings=tuple(crossings))
+    return LinkDiagram(components=tuple(components), crossings=crossings)
+
+
+def flip_all_crossings(d: LinkDiagram) -> LinkDiagram:
+    """Swap over and under at every crossing (the mirror depiction)."""
+    return flip_crossings(d, (1 << d.crossing_count) - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,8 @@ loop_factor = -A^2 - A^-2.  The empty-crossing unknot has bracket 1.
 One contraction traces the states: it places the crossings one at a time
 and counts partial states that join the open ends of the placed crossings
 alike together (Kauffman 1987; Bar-Natan 2007).  An A-smoothed crossing
-adds its weight to the state's key: 1 for the bracket, 2^k to key the
-census's table of every crossing flip (``_flip_brackets``, a 4^c fold).
+adds its weight to the state's key: 1 for the bracket, a bit of its own
+to key the census's table of every crossing flip (``_flip_brackets``, a 4^c fold).
 
 Smoothing convention, matched to the slot layout of
 :mod:`trilink.diagram` (slots counterclockwise, under-strand on 0/2):
@@ -222,7 +222,7 @@ def _state_sum(tally: dict[tuple[int, int], int], c: int) -> LaurentPoly:
 
 
 def _flip_brackets(d: LinkDiagram) -> tuple[LaurentPoly, ...]:
-    """Brackets of ``d`` with the crossings of each mask m (bit k: crossing k) flipped.
+    """Brackets of ``flip_crossings(d, m)`` for every mask m, indexed by m.
 
     A flip turns a crossing's slot labels by an odd step, swapping its A- and
     B-smoothings.  So if the state A-smoothing the crossings in t has L(t)
@@ -230,7 +230,7 @@ def _flip_brackets(d: LinkDiagram) -> tuple[LaurentPoly, ...]:
     one tally keyed by t, one state per key, serves all 2^c flips in 4^c steps.
     """
     c = d.crossing_count
-    table = _smoothing_tally(d, [1 << k for k in range(c)])
+    table = _smoothing_tally(d, [1 << (c - 1 - k) for k in range(c)])
     return tuple(
         _state_sum(collections.Counter(((t ^ m).bit_count(), loops) for t, loops in table), c)
         for m in range(1 << c)

@@ -97,7 +97,7 @@ def _cut_closed_path(
     # Walk the vertices once; the stroke is drawn where no window covers it,
     # so overlapping windows cut their union.
     arcs: list[list[tuple[float, float]]] = []
-    current: list[tuple[float, float]] = [] if depth else [points[0]]
+    current: list[tuple[float, float]] = []
     k = 0
     for s, step in windows:
         end = bisect.bisect_left(cumulative, s, k, n)

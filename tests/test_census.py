@@ -119,7 +119,7 @@ class TestStateTable:
 
         monkeypatch.setattr(invariants, "_smoothing_tally", counted)
         run_census()
-        assert calls == [[1 << k for k in range(6)]]
+        assert calls == [[32, 16, 8, 4, 2, 1]]
 
 
 class TestSerialization:
@@ -181,7 +181,7 @@ class TestCheckDetails:
         monkeypatch.setattr(
             census, "is_brunnian", lambda d: real(d) or diagram_to_text(d) == stack
         )
-        found = self.details(census.verify_claims(segments=64))
+        found = self.details(census.verify_claims())
         assert found["brunnian-exactness"] == (
             False,
             "63 of 64 depictions are Brunnian exactly when woven (expected 64); "
@@ -204,7 +204,7 @@ class TestCheckDetails:
             "flip_all_crossings",
             lambda d: d if diagram_to_text(d) == word else real(d),
         )
-        passed, detail = self.details(census.verify_claims(segments=64))["mirror-relation"]
+        passed, detail = self.details(census.verify_claims())["mirror-relation"]
         assert not passed
         assert detail == (
             "63 of 64 all-flips depictions invert the bracket's variable (expected 64); "
@@ -225,7 +225,7 @@ class TestCheckDetails:
             )
 
         monkeypatch.setattr(census, "run_census", retyped)
-        found = self.details(census.verify_claims(segments=64))
+        found = self.details(census.verify_claims())
         assert found["case-mapping"] == (
             False,
             "64 of 64 depictions follow the four linked-pair cases (expected 64); "
@@ -248,7 +248,7 @@ class TestCheckDetails:
         monkeypatch.setattr(
             census, "census_to_csv", lambda records: real(records) + f"#{next(exports)}\n"
         )
-        found = self.details(census.verify_claims(segments=64))
+        found = self.details(census.verify_claims())
         assert found["census-determinism"] == (
             False,
             "1 of 2 export formats serialize byte-identically (expected 2); "
@@ -275,7 +275,7 @@ class TestCheckDetails:
 
         monkeypatch.setattr(census, "run_census", counted)
         monkeypatch.setattr(census, "embedding_type", retyping)
-        found = self.details(census.verify_claims(segments=64))
+        found = self.details(census.verify_claims())
         assert len(passes) == 2
         assert len(typed) == 64
         assert found["census-determinism"] == (

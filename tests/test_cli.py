@@ -136,6 +136,27 @@ class TestClassifyCommand:
         assert code == 0
         assert "Borromean" in out
 
+    @pytest.mark.parametrize("word", ["000000", "111100", "010101"])
+    def test_brackets_and_links_once(self, capsys, monkeypatch, word):
+        bracket = kauffman_bracket(to_diagram(assignment_from_text(word))).to_text()
+        calls = []
+
+        def counted(real):
+            def call(diagram):
+                calls.append(real.__name__)
+                return real(diagram)
+
+            return call
+
+        for name in ("kauffman_bracket", "pairwise_linking"):
+            wrapper = counted(getattr(invariants, name))
+            for module in (cli, invariants):
+                monkeypatch.setattr(module, name, wrapper)
+        code, out, _ = run_cli(capsys, "classify", word)
+        assert code == 0
+        assert sorted(calls) == ["kauffman_bracket", "pairwise_linking"]
+        assert out.endswith(f"bracket          {bracket}\n")
+
     def test_bad_word_exits_2(self, capsys):
         code, out, err = run_cli(capsys, "classify", "0101019")
         assert code == 2

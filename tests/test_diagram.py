@@ -1,9 +1,11 @@
+import functools
 import math
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from trilink import geometry as G
 from trilink.census import census_diagrams
 from trilink.diagram import (
     BUILTIN_NAMES,
@@ -11,6 +13,7 @@ from trilink.diagram import (
     CIRCLE_RADIUS,
     SITES,
     CircleId,
+    _circle_diagram,
     assignment_from_index,
     assignment_from_text,
     builtin_diagram,
@@ -18,6 +21,7 @@ from trilink.diagram import (
     diagram_from_text,
     diagram_to_text,
     flip_all_crossings,
+    flip_crossings,
     remove_component,
     to_diagram,
     validate_diagram,
@@ -201,6 +205,21 @@ class TestToDiagram:
             frozenset("CA"): 2,
         }
 
+    @pytest.mark.parametrize("index", range(64))
+    def test_equals_the_analytic_construction(self, index):
+        asg = assignment_from_index(index)
+        assert to_diagram(asg) == reference_to_diagram(asg)
+
+
+def reference_to_diagram(asg):
+    """The depiction of ``asg`` built site by site from the projection's geometry."""
+    meetings = []
+    for site in SITES:
+        over, under = site.pair if asg.bits[site.site_index] else site.pair[::-1]
+        meetings.append((over.name, under.name, site.position, site.site_index))
+    circles = [(c.name, CENTERS[c], CIRCLE_RADIUS) for c in CircleId]
+    return _circle_diagram(circles, meetings)
+
 
 def _over_material(d):
     """Label of the circle passing over at each site of a census diagram."""
@@ -355,6 +374,36 @@ class TestFlipAllCrossings:
         for comp, fcomp in zip(d.components, flipped.components):
             for v, fv in zip(comp.visits, fcomp.visits):
                 assert {v.role, fv.role} == {"over", "under"}
+
+
+@functools.cache
+def _flip_subject(name):
+    """A builtin by name, or the default projection of a realization kind."""
+    if name in BUILTIN_NAMES:
+        return builtin_diagram(name)
+    return G.diagram_from_curves(G.realize(name))
+
+
+class TestFlipCrossings:
+    @pytest.mark.parametrize("name", BUILTIN_NAMES + G.REALIZE_KINDS)
+    @settings(deadline=None, max_examples=25)
+    @given(data=st.data())
+    def test_masks_compose_by_xor(self, name, data):
+        d = _flip_subject(name)
+        masks = st.integers(0, (1 << d.crossing_count) - 1)
+        m1, m2 = data.draw(masks), data.draw(masks)
+        assert flip_crossings(d, 0) == d
+        assert flip_crossings(flip_crossings(d, m1), m1) == d
+        assert flip_crossings(flip_crossings(d, m1), m2) == flip_crossings(d, m1 ^ m2)
+
+    @pytest.mark.parametrize("name", ("trefoil", "hopf"))
+    def test_mask_reads_like_a_word(self, name):
+        # Crossing k is bit c - 1 - k, so 1 << (c - 1 - k) flips crossing k only.
+        d = _flip_subject(name)
+        c = d.crossing_count
+        for k in range(c):
+            flipped = flip_crossings(d, 1 << (c - 1 - k))
+            assert [j for j in range(c) if flipped.crossings[j] != d.crossings[j]] == [k]
 
 
 class TestExportFormat:

@@ -13,6 +13,7 @@ from trilink.diagram import (
     assignment_from_text,
     builtin_diagram,
     flip_all_crossings,
+    flip_crossings,
     remove_component,
     to_diagram,
 )
@@ -156,31 +157,6 @@ class TestBracketOracles:
             kauffman_bracket(LinkDiagram(components=(), crossings=()))
 
 
-def flip_crossings(d, mask):
-    """``d`` with over and under swapped at the crossings of ``mask`` (bit k: crossing k).
-
-    As in ``flip_all_crossings``, a flipped crossing's slot labels rotate so
-    the new under-strand enters at slot 0 again.
-    """
-    shifts = [c.over_entry_slot if mask >> k & 1 else 0 for k, c in enumerate(d.crossings)]
-    crossings = tuple(
-        Crossing((c.over_entry_slot - 2 * shift) % 4, c.position, c.site_index)
-        for c, shift in zip(d.crossings, shifts)
-    )
-    components = tuple(
-        Component(
-            comp.label,
-            tuple(
-                Visit(v.crossing, (v.entry_slot - shifts[v.crossing]) % 4, v.path_param)
-                for v in comp.visits
-            ),
-            comp.path,
-        )
-        for comp in d.components
-    )
-    return LinkDiagram(components=components, crossings=crossings)
-
-
 class TestFlipTable:
     """One state table gives the brackets of every crossing flip of a diagram."""
 
@@ -198,7 +174,7 @@ class TestFlipTable:
         "name", BUILTIN_NAMES + ("ellipses-cut-at-A", "villarceau-64")
     )
     def test_no_flips_and_all_flips_match_the_contraction(self, name):
-        # So does every mask between, each flipped by the test's own helper.
+        # So does every mask between.
         d = self.diagram(name)
         table = _flip_brackets(d)
         assert len(table) == 1 << d.crossing_count

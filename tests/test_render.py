@@ -204,7 +204,7 @@ def reference_cut_closed_path(points, cut_params, gap):
 
     arcs = []
     inside_at_zero = depth > 0
-    current = [] if inside_at_zero else [at(0.0)]
+    current = []
     for s, _, kind in events:
         if kind == "vertex":
             if depth == 0:
@@ -537,6 +537,24 @@ def test_realization_projections_keep_every_vertex_out_of_the_gaps():
             cuts = [v.path_param for v in comp.visits if v.role == "under"]
             if cuts:
                 assert min(_kept_vertex_distances(comp.path, cuts, R._GAP_WIDTH)) >= R._GAP_WIDTH / 2
+
+
+def _repeated_points(svg):
+    """Points of the paths of ``svg`` that equal the point before them in their subpath."""
+    repeats = []
+    for path in _parse(svg).iter(f"{SVG_NS}path"):
+        for subpath in path.get("d").replace("Z", "").split("M")[1:]:
+            points = [point.strip() for point in subpath.split("L")]
+            repeats += [q for p, q in zip(points, points[1:]) if p == q]
+    return repeats
+
+
+def test_no_diagram_path_repeats_a_point():
+    diagrams = [to_diagram(asg) for asg in all_assignments()]
+    diagrams += [builtin_diagram(name) for name in BUILTIN_NAMES]
+    diagrams += [G.diagram_from_curves(G.realize(kind)) for kind in G.REALIZE_KINDS]
+    for d in diagrams + _realization_diagrams():
+        assert _repeated_points(svg_diagram(d)) == []
 
 
 class TestShortComponent:
