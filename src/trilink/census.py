@@ -24,7 +24,7 @@ import io
 import itertools
 import json
 from collections.abc import Callable
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .diagram import (
     CrossingAssignment,
@@ -83,8 +83,7 @@ _TYPES_BY_LINKED_PAIRS = {
 }
 
 
-@dataclass(frozen=True)
-class CensusRecord:
+class CensusRecord(NamedTuple):
     assignment: CrossingAssignment
     orbit_id: int
     orbit_size: int
@@ -93,8 +92,7 @@ class CensusRecord:
     bracket: LaurentPoly
 
 
-@dataclass(frozen=True)
-class CensusSummary:
+class CensusSummary(NamedTuple):
     total_depictions: int
     orbit_count: int
     per_type_orbit_counts: dict[EmbeddingType, int]
@@ -180,9 +178,7 @@ def census_to_csv(records: tuple[CensusRecord, ...]) -> str:
                 r.orbit_id,
                 r.orbit_size,
                 r.embedding_type.value,
-                r.linking_profile.lk_ab,
-                r.linking_profile.lk_bc,
-                r.linking_profile.lk_ca,
+                *r.linking_profile,
                 r.linking_profile.linked_pairs,
                 r.bracket.to_text(),
             ]
@@ -209,7 +205,7 @@ def census_to_json(records: tuple[CensusRecord, ...]) -> str:
                 "orbit_id": r.orbit_id,
                 "orbit_size": r.orbit_size,
                 "embedding_type": r.embedding_type.value,
-                "linking_profile": list(r.linking_profile.as_tuple()),
+                "linking_profile": list(r.linking_profile),
                 "linked_pairs": r.linking_profile.linked_pairs,
                 "bracket": r.bracket.to_text(),
             }
@@ -249,15 +245,13 @@ def census_table(records: tuple[CensusRecord, ...]) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     checks: tuple[CheckResult, ...]
 
     @property
@@ -277,10 +271,7 @@ class VerificationReport:
             "schema_version": CENSUS_SCHEMA_VERSION,
             "kind": "trilink-verification",
             "all_passed": self.all_passed,
-            "checks": [
-                {"name": c.name, "passed": c.passed, "detail": c.detail}
-                for c in self.checks
-            ],
+            "checks": [c._asdict() for c in self.checks],
         }
         return json.dumps(doc, indent=2) + "\n"
 
@@ -360,7 +351,7 @@ def verify_claims() -> VerificationReport:
     split_failures = []
     for r in zero_linked:
         trivial_bracket = equal_up_to_inversion(
-            normalized_invariant(diagrams[r.assignment.index]), THREE_UNLINK_BRACKET
+            _normalized(r.bracket, diagrams[r.assignment.index]), THREE_UNLINK_BRACKET
         )
         if trivial_bracket != (r.embedding_type is EmbeddingType.Trivial3):
             split_failures.append(

@@ -71,8 +71,9 @@ def _curves_table(r: Realization3D) -> str:
     for key in sorted(r.params):
         lines.append(f"param {key} {r.params[key]:.12g}")
     for curve in r.curves:
-        lines.append(f"curve {curve.label} n={curve.segment_count}")
-        lines.extend(f"{x:.12g} {y:.12g} {z:.12g}" for x, y, z in curve.points.tolist())
+        n = curve.segment_count
+        lines.append(f"curve {curve.label} n={n}")
+        lines.append("\n".join(["%.12g %.12g %.12g"] * n) % tuple(curve.points.ravel().tolist()))
     return "\n".join(lines) + "\n"
 
 
@@ -81,9 +82,9 @@ def _curves_obj(r: Realization3D) -> str:
     lines = ["# trilink curves"]
     offset = 1
     for curve in r.curves:
-        lines.append(f"o {curve.label}")
-        lines.extend(f"v {x:.9g} {y:.9g} {z:.9g}" for x, y, z in curve.points.tolist())
         n = curve.segment_count
+        lines.append(f"o {curve.label}")
+        lines.append("\n".join(["v %.9g %.9g %.9g"] * n) % tuple(curve.points.ravel().tolist()))
         indices = " ".join(str(offset + k) for k in range(n))
         lines.append(f"l {indices} {offset}")
         offset += n

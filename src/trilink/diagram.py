@@ -37,7 +37,6 @@ import functools
 import itertools
 import math
 import re
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .errors import DegeneracyError, InputError
@@ -69,8 +68,7 @@ CENTER_DISTANCE = 1.0
 CIRCLE_RADIUS = 1.2
 
 
-@dataclass(frozen=True)
-class CrossingSite:
+class CrossingSite(NamedTuple):
     """One of the six intersection points of the fixed projection."""
 
     site_index: int
@@ -125,8 +123,7 @@ SITES = _sites()
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CrossingAssignment:
+class CrossingAssignment(NamedTuple):
     """Over/under choice at each of the six sites, as a 6-bit word."""
 
     bits: tuple[bool, bool, bool, bool, bool, bool]
@@ -197,8 +194,7 @@ class Crossing(NamedTuple):
         return 1 if self.over_entry_slot == 1 else -1
 
 
-@dataclass(frozen=True)
-class Component:
+class Component(NamedTuple):
     """A closed oriented strand: visits in traversal order plus draw geometry."""
 
     label: str
@@ -206,8 +202,7 @@ class Component:
     path: tuple[tuple[float, float], ...] | None = None
 
 
-@dataclass(frozen=True)
-class LinkDiagram:
+class LinkDiagram(NamedTuple):
     """A combinatorial planar diagram of a link."""
 
     components: tuple[Component, ...]

@@ -26,7 +26,7 @@ import enum
 import functools
 import itertools
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .diagram import SITE_PAIRS, LinkDiagram, remove_component
 from .errors import CapacityError, InputError
@@ -58,8 +58,7 @@ class EmbeddingType(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class LinkingProfile:
+class LinkingProfile(NamedTuple):
     """Absolute pairwise linking numbers of a diagram with labels among A, B, C."""
 
     lk_ab: int
@@ -68,10 +67,7 @@ class LinkingProfile:
 
     @property
     def linked_pairs(self) -> int:
-        return sum(1 for v in (self.lk_ab, self.lk_bc, self.lk_ca) if v)
-
-    def as_tuple(self) -> tuple[int, int, int]:
-        return (self.lk_ab, self.lk_bc, self.lk_ca)
+        return sum(1 for v in self if v)
 
     def __str__(self) -> str:
         return f"{self.lk_ab},{self.lk_bc},{self.lk_ca}"

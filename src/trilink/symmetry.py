@@ -19,7 +19,7 @@ and the interchange negates all six in place.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .diagram import SITE_PAIRS, CircleId, CrossingAssignment, all_assignments
 from .errors import InputError
@@ -37,8 +37,7 @@ _D3_LABEL_MAPS: dict[str, dict[CircleId, CircleId]] = {
 }
 
 
-@dataclass(frozen=True)
-class SymmetryElement:
+class SymmetryElement(NamedTuple):
     """One of the twelve symmetries: a dihedral part plus the interchange flag."""
 
     d3_part: str
@@ -51,8 +50,7 @@ class SymmetryElement:
         return f"{self.d3_part}{'*' if self.mirror else ''}"
 
 
-@dataclass(frozen=True)
-class SiteAction:
+class SiteAction(NamedTuple):
     """Permutation-with-flips action on the six crossing bits.
 
     ``site_perm[i]`` is the image site of site ``i``; ``flip_mask[i]`` is
@@ -99,8 +97,7 @@ def apply_action(action: SiteAction, asg: CrossingAssignment) -> CrossingAssignm
     return CrossingAssignment(tuple(bits))  # type: ignore[arg-type]
 
 
-@dataclass(frozen=True)
-class Orbit:
+class Orbit(NamedTuple):
     """A symmetry orbit of crossing assignments ("pattern")."""
 
     members: tuple[CrossingAssignment, ...]  # sorted by numeric word value
@@ -122,24 +119,12 @@ def orbit_partition() -> tuple[Orbit, ...]:
     orbits are shared by every caller.
     """
     actions = [site_action(g) for g in group_elements()]
-    seen: set[int] = set()
-    orbits: list[Orbit] = []
+    orbits: dict[int, Orbit] = {}
     for asg in all_assignments():
-        if asg.index in seen:
-            continue
-        members = {asg.index: asg}
-        frontier = [asg]
-        while frontier:
-            current = frontier.pop()
-            for action in actions:
-                image = apply_action(action, current)
-                if image.index not in members:
-                    members[image.index] = image
-                    frontier.append(image)
-        seen.update(members)
-        orbits.append(Orbit(tuple(members[i] for i in sorted(members))))
-    orbits.sort(key=lambda orb: orb.representative.index)
-    return tuple(orbits)
+        # The twelve actions are the whole group; a word's bits sort as its index.
+        members = sorted({apply_action(action, asg) for action in actions})
+        orbits.setdefault(members[0].index, Orbit(tuple(members)))
+    return tuple(orbits.values())
 
 
 def burnside_count() -> tuple[int, dict[SymmetryElement, int]]:
@@ -164,6 +149,6 @@ def burnside_count() -> tuple[int, dict[SymmetryElement, int]]:
 def orbit_of(asg: CrossingAssignment) -> Orbit:
     """The orbit containing ``asg``."""
     for orb in orbit_partition():
-        if any(member.index == asg.index for member in orb.members):
+        if asg in orb.members:
             return orb
     raise InputError(f"assignment {asg.word} not found in any orbit")

@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import io
 import json
 
@@ -46,7 +45,7 @@ class TestCounts:
     def test_orbit_counts_under_its_smallest_word(self, census_records):
         # Retype 111111, the larger word of the Borromean orbit {000000, 111111}.
         retyped = tuple(
-            dataclasses.replace(r, embedding_type=EmbeddingType.Trivial3)
+            r._replace(embedding_type=EmbeddingType.Trivial3)
             if r.assignment.word == "111111"
             else r
             for r in census_records
@@ -109,6 +108,20 @@ class TestStateTable:
         # The seam does count: classifying the zero-linked 000000 brackets it.
         invariants.classify(census.census_diagrams()[0])
         assert len(calls) == 1
+
+    def test_verify_makes_the_known_bracket_calls(self, monkeypatch):
+        # case-mapping reads the records' brackets; the other checks bracket
+        # cut pairs, all-flips depictions, builtins and the two realizations.
+        real, calls = invariants.kauffman_bracket, []
+
+        def counted(d):
+            calls.append(d)
+            return real(d)
+
+        for module in (census, invariants):
+            monkeypatch.setattr(module, "kauffman_bracket", counted)
+        assert census.verify_claims().all_passed
+        assert len(calls) == 109
 
     def test_run_census_contracts_once(self, monkeypatch):
         real, calls = invariants._smoothing_tally, []
@@ -218,7 +231,7 @@ class TestCheckDetails:
 
         def retyped():
             return tuple(
-                dataclasses.replace(r, embedding_type=EmbeddingType.Borromean)
+                r._replace(embedding_type=EmbeddingType.Borromean)
                 if r.assignment.word == "111100"
                 else r
                 for r in real()

@@ -11,7 +11,7 @@ import pytest
 from trilink import cli, invariants, render
 from trilink.census import census_table, census_to_csv, census_to_json
 from trilink.cli import _build_parser, _diagram_from_args, main
-from trilink.diagram import assignment_from_text, to_diagram
+from trilink.diagram import REALIZE_KINDS, assignment_from_text, to_diagram
 from trilink.invariants import kauffman_bracket, normalized_invariant
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -26,7 +26,7 @@ def run_cli(capsys, *argv):
 def run_in_fresh_interpreter(*argv):
     """``main(argv)`` in a new Python process (bare ``import trilink`` when argv is empty).
 
-    Returns the exit code and whether numpy was imported by the end.
+    Returns the exit code and whether numpy and dataclasses were imported by the end.
     """
     probe = (
         "import contextlib, io, sys\n"
@@ -36,7 +36,7 @@ def run_in_fresh_interpreter(*argv):
         "    import trilink.cli\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        code = trilink.cli.main(sys.argv[1:])\n"
-        "print(code, 'numpy' in sys.modules)\n"
+        "print(code, 'numpy' in sys.modules, 'dataclasses' in sys.modules)\n"
     )
     done = subprocess.run(
         [sys.executable, "-c", probe, *argv],
@@ -46,8 +46,8 @@ def run_in_fresh_interpreter(*argv):
         timeout=120,
         check=True,
     )
-    code, numpy_loaded = done.stdout.split()
-    return int(code), numpy_loaded == "True"
+    code, numpy_loaded, dataclasses_loaded = done.stdout.split()
+    return int(code), numpy_loaded == "True", dataclasses_loaded == "True"
 
 
 NUMPY_CASES = [
@@ -69,7 +69,10 @@ NUMPY_CASES = [
     "argv, loads_numpy", NUMPY_CASES, ids=["-".join(argv) or "import" for argv, _ in NUMPY_CASES]
 )
 def test_numpy_is_imported_only_where_geometry_runs(argv, loads_numpy):
-    assert run_in_fresh_interpreter(*argv) == (0, loads_numpy)
+    code, numpy_loaded, dataclasses_loaded = run_in_fresh_interpreter(*argv)
+    assert (code, numpy_loaded) == (0, loads_numpy)
+    # Only geometry's records are dataclasses; the numpy-free path builds none.
+    assert loads_numpy or not dataclasses_loaded
 
 
 def test_polyline_imports_no_diagram():
@@ -260,7 +263,41 @@ class TestRenderCommand:
         assert "--color" in err
 
 
+def reference_curves_table(r):
+    """The point table written one formatted point at a time."""
+    lines = [f"trilink-curves v1 kind={r.kind}"]
+    for key in sorted(r.params):
+        lines.append(f"param {key} {r.params[key]:.12g}")
+    for curve in r.curves:
+        lines.append(f"curve {curve.label} n={curve.segment_count}")
+        lines.extend(f"{x:.12g} {y:.12g} {z:.12g}" for x, y, z in curve.points.tolist())
+    return "\n".join(lines) + "\n"
+
+
+def reference_curves_obj(r):
+    """The OBJ text written one formatted vertex at a time."""
+    lines = ["# trilink curves"]
+    offset = 1
+    for curve in r.curves:
+        lines.append(f"o {curve.label}")
+        lines.extend(f"v {x:.9g} {y:.9g} {z:.9g}" for x, y, z in curve.points.tolist())
+        n = curve.segment_count
+        indices = " ".join(str(offset + k) for k in range(n))
+        lines.append(f"l {indices} {offset}")
+        offset += n
+    return "\n".join(lines) + "\n"
+
+
 class TestRealizeCommand:
+    @pytest.mark.parametrize("segments", [64, 256, 4096])
+    @pytest.mark.parametrize("kind", REALIZE_KINDS)
+    def test_writers_match_the_per_point_reference(self, kind, segments):
+        from trilink import geometry
+
+        r = geometry.realize(kind, segments=segments)
+        assert cli._curves_table(r) == reference_curves_table(r)
+        assert cli._curves_obj(r) == reference_curves_obj(r)
+
     def test_point_table_and_linking(self, capsys, tmp_path):
         target = tmp_path / "curves.txt"
         code, out, _ = run_cli(

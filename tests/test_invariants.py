@@ -235,7 +235,7 @@ class TestLinkingNumbers:
 
     def test_height_stack_profile(self, all_diagrams):
         profile = pairwise_linking(all_diagrams[0b111100])
-        assert profile.as_tuple() == (0, 0, 0)
+        assert profile == (0, 0, 0)
         assert profile.linked_pairs == 0
 
     def test_single_component_rejected(self):
@@ -244,7 +244,7 @@ class TestLinkingNumbers:
 
     def test_census_values_are_zero_or_one(self, all_diagrams):
         for d in all_diagrams.values():
-            assert set(pairwise_linking(d).as_tuple()) <= {0, 1}
+            assert set(pairwise_linking(d)) <= {0, 1}
 
     def test_signed_values_negate_under_crossing_flip(self, all_diagrams):
         assert signed_linking_numbers(builtin_diagram("hopf")) == {frozenset("AB"): -1}
