@@ -497,35 +497,54 @@ def gauss_linking_integral(a: PolyCurve3, b: PolyCurve3) -> float:
 
     Converges to the integer linking number as the curves are refined.
     Both curves are first moved by one common point, so rounding scales
-    with their size, not with their distance from the origin.  A pair's
-    numerator (ma - mb) . (da x db) is ``cross(ma, da) . db - da .
-    cross(db, mb)``, a difference of two matrix products; the sum runs
-    over blocks of ``_GAUSS_ROW_BLOCK`` segments of ``a``, so memory is
-    O(block * m).
+    with their size, not with their distance from the origin, and then
+    scaled by the power of two that brings their largest midpoint
+    coordinate into [1/2, 1).  The sum does not change under uniform
+    scaling, and a power of two scales exactly, so this only keeps the
+    cubic numerators and distances in range.  A pair's numerator
+    (mᵃ - mᵇ) . (dᵃ x dᵇ) and squared distance |mᵃ - mᵇ|² are each one
+    entry of a matrix product (Gram form), of ``[cross(mᵃ,dᵃ) | -dᵃ]``
+    with ``[dᵇ | cross(dᵇ,mᵇ)]ᵀ`` and of ``[-2mᵃ | |mᵃ|² | 1]`` with
+    ``[mᵇ | 1 | |mᵇ|²]ᵀ``.  The squared distance then carries a rounding
+    error of about eps * (|mᵃ|² + |mᵇ|²), so a term's relative error is
+    about eps * (|mᵃ|² + |mᵇ|²) / |mᵃ - mᵇ|².  The sum runs over blocks
+    of ``_GAUSS_ROW_BLOCK`` segments of ``a``, so memory is O(block * m).
+    Raises :class:`InputError` when the sum is not finite, as for a pair
+    too close for that rounding to resolve or with midpoints that overflow.
     """
     _check_separation(a, b)
-    origin = a.points[0]
-    ma = (a.points + a.ends) / 2.0 - origin
-    mb = (b.points + b.ends) / 2.0 - origin
-    da, db = a.steps, b.steps
-    cross_a = np.cross(ma, da)
-    cross_b = np.cross(db, mb)
-    mb_t = np.ascontiguousarray(mb.T)
-    total = 0.0
-    for lo in range(0, len(ma), _GAUSS_ROW_BLOCK):
-        rows = slice(lo, lo + _GAUSS_ROW_BLOCK)
-        numer = cross_a[rows] @ db.T
-        numer -= da[rows] @ cross_b.T
-        diff = ma[rows, 0, None] - mb_t[0]
-        dist2 = diff * diff
-        for k in (1, 2):
-            np.subtract(ma[rows, k, None], mb_t[k], out=diff)
-            diff *= diff
-            dist2 += diff
-        np.sqrt(dist2, out=diff)
-        diff *= dist2
-        numer /= diff
-        total += float(numer.sum())
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        origin = a.points[0]
+        ma = (a.points + a.ends) / 2.0 - origin
+        mb = (b.points + b.ends) / 2.0 - origin
+        k = -math.frexp(max(np.abs(ma).max(), np.abs(mb).max()))[1]
+        ma, mb, da, db = (np.ldexp(x, k) for x in (ma, mb, a.steps, b.steps))
+        left = np.empty((len(ma), 11))
+        left[:, 0:3] = np.cross(ma, da)
+        left[:, 3:6] = -da
+        left[:, 6:9] = -2.0 * ma
+        left[:, 9] = np.einsum("ij,ij->i", ma, ma)
+        left[:, 10] = 1.0
+        right = np.empty((11, len(mb)))
+        right[0:3] = db.T
+        right[3:6] = np.cross(db, mb).T
+        right[6:9] = mb.T
+        right[9] = 1.0
+        right[10] = np.einsum("ij,ij->i", mb, mb)
+        total = 0.0
+        for lo in range(0, len(ma), _GAUSS_ROW_BLOCK):
+            rows = left[lo:lo + _GAUSS_ROW_BLOCK]
+            numer = rows[:, :6] @ right[:6]
+            dist2 = rows[:, 6:] @ right[6:]
+            scale = np.sqrt(dist2)
+            scale *= dist2
+            numer /= scale
+            total += float(numer.sum())
+    if not math.isfinite(total):
+        raise InputError(
+            f"Gauss integral of curves {a.label!r} and {b.label!r} is not finite ({total}): "
+            "they are too close for its rounding or too large to sum"
+        )
     return total / (4.0 * math.pi)
 
 

@@ -1,4 +1,7 @@
+import contextlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -7,11 +10,19 @@ import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
 
 from trilink import cli, invariants, render
 from trilink.census import census_table, census_to_csv, census_to_json
 from trilink.cli import _build_parser, _diagram_from_args, main
-from trilink.diagram import REALIZE_KINDS, assignment_from_text, to_diagram
+from trilink.diagram import (
+    BUILTIN_NAMES,
+    REALIZE_KINDS,
+    SCENE_KINDS,
+    assignment_from_text,
+    to_diagram,
+)
 from trilink.invariants import kauffman_bracket, normalized_invariant
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -450,3 +461,103 @@ class TestCachedParser:
             outputs.append(out)
         assert outputs[0] == outputs[1]
         assert outputs[0].startswith("bitword          101010\nembedding type   ")
+
+
+# -- generated command lines -------------------------------------------------
+
+# Valid words and parameters are drawn often enough that every command also
+# runs to its end, not only to its input check.
+words = st.one_of(
+    st.text(alphabet="01", min_size=6, max_size=6),
+    st.text(alphabet="01", max_size=12),
+    st.text(max_size=8),
+)
+reals = st.one_of(
+    st.floats(min_value=0.1, max_value=10.0),
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, 1e300, -1e300, 1e-300, -1e-300, 0.0]),
+)
+# Segment counts above geometry.MAX_SEGMENTS are never drawn; in range,
+# only 64, so every realization stays small.
+segment_counts = st.one_of(st.just(64), st.integers(max_value=63))
+# A file under the test's directory, or one in a directory that is not there.
+outputs = st.sampled_from([(), ("-o", "out.txt"), ("-o", "missing/out.txt")])
+
+
+def _optional(flag, values):
+    return st.one_of(st.just(()), values.map(lambda value: (flag, str(value))))
+
+
+@st.composite
+def _realize_argv(draw):
+    kind = draw(st.sampled_from(REALIZE_KINDS + ("no-such-kind",)))
+    own = ["--a", "--b"] if kind == "borromean-ellipses" else ["--R", "--r"]
+    names = st.sampled_from(draw(st.sampled_from([own, ["--R", "--r", "--a", "--b"]])))
+    argv = ["realize", kind]
+    for name in draw(st.lists(names, unique=True)):
+        argv += [name, repr(draw(reals))]
+    argv += ["--segments", str(draw(segment_counts))]
+    argv += draw(st.sampled_from([[], ["--obj"]]))
+    return argv + list(draw(outputs))
+
+
+ARGV = {
+    "census": st.tuples(
+        st.just(("census",)),
+        _optional("--format", st.sampled_from(["table", "json", "csv", "xml"])),
+        outputs,
+    ),
+    "classify": st.tuples(st.just(("classify",)), words.map(lambda w: (w,))),
+    "invariants": st.tuples(
+        st.just(("invariants",)),
+        st.one_of(
+            words.map(lambda w: (w,)),
+            st.sampled_from(BUILTIN_NAMES + ("no-such-name",)).map(lambda n: ("--builtin", n)),
+        ),
+    ),
+    "render": st.tuples(
+        st.just(("render",)),
+        st.one_of(
+            words.map(lambda w: (w,)),
+            st.sampled_from(SCENE_KINDS).map(lambda k: ("--scene", k)),
+            st.sampled_from(REALIZE_KINDS).map(lambda k: ("--realize", k)),
+        ),
+        _optional("--color", st.one_of(st.just("A=#123,B=red"), st.text(max_size=12))),
+        outputs,
+    ),
+    "realize": _realize_argv().map(lambda argv: (tuple(argv),)),
+    "verify": st.tuples(
+        st.just(("verify",)),
+        _optional("--format", st.sampled_from(["table", "json", "xml"])),
+        outputs,
+    ),
+    "export": st.tuples(
+        st.just(("export",)),
+        st.one_of(
+            words.map(lambda w: (w,)),
+            st.sampled_from(BUILTIN_NAMES).map(lambda n: ("--builtin", n)),
+        ),
+        outputs,
+    ),
+}
+
+
+# The VM's CPU speed switches between two levels about 1.6x apart, so this
+# test runs without a per-example deadline.  Examples write only under
+# tmp_path, so sharing it between them is harmless.
+@pytest.mark.parametrize("command", sorted(ARGV))
+@settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_every_command_line_exits_cleanly(tmp_path, command, data):
+    argv = [part for group in data.draw(ARGV[command], label="parts") for part in group]
+    if "-o" in argv:
+        at = argv.index("-o") + 1
+        argv[at] = str(tmp_path / argv[at])
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    event(f"exit {code}")
+    assert code in (0, 2), (argv, code)
+    if code == 2:
+        assert "error:" in err.getvalue(), argv
+    assert "Traceback" not in out.getvalue() + err.getvalue(), argv

@@ -268,6 +268,29 @@ class TestGaussIntegral:
                 assert abs(value - previous) < 1e-4
             previous = value
 
+    def test_huge_realization_sums_as_the_default(self):
+        # 2^349 times the default torus: exact scaling, and cubic numerators
+        # of about 1e315 that would overflow unless the sum rescales.
+        def gauss_values(r):
+            return [G.gauss_linking_integral(a, b) for a, b in itertools.combinations(r.curves, 2)]
+
+        huge = G.realize("torus-villarceau", segments=64, R=2.0**350, r=2.0**349)
+        default = G.realize("torus-villarceau", segments=64, R=2.0, r=1.0)
+        assert gauss_values(huge) == gauss_values(default)
+        assert all(abs(value - 1.0) < 1e-2 for value in gauss_values(huge))
+
+    def test_unresolvable_relative_separation_rejected(self):
+        # Parallel circles of radius 2^40 set 2^-10 apart: the check's
+        # absolute separation holds, but their relative squared separation
+        # (2^-100) is far below rounding, so the squared distances cancel.
+        t = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
+        ring = 2.0**40 * np.stack([np.cos(t), np.sin(t), np.zeros_like(t)], axis=1)
+        a = G.PolyCurve3("A", ring)
+        b = G.PolyCurve3("B", ring + [0.0, 0.0, 2.0**-10])
+        assert G.curve_distance(a, b) > G.MIN_CURVE_SEPARATION
+        with pytest.raises(InputError, match="Gauss integral .* is not finite"):
+            G.gauss_linking_integral(a, b)
+
 
 class TestDiagramFromCurves:
     def test_villarceau_classifies_as_torus_link(self, villarceau):

@@ -348,6 +348,62 @@ def test_gauss_integral_of_a_far_translated_pair_matches_dense():
         assert abs(G.gauss_linking_integral(*far) - dense_gauss_integral(*near)) < 1e-12
 
 
+# See above: no per-example deadline on a VM whose speed switches 1.6x.
+@settings(deadline=None)
+@given(st.integers(0, 2**32 - 1), sizes, sizes)
+def test_gauss_integral_is_symmetric(seed, n, m):
+    a, b = separated_pair(np.random.default_rng(seed), n, m)
+    assume(G.curve_distance(a, b) > 0.5)
+    assert abs(G.gauss_linking_integral(a, b) - G.gauss_linking_integral(b, a)) < 1e-12
+
+
+# See above: no per-example deadline on a VM whose speed switches 1.6x.
+@settings(deadline=None, max_examples=40)
+@given(st.integers(0, 2**32 - 1), sizes, sizes, st.integers(-16, 400))
+def test_gauss_integral_is_exact_under_power_of_two_scaling(seed, n, m, k):
+    # Scaling by 2^k is exact, and the sum is scale-free; 2^-16 keeps the
+    # pair above the absolute separation the check demands.
+    a, b = separated_pair(np.random.default_rng(seed), n, m)
+    assume(G.curve_distance(a, b) > 0.5)
+    scaled = [G.PolyCurve3(c.label, np.ldexp(c.points, k)) for c in (a, b)]
+    assert G.gauss_linking_integral(*scaled) == G.gauss_linking_integral(a, b)
+
+
+def gauss_rounding_bound(a, b):
+    """First-order bound on the Gram form's error: eps * sum |term| (|ma|² + |mb|²) / |ma - mb|².
+
+    Midpoints are measured from ``a.points[0]``, as the kernel measures them.
+    """
+    a0, a1 = segments(a)
+    b0, b1 = segments(b)
+    ma = (a0 + a1) / 2.0 - a0[0]
+    mb = (b0 + b1) / 2.0 - a0[0]
+    diff = ma[:, None, :] - mb[None, :, :]
+    dist2 = np.einsum("nmj,nmj->nm", diff, diff)
+    cross = np.cross((a1 - a0)[:, None, :], (b1 - b0)[None, :, :])
+    term = np.einsum("nmj,nmj->nm", diff, cross) / dist2**1.5
+    weight = (np.sum(ma * ma, axis=1)[:, None] + np.sum(mb * mb, axis=1)[None, :]) / dist2
+    return np.finfo(float).eps * float(np.sum(np.abs(term) * weight)) / (4.0 * math.pi)
+
+
+@pytest.mark.parametrize("phase", [0.0, 0.3, 0.5, 0.9])
+def test_gauss_integral_of_a_close_pair_matches_dense(phase):
+    # Two linked unit circles passing 2e-3 apart (separation / size 1e-3)
+    # at 1024 segments, where the Gram form's squared distances lose the
+    # most digits.  The tolerance is 4x the first-order rounding bound:
+    # the 5-term products add a few roundings of |mᵃ|² + |mᵇ|² each.
+    # Measured here: at most a third of the bound, about 6e-12.
+    t = np.linspace(0.0, 2.0 * math.pi, 1024, endpoint=False)
+    shifted = t + phase * 2.0 * math.pi / 1024
+    a = G.PolyCurve3("A", np.stack([np.cos(t), np.sin(t), np.zeros_like(t)], axis=1))
+    b = G.PolyCurve3(
+        "B", np.stack([2e-3 + np.cos(shifted), np.zeros_like(t), np.sin(shifted)], axis=1)
+    )
+    assert G.curve_distance(a, b) < 2e-3
+    error = abs(G.gauss_linking_integral(a, b) - dense_gauss_integral(a, b))
+    assert error < 4.0 * gauss_rounding_bound(a, b)
+
+
 def _peak_mb(fn, *args):
     tracemalloc.start()
     try:

@@ -34,10 +34,14 @@ def test_linking_convergence():
         "== torus-villarceau",
         "== borromean-ellipses",
     ]
-    rows = [re.fullmatch(r"  segments=\s*(\d+)  max residual = (\S+)", ln) for ln in lines]
-    rows = [(int(m[1]), float(m[2])) for m in rows if m]
-    assert [n for n, _ in rows] == [64, 128, 64, 128]
-    assert all(residual < 1e-2 for _, residual in rows)
+    rows = [
+        re.fullmatch(r"  segments=\s*(\d+)  max residual = (\S+)  gauss = (\S+) ms", ln)
+        for ln in lines
+    ]
+    rows = [(int(m[1]), float(m[2]), float(m[3])) for m in rows if m]
+    assert [n for n, _, _ in rows] == [64, 128, 64, 128]
+    assert all(residual < 1e-2 for _, residual, _ in rows)
+    assert all(0.0 < ms < 1e3 for _, _, ms in rows)
 
 
 def test_run_census_with_verify(tmp_path):
