@@ -229,9 +229,10 @@ def _cmd_realize(args) -> int:
         )
     params = {name: getattr(args, name) for name in own if getattr(args, name) is not None}
     realization = geometry.realize(args.kind, segments=args.segments, **params)
-    # Project and measure before writing, so a failed realization leaves no table.
-    lks = signed_linking_numbers(geometry.diagram_from_curves(realization))
+    # Measure and project before writing, so a failed realization leaves no
+    # table; the measured distances answer the projection's separation checks.
     distance = geometry.validate_disjoint(realization)
+    lks = signed_linking_numbers(geometry.diagram_from_curves(realization))
     text = _curves_obj(realization) if args.obj else _curves_table(realization)
     _write_output(text, args.output)
     for a, b in itertools.combinations(realization.curves, 2):

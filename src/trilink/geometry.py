@@ -11,6 +11,7 @@ Projection directions are drawn from a seeded generator
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import numbers
@@ -40,7 +41,9 @@ class PolyCurve3(Polyline):
 
     Curves compare by identity and their points are read-only, so each
     curve keeps the distances measured to other curves in ``distances``,
-    keyed weakly by the other curve.
+    and the curves it was decided to be farther than
+    ``MIN_CURVE_SEPARATION`` from in ``separated``, both keyed weakly by
+    the other curve.
     """
 
     def __init__(self, label: str, points):
@@ -59,10 +62,16 @@ class PolyCurve3(Polyline):
             raise InputError("curve has a segment too long to measure")
         self.label = label
         self.distances: weakref.WeakKeyDictionary[PolyCurve3, float] = weakref.WeakKeyDictionary()
+        self.separated: weakref.WeakSet[PolyCurve3] = weakref.WeakSet()
 
     @property
     def segment_count(self) -> int:
         return len(self.points)
+
+    @functools.cached_property
+    def magnitude(self) -> float:
+        """Largest |coordinate| of the curve's points."""
+        return float(np.abs(self.points).max())
 
 
 @dataclass(frozen=True)
@@ -317,12 +326,17 @@ def _circle_points(prim: CirclePrim | ArcPrim, angles: np.ndarray) -> np.ndarray
 # ---------------------------------------------------------------------------
 
 
-def _segment_pair_distances(a0, a1, b0, b1) -> np.ndarray:
+def _segment_pair_distances(a0, a1, b0, b1, k: int = 0) -> np.ndarray:
     """Distances between segments [a0,a1] and [b0,b1], broadcast over leading axes.
 
     Pass ``a0[:, None]``, ``a1[:, None]``, ``b0[None]``, ``b1[None]`` for
-    the full (n, m) table, or gathered rows for chosen pairs.
+    the full (n, m) table, or gathered rows for chosen pairs.  They are
+    measured between the points scaled by 2^k and scaled back; with the
+    ``k`` of :func:`_scale_exponent`, no product of four coordinates
+    overflows or underflows, and the distances scale exactly with the
+    curves.
     """
+    a0, a1, b0, b1 = (np.ldexp(x, k) for x in (a0, a1, b0, b1))
     d1 = a1 - a0
     d2 = b1 - b0
     r = a0 - b0
@@ -334,48 +348,63 @@ def _segment_pair_distances(a0, a1, b0, b1) -> np.ndarray:
     denom = a * e - b * b
     with np.errstate(divide="ignore", invalid="ignore"):
         s = np.where(denom > 1e-30, (b * f - c * e) / denom, 0.0)
-    s = np.clip(s, 0.0, 1.0)
-    t = np.where(e > 1e-30, (b * s + f) / e, 0.0)
-    t_clamped = np.clip(t, 0.0, 1.0)
-    s = np.where(e > 1e-30, (b * t_clamped - c) / a, s)
+        s = np.clip(s, 0.0, 1.0)
+        t = np.where(e > 1e-30, (b * s + f) / e, 0.0)
+        t_clamped = np.clip(t, 0.0, 1.0)
+        s = np.where((e > 1e-30) & (a > 1e-30), (b * t_clamped - c) / a, s)
     s = np.clip(s, 0.0, 1.0)
     closest_a = a0 + s[..., None] * d1
     closest_b = b0 + t_clamped[..., None] * d2
-    return np.linalg.norm(closest_a - closest_b, axis=-1)
+    return np.ldexp(np.linalg.norm(closest_a - closest_b, axis=-1), -k)
+
+
+def _scale_exponent(a: PolyCurve3, b: PolyCurve3) -> int:
+    """The k for which 2^k brings the two curves' largest |coordinate| into [1/2, 1)."""
+    return -math.frexp(max(a.magnitude, b.magnitude))[1]
 
 
 #: Candidate segment pairs measured at once by :func:`curve_distance`.
 _DISTANCE_CHUNK = 16384
 
 
-def curve_distance(a: PolyCurve3, b: PolyCurve3) -> float:
-    """Minimum distance between two closed polygonal curves.
+def curve_distance(a: PolyCurve3, b: PolyCurve3, reach: float | None = None) -> float:
+    """Minimum distance between two closed polygonal curves, or a value above ``reach``.
 
-    The closest pair of vertices that start 4-segment leaves, among the
-    64-segment groups whose boxes come close, bounds the answer from
-    above, so only segment pairs whose leaves' boxes lie within that bound
-    are measured (:func:`~trilink.polyline.near_segment_pairs`), in chunks
-    of ``_DISTANCE_CHUNK`` pairs; the minimum equals the full table's.
-    Curves too large to measure give a distance that is not finite.
+    Without ``reach``, the closest pair of vertices that start 4-segment
+    leaves, among the 64-segment groups whose boxes come close, bounds
+    the answer from above, so only segment pairs whose leaves' boxes lie
+    within that bound are measured (:func:`~trilink.polyline.near_segment_pairs`),
+    in chunks of ``_DISTANCE_CHUNK`` pairs; the minimum equals the full
+    table's.  With ``reach``, only pairs whose leaves' boxes lie within
+    ``reach`` are measured: the result is that same minimum when it is at
+    most ``reach``, and otherwise some value above ``reach`` (``inf`` when
+    no leaves are that close).  Distances are measured at the common
+    power-of-two scale of :func:`_scale_exponent`, so they scale exactly
+    with the curves; only curves farther apart than the largest float
+    give ``inf`` without ``reach``.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        I, J = near_segment_pairs(a, b, reach=None)
+    with np.errstate(over="ignore"):
+        I, J = near_segment_pairs(a, b, reach)
+        if not len(I):
+            return math.inf
+        k = _scale_exponent(a, b)
         chunks = (slice(lo, lo + _DISTANCE_CHUNK) for lo in range(0, len(I), _DISTANCE_CHUNK))
         minima = [
             _segment_pair_distances(
-                a.points[I[k]], a.ends[I[k]], b.points[J[k]], b.ends[J[k]]
+                a.points[I[c]], a.ends[I[c]], b.points[J[c]], b.ends[J[c]], k
             ).min()
-            for k in chunks
+            for c in chunks
         ]
-        return float(np.min(minima))
+    return float(np.min(minima))
 
 
 def _finite_distance(a: PolyCurve3, b: PolyCurve3) -> float:
     """:func:`curve_distance`, raising :class:`InputError` when it is not finite.
 
-    Kept on both curves (``PolyCurve3.distances``), so the separation
-    checks of a projection, of :func:`validate_disjoint` and of the Gauss
-    integral measure a pair once, and a curve's partners die with it.
+    A distance is not finite only for curves farther apart than the
+    largest float.  Kept on both curves (``PolyCurve3.distances``), so a
+    pair is measured once, by whichever check needs its distance first,
+    and a curve's partners die with it.
     """
     if b in a.distances:
         return a.distances[b]
@@ -386,6 +415,52 @@ def _finite_distance(a: PolyCurve3, b: PolyCurve3) -> float:
         )
     a.distances[b] = b.distances[a] = dist
     return dist
+
+
+#: Bound on a measured segment distance's rounding error, relative to the
+#: curves' largest |coordinate| (at most about 20 eps, so 2^12 times that).
+_DISTANCE_ROUNDING = 2.0**-40
+
+
+def _decided_apart(a: PolyCurve3, b: PolyCurve3) -> bool:
+    """Whether the curves are certified farther apart than ``MIN_CURVE_SEPARATION``.
+
+    ``curve_distance`` with ``reach=2 * MIN_CURVE_SEPARATION`` measures
+    only the segment pairs within that reach, usually none.  A result
+    above the reach certifies the pair: each measured pair is farther
+    than the reach, and each pair left out is farther than the reach
+    before rounding, so its measured distance would exceed the threshold
+    as long as rounding stays below the margin of ``MIN_CURVE_SEPARATION``
+    between the threshold and the reach.  For curves too large for that
+    margin, or a result within the reach, nothing is certified.  The
+    verdict is kept on both curves (``PolyCurve3.separated``).
+    """
+    if b in a.separated:
+        return True
+    if max(a.magnitude, b.magnitude) * _DISTANCE_ROUNDING >= MIN_CURVE_SEPARATION:
+        return False
+    reach = 2.0 * MIN_CURVE_SEPARATION
+    if not curve_distance(a, b, reach=reach) > reach:
+        return False
+    a.separated.add(b)
+    b.separated.add(a)
+    return True
+
+
+def _check_separation(a: PolyCurve3, b: PolyCurve3) -> None:
+    """Raise :class:`InputError` unless the curves are farther apart than ``MIN_CURVE_SEPARATION``.
+
+    A measured distance answers at once.  Otherwise the pair is decided
+    (:func:`_decided_apart`), and only a pair that is not certified is
+    measured, so the errors and their messages are the measured distance's.
+    """
+    if b in a.distances or not _decided_apart(a, b):
+        dist = _finite_distance(a, b)
+        if dist <= MIN_CURVE_SEPARATION:
+            raise InputError(
+                f"curves {a.label!r} and {b.label!r} are too close to link "
+                f"(distance {dist:.3g} <= {MIN_CURVE_SEPARATION})"
+            )
 
 
 def validate_disjoint(r: Realization3D) -> float:
@@ -464,15 +539,6 @@ def _project_curves(
     ]
 
 
-def _check_separation(a: PolyCurve3, b: PolyCurve3) -> None:
-    dist = _finite_distance(a, b)
-    if dist <= MIN_CURVE_SEPARATION:
-        raise InputError(
-            f"curves {a.label!r} and {b.label!r} are too close to link "
-            f"(distance {dist:.3g} <= {MIN_CURVE_SEPARATION})"
-        )
-
-
 def linking_number_3d(
     a: PolyCurve3, b: PolyCurve3, direction: np.ndarray | str = "auto"
 ) -> int:
@@ -490,6 +556,9 @@ def linking_number_3d(
 
 #: Segments of the first curve per block of :func:`gauss_linking_integral`.
 _GAUSS_ROW_BLOCK = 64
+#: A squared midpoint distance must exceed this many times its rounding,
+#: eps * (|mᵃ|² + |mᵇ|²), keeping a term's relative error near 1e-6.
+_GAUSS_ROUNDING_FACTOR = 2.0**20
 
 
 def gauss_linking_integral(a: PolyCurve3, b: PolyCurve3) -> float:
@@ -508,9 +577,12 @@ def gauss_linking_integral(a: PolyCurve3, b: PolyCurve3) -> float:
     ``[mᵇ | 1 | |mᵇ|²]ᵀ``.  The squared distance then carries a rounding
     error of about eps * (|mᵃ|² + |mᵇ|²), so a term's relative error is
     about eps * (|mᵃ|² + |mᵇ|²) / |mᵃ - mᵇ|².  The sum runs over blocks
-    of ``_GAUSS_ROW_BLOCK`` segments of ``a``, so memory is O(block * m).
-    Raises :class:`InputError` when the sum is not finite, as for a pair
-    too close for that rounding to resolve or with midpoints that overflow.
+    of ``_GAUSS_ROW_BLOCK`` segments of ``a``, written into three
+    buffers allocated once, so memory is O(block * m).  Raises
+    :class:`InputError` when the sum is not finite, as for midpoints that
+    overflow, and when a squared distance is at most
+    ``_GAUSS_ROUNDING_FACTOR`` times its rounding bound, taken at the
+    largest |mᵃ|² and |mᵇ|².
     """
     _check_separation(a, b)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -531,12 +603,16 @@ def gauss_linking_integral(a: PolyCurve3, b: PolyCurve3) -> float:
         right[6:9] = mb.T
         right[9] = 1.0
         right[10] = np.einsum("ij,ij->i", mb, mb)
-        total = 0.0
+        floor = _GAUSS_ROUNDING_FACTOR * np.finfo(float).eps * (left[:, 9].max() + right[10].max())
+        buffers = np.empty((3, min(_GAUSS_ROW_BLOCK, len(ma)), len(mb)))
+        total, closest = 0.0, math.inf
         for lo in range(0, len(ma), _GAUSS_ROW_BLOCK):
             rows = left[lo:lo + _GAUSS_ROW_BLOCK]
-            numer = rows[:, :6] @ right[:6]
-            dist2 = rows[:, 6:] @ right[6:]
-            scale = np.sqrt(dist2)
+            numer, dist2, scale = buffers[:, :len(rows)]
+            np.matmul(rows[:, :6], right[:6], out=numer)
+            np.matmul(rows[:, 6:], right[6:], out=dist2)
+            closest = min(closest, float(dist2.min()))
+            np.sqrt(dist2, out=scale)
             scale *= dist2
             numer /= scale
             total += float(numer.sum())
@@ -544,6 +620,11 @@ def gauss_linking_integral(a: PolyCurve3, b: PolyCurve3) -> float:
         raise InputError(
             f"Gauss integral of curves {a.label!r} and {b.label!r} is not finite ({total}): "
             "they are too close for its rounding or too large to sum"
+        )
+    if closest <= floor:
+        raise InputError(
+            f"Gauss integral of curves {a.label!r} and {b.label!r} is not resolved: "
+            "they are too close for its rounding"
         )
     return total / (4.0 * math.pi)
 

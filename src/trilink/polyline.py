@@ -166,6 +166,33 @@ def near_segment_pairs(
     return np.broadcast_to(I, inside.shape)[inside], np.broadcast_to(J, inside.shape)[inside]
 
 
+def _certified_convex(line: Polyline, tol: float) -> bool:
+    """Whether no two non-adjacent segments of a closed polyline meet, even ``tol`` past their ends.
+
+    Certifies a strictly convex polyline with a margin: every turn
+    ``cross(s_k, s_k+1)`` has one sign and exceeds
+    ``2 tol L max(|s_k|, |s_k+1|)`` in magnitude, where ``L`` is the
+    longest segment, and the turning angles sum to less than 3π in
+    magnitude, so to ±2π: the segment directions turn around once.  The
+    distance to the line of segment ``k`` then rises and falls once along
+    the polyline, so among the vertices off that segment it is smallest at
+    ``v_k-1`` and ``v_k+2``, where it is |turn| / |s_k| > 2 tol L.
+    Extending a segment by ``tol`` of its length at each end moves it at
+    most ``tol L`` closer to a line, so no extended segment reaches the
+    line of a non-adjacent one, and :func:`segment_meetings` has nothing
+    to find.
+    """
+    s, lengths = line.steps, line.lengths
+    following = np.roll(s, -1, axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        turns = s[:, 0] * following[:, 1] - s[:, 1] * following[:, 0]
+        margin = 2.0 * tol * lengths.max() * np.maximum(lengths, np.roll(lengths, -1))
+        if not (np.all(turns > margin) or np.all(-turns > margin)):
+            return False
+        dots = np.einsum("ij,ij->i", s, following)
+        return abs(float(np.arctan2(turns, dots).sum())) < 3.0 * np.pi
+
+
 def segment_meetings(
     a: PlanarStrand, b: PlanarStrand, tol: float
 ) -> list[tuple[int, float, int, float, tuple[float, float], float, float]]:
@@ -180,8 +207,11 @@ def segment_meetings(
     Only segment pairs whose 4-segment leaves have overlapping boxes are
     tested (:func:`near_segment_pairs`); each box is widened by ``tol``
     times its leaf's longest segment, as far as the ``t``/``u`` tolerance
-    reaches past a segment's ends.
+    reaches past a segment's ends.  A strand that :func:`_certified_convex`
+    certifies meets itself nowhere, and is not swept.
     """
+    if a is b and _certified_convex(a, tol):
+        return []
     na, nb = len(a.points), len(b.points)
     r, s = a.steps, b.steps
     da, db = a.depths, b.depths

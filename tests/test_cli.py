@@ -361,8 +361,8 @@ class TestRealizeCommand:
             (("torus-villarceau", "--R", "inf"), "parameters must be finite"),
             # Finite parameters whose segments are too long to measure.
             (("torus-villarceau", "--R", "1e308", "--r", "1"), "segment too long to measure"),
-            # Finite segments whose distance overflows the distance kernel.
-            (("borromean-ellipses", "--a", "1e150", "--b", "1e-150"), "is not finite"),
+            # Finite parameters whose curves are measured about 1e-150 apart.
+            (("borromean-ellipses", "--a", "1e150", "--b", "1e-150"), "too close to link"),
         ],
     )
     def test_non_finite_input_exit_2(self, capsys, argv, message):
@@ -380,7 +380,7 @@ class TestRealizeCommand:
             "-o", str(target),
         )
         assert code == 2
-        assert "is not finite" in err
+        assert "too close to link" in err
         assert out == "" and not target.exists()
 
 

@@ -116,14 +116,26 @@ class TestRealize:
         assert r.params == {"R": 2.5, "r": 1.0}
 
     def test_unmeasurable_distance_rejected(self):
-        # Finite segments, but the distance kernel overflows.
+        # Finite curves of finite segments, farther apart than the largest float.
+        t = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
+        ring = 1e150 * np.stack([np.zeros_like(t), np.cos(t), np.sin(t)], axis=1)
+        far = G.Realization3D(
+            (G.PolyCurve3("A", ring + [1.5e308, 0.0, 0.0]), G.PolyCurve3("B", ring - [1.5e308, 0.0, 0.0])),
+            "pair",
+        )
+        for check in (G.diagram_from_curves, G.validate_disjoint):
+            with pytest.raises(InputError, match="distance of curves 'A' and 'B' is not finite"):
+                check(far)
+
+    def test_tiny_semi_axis_is_measured_too_close(self):
+        # Semi-axes 1e150 and 1e-150: products of four coordinates would
+        # overflow, but the kernel measures at a power-of-two scale.
         r = G.realize("borromean-ellipses", segments=64, a=1e150, b=1e-150)
-        with pytest.raises(InputError, match="not finite"):
+        assert G.validate_disjoint(r) <= G.MIN_CURVE_SEPARATION
+        with pytest.raises(InputError, match="too close to link"):
             G.diagram_from_curves(r)
-        with pytest.raises(InputError, match="not finite"):
+        with pytest.raises(InputError, match="too close to link"):
             G.gauss_linking_integral(r.curves[0], r.curves[1])
-        with pytest.raises(InputError, match="not finite"):
-            G.validate_disjoint(r)
 
     def test_segment_cap_fails_before_allocating(self):
         tracemalloc.start()
@@ -139,17 +151,50 @@ class TestRealize:
 
 
 class TestDistanceCache:
-    def test_each_pair_measured_once(self, monkeypatch):
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Every ``curve_distance`` call: ("decide", pair) with a reach, ("measure", pair) without."""
+        made = []
+        original = G.curve_distance
+
+        def recording(a, b, reach=None):
+            made.append(("measure" if reach is None else "decide", a.label + b.label))
+            return original(a, b, reach)
+
+        monkeypatch.setattr(G, "curve_distance", recording)
+        return made
+
+    def test_each_pair_measured_once(self, calls):
+        # A measured pair is never decided: the distances that
+        # validate_disjoint measures answer every later check.
         r = G.realize("torus-villarceau", segments=64)
-        measured = []
-        measure = G.curve_distance
-        monkeypatch.setattr(
-            G, "curve_distance", lambda a, b: measured.append((a.label, b.label)) or measure(a, b)
-        )
+        G.validate_disjoint(r)
+        G.diagram_from_curves(r)
+        for a, b in itertools.combinations(r.curves, 2):
+            G.gauss_linking_integral(b, a)
+        assert calls == [("measure", "AB"), ("measure", "AC"), ("measure", "BC")]
+
+    def test_each_pair_decided_once_and_measured_once(self, calls):
+        r = G.realize("torus-villarceau", segments=64)
+        G.diagram_from_curves(r)
+        G.gauss_linking_integral(r.curves[1], r.curves[0])
+        G.validate_disjoint(r)
         G.diagram_from_curves(r)
         G.validate_disjoint(r)
-        G.gauss_linking_integral(r.curves[1], r.curves[0])
-        assert measured == [("A", "B"), ("A", "C"), ("B", "C")]
+        pairs = ["AB", "AC", "BC"]
+        assert calls == [("decide", p) for p in pairs] + [("measure", p) for p in pairs]
+
+    def test_pair_within_reach_is_measured(self, calls, circle_pair):
+        # Copies of a circle 1.5e-6 and 5e-7 above it: both are within the
+        # decision's reach, so both are measured, and only the second fails.
+        a = circle_pair("hopf", 64).curves[0]
+        near = G.PolyCurve3("B", a.points + [0.0, 0.0, 1.5e-6])
+        close = G.PolyCurve3("C", a.points + [0.0, 0.0, 5e-7])
+        for _ in range(2):
+            G._check_separation(a, near)
+            with pytest.raises(InputError, match="too close to link"):
+                G._check_separation(a, close)
+        assert calls == [("decide", "AB"), ("measure", "AB"), ("decide", "AC"), ("measure", "AC")]
 
     def test_curves_die_with_their_realization(self):
         r = G.realize("torus-villarceau", segments=64)
@@ -278,6 +323,19 @@ class TestGaussIntegral:
         default = G.realize("torus-villarceau", segments=64, R=2.0, r=1.0)
         assert gauss_values(huge) == gauss_values(default)
         assert all(abs(value - 1.0) < 1e-2 for value in gauss_values(huge))
+
+    def test_near_touching_pair_rejected(self):
+        # Rings of radius 2^10 set 2^-12 apart, one stretched by 1 + 2^-40:
+        # 2.4e-4 apart, so they pass the separation check, but their
+        # relative squared separation (2^-44) leaves the Gram form's
+        # squared distances a few digits: the sum was 45x the dense one.
+        t = np.linspace(0.0, 2.0 * math.pi, 256, endpoint=False)
+        ring = 2.0**10 * np.stack([np.cos(t), np.sin(t), np.zeros_like(t)], axis=1)
+        a = G.PolyCurve3("A", ring)
+        b = G.PolyCurve3("B", ring * [1.0 + 2.0**-40, 1.0, 1.0] + [0.0, 0.0, 2.0**-12])
+        assert G.curve_distance(a, b) > G.MIN_CURVE_SEPARATION
+        with pytest.raises(InputError, match="Gauss integral .* is not resolved"):
+            G.gauss_linking_integral(a, b)
 
     def test_unresolvable_relative_separation_rejected(self):
         # Parallel circles of radius 2^40 set 2^-10 apart: the check's

@@ -30,7 +30,7 @@ from trilink.diagram import (
     remove_component,
     to_diagram,
 )
-from trilink.errors import DegeneracyError
+from trilink.errors import DegeneracyError, InputError
 from trilink.invariants import BRACKET_CROSSING_LIMIT, classify, kauffman_bracket
 from trilink.laurent import LOOP_FACTOR, LaurentPoly
 
@@ -111,6 +111,14 @@ def segments(curve):
     return curve.points, np.roll(curve.points, -1, axis=0)
 
 
+def dense_curve_distance(a, b):
+    """The minimum of the full (n, m) segment distance table, at the kernel's scale."""
+    a0, a1 = segments(a)
+    b0, b1 = segments(b)
+    k = G._scale_exponent(a, b)
+    return G._segment_pair_distances(a0[:, None], a1[:, None], b0[None], b1[None], k).min()
+
+
 def pruned_segment_meetings(pa, da, pb, db, same, tol):
     """:func:`trilink.polyline.segment_meetings` on strands of the arrays (depth 0 for ``None``)."""
     a = P.PlanarStrand("a", pa, np.zeros(len(pa)) if da is None else da)
@@ -178,10 +186,74 @@ def test_pruned_curve_distance_equals_dense_minimum(seed, n, m, placement):
     a = polygon(rng, n, 3)
     b = paired_polygon(rng, a, m if placement != "copy" else n, placement)
     curve_a, curve_b = G.PolyCurve3("A", a), G.PolyCurve3("B", b)
-    a0, a1 = segments(curve_a)
-    b0, b1 = segments(curve_b)
-    dense = G._segment_pair_distances(a0[:, None], a1[:, None], b0[None], b1[None])
-    assert G.curve_distance(curve_a, curve_b) == dense.min()
+    assert G.curve_distance(curve_a, curve_b) == dense_curve_distance(curve_a, curve_b)
+
+
+# See above: no per-example deadline on a VM whose speed switches 1.6x.
+@settings(deadline=None)
+@given(st.integers(0, 2**32 - 1), sizes, sizes, placements, st.integers(-16, 400))
+def test_curve_distance_is_exact_under_power_of_two_scaling(seed, n, m, placement, k):
+    # Scaling by 2^k is exact, and the kernel measures at a power-of-two
+    # scale, so no product of coordinates overflows or underflows.
+    rng = np.random.default_rng(seed)
+    a = polygon(rng, n, 3)
+    b = paired_polygon(rng, a, m if placement != "copy" else n, placement)
+    plain = G.curve_distance(G.PolyCurve3("A", a), G.PolyCurve3("B", b))
+    scaled = G.curve_distance(G.PolyCurve3("A", np.ldexp(a, k)), G.PolyCurve3("B", np.ldexp(b, k)))
+    assert scaled == math.ldexp(plain, k)
+
+
+def test_huge_torus_measures_as_the_default():
+    # R = 2^300: products of four coordinates overflowed, and the kernel
+    # fell back to s = 0 and gave 0.535041453 R instead of 0.535040110 R.
+    huge = G.realize("torus-villarceau", segments=1024, R=2.0**300, r=2.0**299).curves
+    default = G.realize("torus-villarceau", segments=1024).curves
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        expected = math.ldexp(G.curve_distance(default[i], default[j]), 299)
+        assert G.curve_distance(huge[i], huge[j]) == expected
+
+
+def separation_outcome(a, b, measure_first):
+    """The message of the InputError that the separation check raises on fresh copies, or None.
+
+    With ``measure_first`` the pair's distance is measured before the
+    check, so the check reads it instead of deciding: the exact route.
+    """
+    a, b = (G.PolyCurve3(c.label, c.points) for c in (a, b))
+    try:
+        if measure_first:
+            G._finite_distance(a, b)
+        G._check_separation(a, b)
+    except InputError as exc:
+        return str(exc)
+    return None
+
+
+# See above: no per-example deadline on a VM whose speed switches 1.6x.
+@settings(deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    sizes,
+    sizes,
+    st.sampled_from(["separated", "touching", "near"]),
+    st.one_of(st.just(0), st.integers(-24, 24), st.integers(25, 400)),
+)
+def test_decided_separation_raises_as_the_measured_one(seed, n, m, placement, k):
+    # Pairs far apart, touching, or 1e-7..1e-5 apart near a point, scaled
+    # by 2^k: deciding within reach raises exactly when measuring raises.
+    rng = np.random.default_rng(seed)
+    a = polygon(rng, n, 3)
+    if placement == "separated":
+        b = polygon(rng, m, 3) + rng.normal(size=3) * rng.uniform(0.0, 6.0)
+    else:
+        b = polygon(rng, m, 3)
+        i = int(rng.integers(len(a)))
+        target = a[i] + rng.random() * (a[(i + 1) % len(a)] - a[i])
+        direction = rng.normal(size=3)
+        gap = 0.0 if placement == "touching" else 10.0 ** rng.uniform(-7, -5)
+        b = b - b[0] + target + gap * direction / np.linalg.norm(direction)
+    curves = [G.PolyCurve3(label, np.ldexp(p, k)) for label, p in zip("AB", (a, b))]
+    assert separation_outcome(*curves, False) == separation_outcome(*curves, True)
 
 
 # See above: no per-example deadline on a VM whose speed switches 1.6x.
@@ -228,10 +300,7 @@ def test_far_apart_polygons_prune_whole_group_pairs():
     near = P.near_segment_pairs(P.Polyline(pa), P.Polyline(pb), 0.0, widen=G.GENERIC_TOL)
     assert near[0].size == 0
     curve_a, curve_b = G.PolyCurve3("A", a), G.PolyCurve3("B", b)
-    a0, a1 = segments(curve_a)
-    b0, b1 = segments(curve_b)
-    dense = G._segment_pair_distances(a0[:, None], a1[:, None], b0[None], b1[None])
-    assert G.curve_distance(curve_a, curve_b) == dense.min()
+    assert G.curve_distance(curve_a, curve_b) == dense_curve_distance(curve_a, curve_b)
     da, db = rng.normal(size=len(a)), rng.normal(size=len(b))
     args = (pa, da, pb, db, False, G.GENERIC_TOL)
     assert outcome(pruned_segment_meetings, *args) == outcome(dense_segment_meetings, *args) == (
@@ -252,6 +321,74 @@ def test_pruned_meetings_match_dense_on_realizations():
                     assert outcome(pruned_segment_meetings, *args) == outcome(
                         dense_segment_meetings, *args
                     )
+
+
+def convex_polygon(rng, n, shape):
+    """Vertices of a strictly convex polygon inscribed in an ellipse, in either orientation.
+
+    ``thin``: an ellipse up to 1e5 times longer than wide; ``collinear``:
+    all but three vertices on a short arc; ``tiny-edge``: one edge up to
+    1e9 times shorter than the others.
+    """
+    aspect = 10.0 ** rng.uniform(-5.0, -2.0) if shape == "thin" else 10.0 ** rng.uniform(-2.0, 0.0)
+    if shape == "collinear":
+        start, width = rng.uniform(0.0, math.pi), 10.0 ** rng.uniform(-4.0, -1.0)
+        t = np.concatenate((start + width * rng.random(n - 3), rng.uniform(0.0, 2.0 * math.pi, 3)))
+    else:
+        t = (np.arange(n) + rng.uniform(0.0, 0.9) * rng.random(n)) * (2.0 * math.pi / n)
+    if shape == "tiny-edge":
+        t[0] = t[1] + 10.0 ** rng.uniform(-9.0, -5.0)
+    t = np.unique(t % (2.0 * math.pi))
+    if rng.random() < 0.5:
+        t = t[::-1]
+    turn = rng.uniform(0.0, 2.0 * math.pi)
+    rotation = np.array([[math.cos(turn), -math.sin(turn)], [math.sin(turn), math.cos(turn)]])
+    ellipse = np.stack([np.cos(t), aspect * np.sin(t)], axis=1)
+    return ellipse @ rotation.T * rng.uniform(0.1, 10.0) + rng.normal(size=2)
+
+
+# See above: no per-example deadline on a VM whose speed switches 1.6x.
+@settings(deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(3, 400),
+    st.sampled_from(["round", "thin", "collinear", "tiny-edge"]),
+    st.sampled_from([1e-9, 1e-4, 0.05]),
+)
+def test_certified_convex_strands_meet_nowhere(seed, n, shape, tol):
+    pts = convex_polygon(np.random.default_rng(seed), n, shape)
+    assume(len(pts) >= 3)
+    strand = P.PlanarStrand("K", pts, np.zeros(len(pts)))
+    if P._certified_convex(strand, tol):
+        assert outcome(dense_segment_meetings, pts, None, pts, None, True, tol) == ("records", [])
+    assert outcome(pruned_segment_meetings, pts, None, pts, None, True, tol) == outcome(
+        dense_segment_meetings, pts, None, pts, None, True, tol
+    )
+
+
+def test_realized_strands_are_certified_convex():
+    # Projections of circles and ellipses are convex: no strand is swept
+    # against itself.
+    directions = G._direction_candidates()
+    for kind in G.REALIZE_KINDS:
+        for segments in (64, 256, 1024):
+            r = G.realize(kind, segments=segments)
+            for _ in range(4):
+                for strand in G._project_curves(r.curves, next(directions)):
+                    assert P._certified_convex(strand, G.GENERIC_TOL)
+
+
+def test_inner_loop_limacon_is_swept():
+    # The twist unknot's limacon turns one way throughout, but twice around
+    # (4π), so the certificate refuses it and the sweep finds its crossing.
+    theta = np.linspace(0.0, 2.0 * math.pi, 256, endpoint=False)
+    r = 0.5 + np.cos(theta)
+    strand = P.PlanarStrand("K", np.stack([r * np.cos(theta), r * np.sin(theta)], axis=1), np.sin(theta))
+    s, following = strand.steps, np.roll(strand.steps, -1, axis=0)
+    assert np.all(s[:, 0] * following[:, 1] - s[:, 1] * following[:, 0] > 0.0)
+    assert not P._certified_convex(strand, G.GENERIC_TOL)
+    assert len(P.segment_meetings(strand, strand, G.GENERIC_TOL)) == 1
+    assert builtin_diagram("twist-unknot").crossing_count == 1
 
 
 def _word_diagram(word):
