@@ -4,10 +4,16 @@ Diagrams are drawn one path group per component; wherever a component
 passes under a crossing its stroke is cut by a gap centered on the
 crossing.  ``data-gaps`` counts these cuts; gaps that overlap merge as
 their union, so a path can have fewer breaks than cuts.  A component with
-a cut whose perimeter is not longer than the gap raises InputError.  3D
-content is projected orthographically and painted back-to-front per
-segment.  Output is deterministic: fixed float formatting, fixed element
-order, and fixed measurements (gap, stroke, canvas, camera) below.
+a cut whose perimeter is not longer than the gap raises InputError, as
+does a drawing with no points, of zero extent or with a non-finite
+coordinate.  What a drawing takes from its component paths alone
+(bounds, scale, arclengths, each vertex's pixel text) is computed on the
+first render of those paths and kept for the last set of paths drawn;
+all census depictions share the shadow's paths, so each of their renders
+formats only the points at its gap boundaries.  3D content is projected
+orthographically and painted back-to-front per segment.  Output is
+deterministic: fixed float formatting, fixed element order, and fixed
+measurements (gap, stroke, canvas, camera) below.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Sequence, TypeVar
 
 from .diagram import LinkDiagram
 from .errors import InputError
@@ -40,46 +46,68 @@ _CANVAS_PX = 480
 _CAMERA = (0.55, -1.0, 0.6)
 _SCENE_PX = 420
 
+_Mark = TypeVar("_Mark")
+
 
 def _fmt(x: float) -> str:
     out = f"{x:.4f}"
     return "0.0000" if out == "-0.0000" else out
 
 
-def _path_from_points(points: Sequence[tuple[float, float]], close: bool) -> str:
-    # Every number follows a space and has 4 decimals, so the replace
-    # applies _fmt's rule to whole numbers only.
-    text = "M " + " L ".join(map("%.4f %.4f".__mod__, points)) + (" Z" if close else "")
-    return text.replace(" -0.0000", " 0.0000")
+def _point_text(p: tuple[float, float]) -> str:
+    # Each number has 4 decimals and a minus sign only in front, so
+    # "-0.0000" occurs only as a whole number: _fmt's rule.
+    return ("%.4f %.4f" % p).replace("-0.0000", "0.0000")
 
 
-def _cut_closed_path(
-    points: Sequence[tuple[float, float]], cut_params: Sequence[float], gap: float
-) -> list[list[tuple[float, float]]]:
-    """Split a closed polyline into sub-arcs, removing a window at each cut.
+def _path_text(marks: Sequence[str], close: bool) -> str:
+    return "M " + " L ".join(marks) + (" Z" if close else "")
 
-    ``cut_params`` are arclength positions along the polyline; each cut
-    removes the interval of length ``gap`` centered there.  Returns the
-    kept arcs as point lists: the kept vertices as given, plus a point
-    interpolated at each window boundary.
-    """
-    n = len(points)
+
+class _Loop(NamedTuple):
+    """A closed polyline's arclength table and a mark per vertex."""
+
+    points: Sequence[tuple[float, float]]
+    seg_len: list[float]
+    cumulative: list[float]  # arclength at each vertex, then the perimeter
+    marks: Sequence
+
+
+def _loop(points: Sequence[tuple[float, float]], marks: Sequence) -> _Loop:
     seg_len = [
         math.sqrt((x1 - x0) * (x1 - x0) + (y1 - y0) * (y1 - y0))
         for (x0, y0), (x1, y1) in zip(points, itertools.chain(points[1:], points[:1]))
     ]
-    cumulative = list(itertools.accumulate(seg_len, initial=0.0))
+    return _Loop(points, seg_len, list(itertools.accumulate(seg_len, initial=0.0)), marks)
+
+
+def _cut_closed_path(
+    loop: _Loop,
+    cut_params: Sequence[float],
+    gap: float,
+    mark: Callable[[tuple[float, float]], _Mark],
+) -> list[list[_Mark]]:
+    """Split a closed polyline into sub-arcs, removing a window at each cut.
+
+    ``cut_params`` are arclength positions along the polyline; each cut
+    removes the interval of length ``gap`` centered there.  Returns the
+    kept arcs as mark lists: each kept vertex's mark from ``loop.marks``,
+    plus ``mark(p)`` for the point ``p`` interpolated at each window
+    boundary.
+    """
+    points, seg_len, cumulative, marks = loop
+    n = len(points)
     total = cumulative[-1]
     if total <= gap:
         raise InputError(f"perimeter {total:.4g} is not longer than the gap {gap}")
 
-    def at(s: float) -> tuple[float, float]:
+    def at(s: float) -> _Mark:
         s = s % total
         k = bisect.bisect_right(cumulative, s) - 1
         k = min(max(k, 0), n - 1)
         t = (s - cumulative[k]) / seg_len[k] if seg_len[k] > 0 else 0.0
         (x, y), (x1, y1) = points[k], points[(k + 1) % n]
-        return (float(x + t * (x1 - x)), float(y + t * (y1 - y)))
+        return mark((float(x + t * (x1 - x)), float(y + t * (y1 - y))))
 
     # Window boundaries as (arclength, +1 at a start, -1 at an end), in
     # arclength order (stable, so one arclength keeps the cut order); each
@@ -96,13 +124,13 @@ def _cut_closed_path(
 
     # Walk the vertices once; the stroke is drawn where no window covers it,
     # so overlapping windows cut their union.
-    arcs: list[list[tuple[float, float]]] = []
-    current: list[tuple[float, float]] = []
+    arcs: list[list[_Mark]] = []
+    current: list[_Mark] = []
     k = 0
     for s, step in windows:
         end = bisect.bisect_left(cumulative, s, k, n)
         if not depth:
-            current.extend(points[k:end])
+            current.extend(marks[k:end])
         k = end
         if not depth or depth + step == 0:  # the first window opens, or the last ends
             current.append(at(s))
@@ -111,22 +139,73 @@ def _cut_closed_path(
                 current = []
         depth += step
     if not depth:  # the sweep ends as it began, drawing at arclength 0
-        current.extend(points[k:])
+        current.extend(marks[k:])
         if arcs:
             arcs[0] = current + arcs[0]  # wraps through param 0
         else:
-            arcs.append(current + [points[0]])
+            arcs.append(current + [marks[0]])
     return arcs
 
 
-def _diagram_bounds(d: LinkDiagram) -> tuple[float, float, float, float]:
+class _Drawing(NamedTuple):
+    """What a diagram's SVG takes from its component paths alone."""
+
+    paths: tuple  # held, so no id in the cache key is reused while it is kept
+    stroke: str  # the stroke width in pixels, as written
+    loops: tuple[_Loop, ...]  # marks: each vertex's pixel text
+    mark: Callable[[tuple[float, float]], str]  # a diagram point's pixel text
+
+
+#: The drawing of the last set of component paths rendered, keyed by the
+#: paths' ids.  All census depictions share the shadow's paths.
+_drawings: dict[tuple[int, ...], _Drawing] = {}
+
+
+def _drawing(d: LinkDiagram) -> _Drawing:
+    """The drawing of ``d``'s component paths; built when they change.
+
+    Paths are compared by identity, not by value: a component's path is a
+    tuple of points and never changes once built.
+    """
+    key = tuple(id(comp.path) for comp in d.components)
+    drawing = _drawings.get(key)
+    if drawing is None:
+        drawing = _build_drawing(d)
+        _drawings.clear()
+        _drawings[key] = drawing
+    return drawing
+
+
+def _build_drawing(d: LinkDiagram) -> _Drawing:
     for comp in d.components:
         if comp.path is None:
             raise InputError(
                 f"component {comp.label} lacks planar position data; cannot render"
             )
-    xs, ys = zip(*itertools.chain.from_iterable(comp.path for comp in d.components))
-    return min(xs), min(ys), max(xs), max(ys)
+        if not all(math.isfinite(v) for point in comp.path for v in point):
+            raise InputError(f"component {comp.label} has a non-finite coordinate; cannot render")
+    paths = tuple(comp.path for comp in d.components)
+    points = list(itertools.chain.from_iterable(paths))
+    if not points:
+        raise InputError("the diagram has no path points to draw; cannot render")
+    xs, ys = zip(*points)
+    x0, y0, x1, y1 = min(xs), min(ys), max(xs), max(ys)
+    span = max(x1 - x0, y1 - y0)
+    if span == 0.0:
+        raise InputError(
+            f"every path point is at ({x0:.4g}, {y0:.4g}): zero extent; cannot render"
+        )
+    margin = 0.08 * span
+    x0, y0, x1, y1 = x0 - margin, y0 - margin, x1 + margin, y1 + margin
+    scale = min(_CANVAS_PX / (x1 - x0), _CANVAS_PX / (y1 - y0))
+    if not 0.0 < scale < math.inf:
+        raise InputError(f"drawing extent {span:.4g} is out of range; cannot render")
+
+    def mark(p: tuple[float, float]) -> str:
+        return _point_text(((p[0] - x0) * scale, _CANVAS_PX - (p[1] - y0) * scale))
+
+    loops = tuple(_loop(path, list(map(mark, path))) for path in paths)
+    return _Drawing(paths, _fmt(_STROKE_WIDTH * scale), loops, mark)
 
 
 def svg_diagram(d: LinkDiagram, colors: Mapping[str, str] = DEFAULT_COLORS) -> str:
@@ -134,17 +213,9 @@ def svg_diagram(d: LinkDiagram, colors: Mapping[str, str] = DEFAULT_COLORS) -> s
 
     ``colors`` maps component labels to stroke colors; other labels are gray.
     """
-    x0, y0, x1, y1 = _diagram_bounds(d)
-    margin = 0.08 * max(x1 - x0, y1 - y0)
-    x0, y0, x1, y1 = x0 - margin, y0 - margin, x1 + margin, y1 + margin
-    scale = min(_CANVAS_PX / (x1 - x0), _CANVAS_PX / (y1 - y0))
-
-    def to_px(arc: Sequence[tuple[float, float]]) -> list[tuple[float, float]]:
-        return [((x - x0) * scale, _CANVAS_PX - (y - y0) * scale) for x, y in arc]
-
-    stroke_px = _STROKE_WIDTH * scale
+    drawing = _drawing(d)
     groups: list[str] = []
-    for comp in d.components:
+    for comp, loop in zip(d.components, drawing.loops):
         cuts = [
             v.path_param
             for v in comp.visits
@@ -158,16 +229,16 @@ def svg_diagram(d: LinkDiagram, colors: Mapping[str, str] = DEFAULT_COLORS) -> s
         color = colors.get(comp.label, _FALLBACK_COLOR)
         if cuts:
             try:
-                arcs = _cut_closed_path(comp.path, cuts, _GAP_WIDTH)
+                arcs = _cut_closed_path(loop, cuts, _GAP_WIDTH, drawing.mark)
             except InputError as exc:
                 raise InputError(f"component {comp.label}: {exc}; cannot render") from None
-            body = " ".join(_path_from_points(to_px(arc), close=False) for arc in arcs)
+            body = " ".join(_path_text(arc, close=False) for arc in arcs)
         else:
-            body = _path_from_points(to_px(comp.path), close=True)
+            body = _path_text(loop.marks, close=True)
         groups.append(
             f'  <g id="component-{comp.label}" data-gaps="{len(cuts)}">\n'
             f'    <path d="{body}" fill="none" stroke="{color}" '
-            f'stroke-width="{_fmt(stroke_px)}" stroke-linecap="round"/>\n'
+            f'stroke-width="{drawing.stroke}" stroke-linecap="round"/>\n'
             f"  </g>"
         )
     parts = [

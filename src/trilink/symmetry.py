@@ -112,19 +112,38 @@ class Orbit(NamedTuple):
 
 
 @functools.cache
+def _group_actions() -> tuple[SiteAction, ...]:
+    return tuple(site_action(g) for g in group_elements())
+
+
+def orbit_of(asg: CrossingAssignment) -> Orbit:
+    """The orbit containing ``asg``: its images under the twelve actions.
+
+    Each word's orbit is computed once per process, without the rest of
+    the partition.
+    """
+    if asg not in all_assignments():
+        raise InputError(f"assignment {asg.word} not found in any orbit")
+    return _orbit_at(asg.index)
+
+
+@functools.cache
+def _orbit_at(index: int) -> Orbit:
+    asg = all_assignments()[index]
+    # The twelve actions are the whole group; a word's bits sort as its index.
+    return Orbit(tuple(sorted({apply_action(action, asg) for action in _group_actions()})))
+
+
+@functools.cache
 def orbit_partition() -> tuple[Orbit, ...]:
     """Partition all 64 assignments into orbits, sorted by representative.
 
     The partition is a fixed fact, computed once per process; the frozen
     orbits are shared by every caller.
     """
-    actions = [site_action(g) for g in group_elements()]
-    orbits: dict[int, Orbit] = {}
-    for asg in all_assignments():
-        # The twelve actions are the whole group; a word's bits sort as its index.
-        members = sorted({apply_action(action, asg) for action in actions})
-        orbits.setdefault(members[0].index, Orbit(tuple(members)))
-    return tuple(orbits.values())
+    return tuple(
+        orbit_of(asg) for asg in all_assignments() if orbit_of(asg).representative == asg
+    )
 
 
 def burnside_count() -> tuple[int, dict[SymmetryElement, int]]:
@@ -144,11 +163,3 @@ def burnside_count() -> tuple[int, dict[SymmetryElement, int]]:
     if total % len(table) != 0:
         raise AssertionError("fixed-point total is not divisible by the group order")
     return total // len(table), table
-
-
-def orbit_of(asg: CrossingAssignment) -> Orbit:
-    """The orbit containing ``asg``."""
-    for orb in orbit_partition():
-        if asg in orb.members:
-            return orb
-    raise InputError(f"assignment {asg.word} not found in any orbit")

@@ -86,6 +86,37 @@ def test_numpy_is_imported_only_where_geometry_runs(argv, loads_numpy):
     assert loads_numpy or not dataclasses_loaded
 
 
+BUILT_CASES = [
+    (("classify", "000000"), (0, 0)),
+    (("invariants", "101010"), (0, 0)),
+    (("census", "--format", "csv"), (0, 1)),
+    (("render", "101010"), (1, 0)),
+]
+
+
+@pytest.mark.parametrize("argv, built", BUILT_CASES, ids=["-".join(argv) for argv, _ in BUILT_CASES])
+def test_one_shot_commands_build_only_what_they_use(argv, built):
+    # Only a diagram render builds draw data, and only the census builds
+    # the orbit partition: classify computes its word's orbit alone.
+    probe = (
+        "import contextlib, io, sys\n"
+        "import trilink.cli\n"
+        "from trilink import render, symmetry\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    trilink.cli.main(sys.argv[1:])\n"
+        "print(len(render._drawings), symmetry.orbit_partition.cache_info().currsize)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe, *argv],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    assert tuple(map(int, done.stdout.split())) == built
+
+
 def test_polyline_imports_no_diagram():
     # The package's __init__ imports ``diagram``; a bare package object in
     # its place runs only the imports of ``polyline`` itself.

@@ -24,7 +24,10 @@ from trilink.diagram import (
     SITES,
     all_assignments,
     assignment_from_text,
+    Component,
+    LinkDiagram,
     builtin_diagram,
+    remove_component,
     to_diagram,
 )
 from trilink.errors import DegeneracyError, InputError
@@ -112,8 +115,6 @@ class TestSvgDiagram:
         assert _strokes(svg_diagram(builtin_diagram("unknot"), colors)) == {"K": "#444444"}
 
     def test_missing_positions_rejected(self):
-        from trilink.diagram import Component, LinkDiagram
-
         bare = LinkDiagram(
             components=(Component("K", tuple()),), crossings=tuple()
         )
@@ -238,7 +239,8 @@ def reference_path_from_points(points, close):
 
 
 def reference_svg_diagram(d, colors=DEFAULT_COLORS):
-    x0, y0, x1, y1 = R._diagram_bounds(d)
+    xs, ys = zip(*itertools.chain.from_iterable(comp.path for comp in d.components))
+    x0, y0, x1, y1 = min(xs), min(ys), max(xs), max(ys)
     margin = 0.08 * max(x1 - x0, y1 - y0)
     x0, y0, x1, y1 = x0 - margin, y0 - margin, x1 + margin, y1 + margin
     scale = min(R._CANVAS_PX / (x1 - x0), R._CANVAS_PX / (y1 - y0))
@@ -415,9 +417,10 @@ class TestSameBytesAsReference:
         assert svg_scene(subject) == reference_svg_scene(subject)
 
     def test_path_writer_prints_no_negative_zero(self):
-        points = [(-0.00001, 1.0), (-0.0, -2.5), (3.00004, -0.00004)]
+        points = [(-0.00001, 1.0), (-0.0, -2.5), (3.00004, -0.00004), (-10.00001, -0.0)]
+        marks = [R._point_text(p) for p in points]
         for close in (False, True):
-            assert R._path_from_points(points, close) == reference_path_from_points(points, close)
+            assert R._path_text(marks, close) == reference_path_from_points(points, close)
 
     def test_equal_depths_keep_the_primitive_order(self):
         # Twin primitives give every segment an exact tie in mid-depth with a
@@ -493,6 +496,11 @@ def cut_cases(draw):
 _SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
 
 
+def _cut(points, cuts, gap):
+    """The module's path cutter with each point as its own mark."""
+    return R._cut_closed_path(R._loop(points, points), cuts, gap, tuple)
+
+
 # The VM's CPU speed switches between two levels about 1.6x apart, so this
 # test runs without a per-example deadline.
 @settings(deadline=None)
@@ -506,7 +514,7 @@ _SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
 @example((_SQUARE, [2.0, 2.0, 3.75], 0.5))
 def test_cut_closed_path_equals_reference(case):
     points, cuts, gap = case
-    assert R._cut_closed_path(points, cuts, gap) == reference_cut_closed_path(points, cuts, gap)
+    assert _cut(points, cuts, gap) == reference_cut_closed_path(points, cuts, gap)
 
 
 def _kept_vertex_distances(points, cuts, gap):
@@ -514,7 +522,7 @@ def _kept_vertex_distances(points, cuts, gap):
     cumulative = _arclengths(points)
     total = cumulative[-1]
     where = dict(zip(points, cumulative))
-    kept = [where[p] for arc in R._cut_closed_path(points, cuts, gap) for p in arc if p in where]
+    kept = [where[p] for arc in _cut(points, cuts, gap) for p in arc if p in where]
     return [min(min((s - c) % total, (c - s) % total) for c in cuts) for s in kept]
 
 
@@ -565,4 +573,82 @@ class TestShortComponent:
 
     def test_path_cutter_rejects_a_gap_as_long_as_the_perimeter(self):
         with pytest.raises(InputError, match="perimeter 4 is not longer than the gap 4"):
-            R._cut_closed_path(_SQUARE, [1.0], 4.0)
+            _cut(_SQUARE, [1.0], 4.0)
+
+
+def _drawn(*paths):
+    return LinkDiagram(tuple(Component(label, (), path) for label, path in zip("ABC", paths)), ())
+
+
+class TestBadDrawing:
+    def test_no_components(self):
+        with pytest.raises(InputError, match="no path points to draw"):
+            svg_diagram(LinkDiagram((), ()))
+
+    @pytest.mark.parametrize(
+        "paths", [[((1.0, 2.0),)], [((1.0, 2.0),) * 3, ((1.0, 2.0),)]], ids=["one-point", "all-equal"]
+    )
+    def test_zero_extent(self, paths):
+        with pytest.raises(InputError, match=r"every path point is at \(1, 2\): zero extent"):
+            svg_diagram(_drawn(*paths))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coordinate(self, bad):
+        good = ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))
+        with pytest.raises(InputError, match="component B has a non-finite coordinate"):
+            svg_diagram(_drawn(good, ((0.0, 0.0), (bad, 1.0), (1.0, 1.0))))
+
+    @pytest.mark.parametrize("size", [1e308, 5e-324], ids=["overflow", "subnormal"])
+    def test_extent_out_of_range(self, size):
+        with pytest.raises(InputError, match="drawing extent .* is out of range"):
+            svg_diagram(_drawn(((-size, 0.0), (size, 0.0), (0.0, size))))
+
+    def test_a_rejected_drawing_is_not_kept(self):
+        d = _drawn(((1.0, 2.0),))
+        for _ in range(2):
+            with pytest.raises(InputError, match="zero extent"):
+                svg_diagram(d)
+
+
+class TestDrawingCache:
+    """Draw data is built once per set of component paths and never goes stale."""
+
+    def test_interleaved_renders_equal_the_reference(self):
+        # Consecutive subjects draw different sets of paths that share some
+        # paths, components or counts: a census word and the same word less
+        # one circle share two or all but one of their paths.
+        builtins = [builtin_diagram(name) for name in ("hopf", "trefoil", "twist-unknot")]
+        projections = _realization_diagrams()[:4]
+        subjects = []
+        for i, asg in enumerate(all_assignments()[::9]):
+            d = to_diagram(asg)
+            subjects += [d, remove_component(d, "A"), d, remove_component(d, "C")]
+            subjects += [builtins[i % 3], d, projections[i % 4], builtins[(i + 1) % 3]]
+        for d in subjects:
+            for colors in (DEFAULT_COLORS, _OVERRIDE_COLORS):
+                assert svg_diagram(d, colors) == reference_svg_diagram(d, colors)
+
+    def test_census_words_share_one_entry(self, monkeypatch):
+        builds = []
+
+        def counted(d):
+            builds.append(d)
+            return build(d)
+
+        build = R._build_drawing
+        monkeypatch.setattr(R, "_build_drawing", counted)
+        svg_diagram(builtin_diagram("trefoil"))
+        builds.clear()
+        drawings = set()
+        for asg in all_assignments():
+            svg_diagram(to_diagram(asg))
+            drawings.add(id(R._drawing(to_diagram(asg))))
+        assert len(builds) == 1 and len(drawings) == 1
+        assert len(R._drawings) == 1
+
+    def test_entry_holds_its_paths(self):
+        d = remove_component(to_diagram(all_assignments()[5]), "B")
+        svg_diagram(d)
+        ((key, drawing),) = R._drawings.items()
+        assert key == tuple(map(id, drawing.paths))
+        assert all(kept is comp.path for kept, comp in zip(drawing.paths, d.components))

@@ -5,11 +5,13 @@ import pytest
 from trilink.diagram import (
     SITES,
     CircleId,
+    CrossingAssignment,
     all_assignments,
     assignment_from_index,
     assignment_from_text,
     to_diagram,
 )
+from trilink.errors import InputError
 from trilink.symmetry import (
     SymmetryElement,
     apply_action,
@@ -204,6 +206,17 @@ class TestOrbits:
     def test_orbit_of_alternating_word(self):
         orbit = orbit_of(assignment_from_text("000000"))
         assert {m.word for m in orbit.members} == {"000000", "111111"}
+
+    def test_orbit_of_is_the_partition_orbit_of_every_member(self):
+        for orbit in orbit_partition():
+            for member in orbit.members:
+                assert orbit_of(member) == orbit
+                assert orbit_of(CrossingAssignment(tuple(map(int, member.bits)))) == orbit
+
+    @pytest.mark.parametrize("bits", [(False,) * 5, (False,) * 7, [False] * 6])
+    def test_orbit_of_rejects_a_malformed_assignment(self, bits):
+        with pytest.raises(InputError, match="not found in any orbit"):
+            orbit_of(CrossingAssignment(bits))
 
 
 class TestBurnside:
