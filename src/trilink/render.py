@@ -21,7 +21,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Sequence, TypeVar
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence, TypeVar
 
 from .diagram import LinkDiagram
 from .errors import InputError
@@ -30,6 +30,15 @@ if TYPE_CHECKING:
     import numpy as np
 
     from .geometry import Realization3D, Scene3D
+
+    #: A closed polyline, its segment lengths, the arclength at each vertex
+    #: then the perimeter, and a mark per vertex.
+    _Loop = tuple[Sequence[tuple[float, float]], list[float], list[float], Sequence]
+    #: What a diagram's SVG takes from its component paths alone: the paths
+    #: (held, so no id in the cache key is reused while it is kept), the
+    #: stroke width as written, a loop per path with each vertex's pixel
+    #: text as its marks, and the pixel text of any diagram point.
+    _Drawing = tuple[tuple, str, tuple[_Loop, ...], Callable[[tuple[float, float]], str]]
 
 #: Default strand colors (first ring green, second blue, third red).
 DEFAULT_COLORS = {"A": "#2e8b57", "B": "#27519f", "C": "#c23b22"}
@@ -64,21 +73,12 @@ def _path_text(marks: Sequence[str], close: bool) -> str:
     return "M " + " L ".join(marks) + (" Z" if close else "")
 
 
-class _Loop(NamedTuple):
-    """A closed polyline's arclength table and a mark per vertex."""
-
-    points: Sequence[tuple[float, float]]
-    seg_len: list[float]
-    cumulative: list[float]  # arclength at each vertex, then the perimeter
-    marks: Sequence
-
-
 def _loop(points: Sequence[tuple[float, float]], marks: Sequence) -> _Loop:
     seg_len = [
         math.sqrt((x1 - x0) * (x1 - x0) + (y1 - y0) * (y1 - y0))
         for (x0, y0), (x1, y1) in zip(points, itertools.chain(points[1:], points[:1]))
     ]
-    return _Loop(points, seg_len, list(itertools.accumulate(seg_len, initial=0.0)), marks)
+    return points, seg_len, list(itertools.accumulate(seg_len, initial=0.0)), marks
 
 
 def _cut_closed_path(
@@ -91,9 +91,8 @@ def _cut_closed_path(
 
     ``cut_params`` are arclength positions along the polyline; each cut
     removes the interval of length ``gap`` centered there.  Returns the
-    kept arcs as mark lists: each kept vertex's mark from ``loop.marks``,
-    plus ``mark(p)`` for the point ``p`` interpolated at each window
-    boundary.
+    kept arcs as mark lists: each kept vertex's mark from ``loop``, plus
+    ``mark(p)`` for the point ``p`` interpolated at each window boundary.
     """
     points, seg_len, cumulative, marks = loop
     n = len(points)
@@ -147,15 +146,6 @@ def _cut_closed_path(
     return arcs
 
 
-class _Drawing(NamedTuple):
-    """What a diagram's SVG takes from its component paths alone."""
-
-    paths: tuple  # held, so no id in the cache key is reused while it is kept
-    stroke: str  # the stroke width in pixels, as written
-    loops: tuple[_Loop, ...]  # marks: each vertex's pixel text
-    mark: Callable[[tuple[float, float]], str]  # a diagram point's pixel text
-
-
 #: The drawing of the last set of component paths rendered, keyed by the
 #: paths' ids.  All census depictions share the shadow's paths.
 _drawings: dict[tuple[int, ...], _Drawing] = {}
@@ -205,7 +195,7 @@ def _build_drawing(d: LinkDiagram) -> _Drawing:
         return _point_text(((p[0] - x0) * scale, _CANVAS_PX - (p[1] - y0) * scale))
 
     loops = tuple(_loop(path, list(map(mark, path))) for path in paths)
-    return _Drawing(paths, _fmt(_STROKE_WIDTH * scale), loops, mark)
+    return paths, _fmt(_STROKE_WIDTH * scale), loops, mark
 
 
 def svg_diagram(d: LinkDiagram, colors: Mapping[str, str] = DEFAULT_COLORS) -> str:
@@ -213,9 +203,9 @@ def svg_diagram(d: LinkDiagram, colors: Mapping[str, str] = DEFAULT_COLORS) -> s
 
     ``colors`` maps component labels to stroke colors; other labels are gray.
     """
-    drawing = _drawing(d)
+    _, stroke, loops, mark = _drawing(d)
     groups: list[str] = []
-    for comp, loop in zip(d.components, drawing.loops):
+    for comp, loop in zip(d.components, loops):
         cuts = [
             v.path_param
             for v in comp.visits
@@ -229,16 +219,16 @@ def svg_diagram(d: LinkDiagram, colors: Mapping[str, str] = DEFAULT_COLORS) -> s
         color = colors.get(comp.label, _FALLBACK_COLOR)
         if cuts:
             try:
-                arcs = _cut_closed_path(loop, cuts, _GAP_WIDTH, drawing.mark)
+                arcs = _cut_closed_path(loop, cuts, _GAP_WIDTH, mark)
             except InputError as exc:
                 raise InputError(f"component {comp.label}: {exc}; cannot render") from None
             body = " ".join(_path_text(arc, close=False) for arc in arcs)
         else:
-            body = _path_text(loop.marks, close=True)
+            body = _path_text(loop[3], close=True)  # every vertex's mark
         groups.append(
             f'  <g id="component-{comp.label}" data-gaps="{len(cuts)}">\n'
             f'    <path d="{body}" fill="none" stroke="{color}" '
-            f'stroke-width="{drawing.stroke}" stroke-linecap="round"/>\n'
+            f'stroke-width="{stroke}" stroke-linecap="round"/>\n'
             f"  </g>"
         )
     parts = [

@@ -649,6 +649,6 @@ class TestDrawingCache:
     def test_entry_holds_its_paths(self):
         d = remove_component(to_diagram(all_assignments()[5]), "B")
         svg_diagram(d)
-        ((key, drawing),) = R._drawings.items()
-        assert key == tuple(map(id, drawing.paths))
-        assert all(kept is comp.path for kept, comp in zip(drawing.paths, d.components))
+        ((key, (paths, *_)),) = R._drawings.items()
+        assert key == tuple(map(id, paths))
+        assert all(kept is comp.path for kept, comp in zip(paths, d.components))
