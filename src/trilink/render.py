@@ -5,7 +5,8 @@ passes under a crossing its stroke is cut by a gap centered on the
 crossing.  ``data-gaps`` counts these cuts; gaps that overlap merge as
 their union, so a path can have fewer breaks than cuts.  A component with
 a cut whose perimeter is not longer than the gap raises InputError, as
-does a drawing with no points, of zero extent or with a non-finite
+does a drawing with no points, of zero extent, of an extent that does
+not scale to the canvas in floating point, or with a non-finite
 coordinate.  What a drawing takes from its component paths alone
 (bounds, scale, arclengths, each vertex's pixel text) is computed on the
 first render of those paths and kept for the last set of paths drawn;

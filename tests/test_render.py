@@ -22,10 +22,10 @@ from trilink import render as R
 from trilink.diagram import (
     BUILTIN_NAMES,
     SITES,
-    all_assignments,
-    assignment_from_text,
     Component,
     LinkDiagram,
+    all_assignments,
+    assignment_from_text,
     builtin_diagram,
     remove_component,
     to_diagram,
