@@ -112,17 +112,16 @@ def run_census() -> tuple[CensusRecord, ...]:
     word's index, so the shadow's one table of flip brackets gives all 64.
     """
     orbit_of_word = {
-        member.index: (orbit_id, orbit.size)
+        member: (orbit_id, orbit.size)
         for orbit_id, orbit in enumerate(orbit_partition())
         for member in orbit.members
     }
     diagrams = census_diagrams()
-    brackets = _flip_brackets(diagrams[0])
     records = []
-    for asg, d in zip(all_assignments(), diagrams):
-        bracket, profile = brackets[asg.index], pairwise_linking(d)
+    for asg, d, bracket in zip(all_assignments(), diagrams, _flip_brackets(diagrams[0])):
+        profile = pairwise_linking(d)
         kind = embedding_type(profile, functools.partial(_normalized, bracket, d))
-        records.append(CensusRecord(asg, *orbit_of_word[asg.index], kind, profile, bracket))
+        records.append(CensusRecord(asg, *orbit_of_word[asg], kind, profile, bracket))
     return tuple(records)
 
 
@@ -164,7 +163,7 @@ CSV_FIELDS = (
 
 def _in_orbit_order(records: tuple[CensusRecord, ...]) -> list[CensusRecord]:
     """The order every export writes: by orbit id, then by word."""
-    return sorted(records, key=lambda r: (r.orbit_id, r.assignment.index))
+    return sorted(records, key=lambda r: (r.orbit_id, r.assignment.bits))
 
 
 def census_to_csv(records: tuple[CensusRecord, ...]) -> str:

@@ -142,6 +142,8 @@ class CrossingAssignment(NamedTuple):
 
 def assignment_from_text(word: str) -> CrossingAssignment:
     """Parse a 6-character 0/1 word; index 0 is the leftmost character."""
+    if not isinstance(word, str):
+        raise InputError(f"assignment word must be a str, got {word!r}")
     if len(word) != 6:
         raise InputError(f"assignment word must have length 6, got length {len(word)}")
     bits = []
@@ -155,8 +157,8 @@ def assignment_from_text(word: str) -> CrossingAssignment:
 
 
 def assignment_from_index(index: int) -> CrossingAssignment:
-    if not 0 <= index < 64:
-        raise InputError(f"assignment index must be in 0..63, got {index}")
+    if type(index) is not int or not 0 <= index < 64:
+        raise InputError(f"assignment index must be an int in 0..63, got {index!r}")
     return assignment_from_text(format(index, "06b"))
 
 
@@ -580,9 +582,12 @@ def flip_crossings(d: LinkDiagram, mask: int) -> LinkDiagram:
 
     Crossing 0 is the most significant of ``d.crossing_count`` bits.  Slot
     labels at each flipped crossing rotate so the new under-strand enters
-    at slot 0 again; the planar cyclic order is unchanged.
+    at slot 0 again; the planar cyclic order is unchanged.  A mask that is
+    not an int in 0..2^c - 1 raises :class:`InputError`.
     """
     c = d.crossing_count
+    if type(mask) is not int or not 0 <= mask < 1 << c:
+        raise InputError(f"flip mask must be an int in 0..{(1 << c) - 1}, got {mask!r}")
     shifts = [x.over_entry_slot * (mask >> (c - 1 - k) & 1) for k, x in enumerate(d.crossings)]
     crossings = tuple(
         Crossing((x.over_entry_slot - 2 * shift) % 4, x.position, x.site_index)

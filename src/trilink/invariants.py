@@ -9,7 +9,8 @@ One contraction traces the states: it places the crossings one at a time
 and counts partial states that join the open ends of the placed crossings
 alike together (Kauffman 1987; Bar-Natan 2007).  An A-smoothed crossing
 adds its weight to the state's key: 1 for the bracket, a bit of its own
-to key the census's table of every crossing flip (``_flip_brackets``, a 4^c fold).
+to key the census's table of every crossing flip (``_flip_brackets``:
+packed popcount histograms, one state sum per distinct histogram).
 
 Smoothing convention, matched to the slot layout of
 :mod:`trilink.diagram` (slots counterclockwise, under-strand on 0/2):
@@ -38,6 +39,9 @@ BRACKET_CROSSING_LIMIT = 16
 #: by the B-smoothing (pairs (0,1), (2,3)).
 _A_SMOOTH_SLOT = (3, 2, 1, 0)
 _B_SMOOTH_SLOT = (1, 0, 3, 2)
+
+#: The linking profile's pair keys: AB, BC, CA.
+_SITE_PAIR_KEYS = tuple(frozenset((x.name, y.name)) for x, y in SITE_PAIRS)
 
 #: Bracket of the 2-component unlink.
 TWO_UNLINK_BRACKET = LOOP_FACTOR
@@ -84,16 +88,17 @@ def signed_linking_numbers(d: LinkDiagram) -> dict[frozenset[str], int]:
     Each is half the signed sum of the crossings the pair shares; an odd
     sum, which no closed planar curves can draw, raises :class:`InputError`.
     """
-    sums: dict[frozenset[str], int] = {
-        frozenset(pair): 0
-        for pair in itertools.combinations(d.component_labels(), 2)
-    }
+    sums: dict[frozenset[str], int] = {}
+    pair_key: dict[tuple[str, str], frozenset[str]] = {}
+    for first, second in itertools.combinations(d.component_labels(), 2):
+        key = pair_key[first, second] = pair_key[second, first] = frozenset((first, second))
+        sums[key] = 0
     first_label: dict[int, str] = {}
     for comp in d.components:
         for visit in comp.visits:
             other = first_label.setdefault(visit.crossing, comp.label)
             if other != comp.label:
-                sums[frozenset((other, comp.label))] += d.crossings[visit.crossing].sign
+                sums[pair_key[other, comp.label]] += d.crossings[visit.crossing].sign
     for pair, total in sums.items():
         if total % 2:
             first, second = sorted(pair)
@@ -113,7 +118,7 @@ def linking_numbers(d: LinkDiagram) -> dict[frozenset[str], int]:
 def pairwise_linking(d: LinkDiagram) -> LinkingProfile:
     """Linking profile over the site pairs AB, BC, CA (absent pairs count 0)."""
     numbers = linking_numbers(d)
-    return LinkingProfile(*(numbers.get(frozenset((x.name, y.name)), 0) for x, y in SITE_PAIRS))
+    return LinkingProfile(*(numbers.get(key, 0) for key in _SITE_PAIR_KEYS))
 
 
 def kauffman_bracket(d: LinkDiagram) -> LaurentPoly:
@@ -223,14 +228,25 @@ def _flip_brackets(d: LinkDiagram) -> tuple[LaurentPoly, ...]:
     A flip turns a crossing's slot labels by an odd step, swapping its A- and
     B-smoothings.  So if the state A-smoothing the crossings in t has L(t)
     loops, flip m has bracket sum_t A^(2|t xor m| - c) loop_factor^(L(t) - 1):
-    one tally keyed by t, one state per key, serves all 2^c flips in 4^c steps.
+    one tally keyed by t, one state per key, serves all 2^c flips.  The sum
+    depends on m only via each loop count's histogram of |t xor m|, packed in
+    (c+1)-bit digits that never carry (C(c, h) <= 2^c); one state sum per key.
     """
     c = d.crossing_count
-    table = _smoothing_tally(d, [1 << (c - 1 - k) for k in range(c)])
-    return tuple(
-        _state_sum(collections.Counter(((t ^ m).bit_count(), loops) for t, loops in table), c)
-        for m in range(1 << c)
-    )
+    digit = [1 << (c + 1) * t.bit_count() for t in range(1 << c)]
+    by_loops = collections.defaultdict(list)
+    for t, loops in _smoothing_tally(d, [1 << (c - 1 - k) for k in range(c)]):
+        by_loops[loops].append(t)
+    keys = [tuple(sum([digit[t ^ m] for t in ts]) for ts in by_loops.values())
+            for m in range(1 << c)]
+    brackets = {
+        key: _state_sum({
+            (h, loops): packed >> (c + 1) * h & (2 << c) - 1
+            for loops, packed in zip(by_loops, key) for h in range(c + 1)
+        }, c)
+        for key in set(keys)
+    }
+    return tuple(map(brackets.__getitem__, keys))
 
 
 @functools.cache

@@ -122,8 +122,8 @@ def orbit_of(asg: CrossingAssignment) -> Orbit:
     Each word's orbit is computed once per process, without the rest of
     the partition.
     """
-    if asg not in all_assignments():
-        raise InputError(f"assignment {asg.word} not found in any orbit")
+    if not isinstance(asg, CrossingAssignment) or asg not in all_assignments():
+        raise InputError(f"assignment {asg!r} not found in any orbit")
     return _orbit_at(asg.index)
 
 

@@ -134,6 +134,19 @@ class TestStateTable:
         run_census()
         assert calls == [[32, 16, 8, 4, 2, 1]]
 
+    def test_run_census_makes_one_state_sum_per_histogram(self, monkeypatch):
+        # The shadow's 64 flips have 7 distinct packed histograms, 6 brackets.
+        real, calls = invariants._state_sum, []
+
+        def counted(tally, c):
+            calls.append(tally)
+            return real(tally, c)
+
+        monkeypatch.setattr(invariants, "_state_sum", counted)
+        records = run_census()
+        assert len(calls) == 7
+        assert len({r.bracket for r in records}) == 6
+
 
 class TestSerialization:
     def test_runs_are_byte_identical(self, census_records):

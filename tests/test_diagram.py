@@ -1,5 +1,6 @@
 import functools
 import math
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -164,6 +165,16 @@ class TestAssignments:
     def test_character_error_names_position(self):
         with pytest.raises(InputError, match="position 3"):
             assignment_from_text("010x01")
+
+    @pytest.mark.parametrize("index", [3.0, "3", True, -1, 64])
+    def test_index_must_be_an_int_in_range(self, index):
+        with pytest.raises(InputError, match=re.escape(f"0..63, got {index!r}")):
+            assignment_from_index(index)
+
+    @pytest.mark.parametrize("word", [123456, None])
+    def test_word_must_be_a_str(self, word):
+        with pytest.raises(InputError, match=f"must be a str, got {word!r}"):
+            assignment_from_text(word)
 
     @given(st.integers(min_value=0, max_value=63))
     def test_round_trip_through_text(self, index):
@@ -395,6 +406,12 @@ class TestFlipCrossings:
         assert flip_crossings(d, 0) == d
         assert flip_crossings(flip_crossings(d, m1), m1) == d
         assert flip_crossings(flip_crossings(d, m1), m2) == flip_crossings(d, m1 ^ m2)
+
+    @pytest.mark.parametrize("mask", [64, -1, 1.5, True])
+    def test_mask_must_be_an_int_below_two_to_the_crossings(self, mask):
+        # Mask 64 used to return the diagram unflipped and -1 to flip all six.
+        with pytest.raises(InputError, match=re.escape(f"0..63, got {mask!r}")):
+            flip_crossings(census_diagrams()[5], mask)
 
     @pytest.mark.parametrize("name", ("trefoil", "hopf"))
     def test_mask_reads_like_a_word(self, name):

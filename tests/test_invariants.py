@@ -1,6 +1,10 @@
+import functools
 import math
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from trilink import geometry as G
 from trilink.diagram import (
@@ -17,7 +21,7 @@ from trilink.diagram import (
     remove_component,
     to_diagram,
 )
-from trilink.errors import CapacityError, InputError
+from trilink.errors import CapacityError, DegeneracyError, InputError
 from trilink.invariants import (
     THREE_UNLINK_BRACKET,
     TWO_UNLINK_BRACKET,
@@ -157,8 +161,40 @@ class TestBracketOracles:
             kauffman_bracket(LinkDiagram(components=(), crossings=()))
 
 
+@functools.cache
+def _realization64(kind):
+    return G.realize(kind, segments=64)
+
+
+@st.composite
+def _flip_subjects(draw):
+    """A builtin, or a seeded projection of a realization, cut or not, of at most 8 crossings."""
+    name = draw(st.sampled_from(BUILTIN_NAMES + G.REALIZE_KINDS))
+    if name in BUILTIN_NAMES:
+        return builtin_diagram(name)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    try:
+        d = G.diagram_from_curves(_realization64(name), rng.normal(size=3))
+    except DegeneracyError:
+        assume(False)
+    cut = draw(st.sampled_from((None,) + d.component_labels()))
+    if cut is not None:
+        d = remove_component(d, cut)
+    assume(d.crossing_count <= 8)
+    return d
+
+
 class TestFlipTable:
     """One state table gives the brackets of every crossing flip of a diagram."""
+
+    # The VM's CPU speed switches between two levels about 1.6x apart, so this
+    # test runs without a per-example deadline.
+    @settings(deadline=None)
+    @given(data=st.data())
+    def test_a_drawn_flip_matches_the_contraction(self, data):
+        d = data.draw(_flip_subjects())
+        mask = data.draw(st.integers(0, (1 << d.crossing_count) - 1))
+        assert _flip_brackets(d)[mask] == kauffman_bracket(flip_crossings(d, mask))
 
     @staticmethod
     def diagram(name):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -217,6 +218,11 @@ class TestOrbits:
     def test_orbit_of_rejects_a_malformed_assignment(self, bits):
         with pytest.raises(InputError, match="not found in any orbit"):
             orbit_of(CrossingAssignment(bits))
+
+    @pytest.mark.parametrize("value", ["000000", 0, None])
+    def test_orbit_of_rejects_a_non_assignment(self, value):
+        with pytest.raises(InputError, match=re.escape(f"assignment {value!r} not found")):
+            orbit_of(value)
 
 
 class TestBurnside:
