@@ -134,7 +134,7 @@ class CrossingAssignment(NamedTuple):
 
     @property
     def index(self) -> int:
-        return int(self.word, 2)
+        return sum(itertools.compress((32, 16, 8, 4, 2, 1), self.bits))
 
     def __str__(self) -> str:
         return self.word

@@ -580,26 +580,37 @@ def gauss_linking_integral(a: PolyCurve3, b: PolyCurve3) -> float:
     of ``_GAUSS_ROW_BLOCK`` segments of ``a``, written into three
     buffers allocated once, so memory is O(block * m).  Raises
     :class:`InputError` when the sum is not finite, as for midpoints that
-    overflow, and when a squared distance is at most
-    ``_GAUSS_ROUNDING_FACTOR`` times its rounding bound, taken at the
+    overflow, and when a squared distance is at most ``floor``,
+    ``_GAUSS_ROUNDING_FACTOR`` times its rounding bound taken at the
     largest |mᵃ|² and |mᵇ|².
+
+    The sum certifies the pair: each point of a segment lies within half
+    its length of its midpoint, so the scaled curves are at least
+    sqrt(min |mᵃ - mᵇ|² - floor) - (max |dᵃ| + max |dᵇ|) / 2 apart.  If that,
+    scaled back, exceeds 2 ``MIN_CURVE_SEPARATION`` and the magnitude guard
+    of :func:`_decided_apart` holds, a measured distance would exceed
+    ``MIN_CURVE_SEPARATION``: the pair joins ``separated``, unmeasured.  A
+    pair with a kept distance or verdict is checked (:func:`_check_separation`)
+    before the sum, any other uncertified pair after it, both before its errors.
     """
-    _check_separation(a, b)
+    if known := b in a.distances or b in a.separated:
+        _check_separation(a, b)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         origin = a.points[0]
         ma = (a.points + a.ends) / 2.0 - origin
         mb = (b.points + b.ends) / 2.0 - origin
         k = -math.frexp(max(np.abs(ma).max(), np.abs(mb).max()))[1]
         ma, mb, da, db = (np.ldexp(x, k) for x in (ma, mb, a.steps, b.steps))
-        left = np.empty((len(ma), 11))
-        left[:, 0:3] = np.cross(ma, da)
+        left, right = np.empty((len(ma), 11)), np.empty((11, len(mb)))
+        for c in range(3):  # cross(ma, da) and cross(db, mb), as np.cross computes them
+            i, j = (c + 1) % 3, (c + 2) % 3
+            left[:, c] = ma[:, i] * da[:, j] - ma[:, j] * da[:, i]
+            right[3 + c] = db[:, i] * mb[:, j] - db[:, j] * mb[:, i]
         left[:, 3:6] = -da
         left[:, 6:9] = -2.0 * ma
         left[:, 9] = np.einsum("ij,ij->i", ma, ma)
         left[:, 10] = 1.0
-        right = np.empty((11, len(mb)))
         right[0:3] = db.T
-        right[3:6] = np.cross(db, mb).T
         right[6:9] = mb.T
         right[9] = 1.0
         right[10] = np.einsum("ij,ij->i", mb, mb)
@@ -616,6 +627,13 @@ def gauss_linking_integral(a: PolyCurve3, b: PolyCurve3) -> float:
             scale *= dist2
             numer /= scale
             total += float(numer.sum())
+        apart = np.ldexp(np.sqrt(closest - floor), -k) - (a.lengths.max() + b.lengths.max()) / 2
+    guard = max(a.magnitude, b.magnitude) * _DISTANCE_ROUNDING < MIN_CURVE_SEPARATION
+    if not known and closest > floor and guard and apart > 2.0 * MIN_CURVE_SEPARATION:
+        a.separated.add(b)
+        b.separated.add(a)
+    elif not known:
+        _check_separation(a, b)
     if not math.isfinite(total):
         raise InputError(
             f"Gauss integral of curves {a.label!r} and {b.label!r} is not finite ({total}): "

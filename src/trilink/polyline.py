@@ -7,6 +7,7 @@ them, so a polyline's boxes are built once however many pairs it is part of.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -22,7 +23,7 @@ class Polyline:
 
     def __init__(self, points: np.ndarray):
         self.points = points
-        self.ends = np.roll(points, -1, axis=0)
+        self.ends = np.concatenate((points[1:], points[:1]))
         self.steps = self.ends - points
         self._boxes: dict[float, tuple[np.ndarray, ...]] = {}
 
@@ -183,10 +184,10 @@ def _certified_convex(line: Polyline, tol: float) -> bool:
     to find.
     """
     s, lengths = line.steps, line.lengths
-    following = np.roll(s, -1, axis=0)
+    following, next_lengths = (np.concatenate((x[1:], x[:1])) for x in (s, lengths))
     with np.errstate(over="ignore", invalid="ignore"):
         turns = s[:, 0] * following[:, 1] - s[:, 1] * following[:, 0]
-        margin = 2.0 * tol * lengths.max() * np.maximum(lengths, np.roll(lengths, -1))
+        margin = 2.0 * tol * lengths.max() * np.maximum(lengths, next_lengths)
         if not (np.all(turns > margin) or np.all(-turns > margin)):
             return False
         dots = np.einsum("ij,ij->i", s, following)
@@ -241,9 +242,10 @@ def segment_meetings(
     ):
         if min(ti, uj) < tol or max(ti, uj) > 1.0 - tol:
             raise DegeneracyError("crossing too close to a polyline vertex")
-        rn = r[i] / np.linalg.norm(r[i])
-        sn = s[j] / np.linalg.norm(s[j])
-        if abs(rn[0] * sn[1] - rn[1] * sn[0]) < tol:
+        # Norms as np.linalg.norm takes them: a BLAS dot, which may fuse its multiply-add.
+        (rx, ry), (sx, sy) = r[i].tolist(), s[j].tolist()
+        nr, ns = math.sqrt(r[i].dot(r[i])), math.sqrt(s[j].dot(s[j]))
+        if abs(rx / nr * (sy / ns) - ry / nr * (sx / ns)) < tol:
             raise DegeneracyError("near-tangent crossing")
         point = a.points[i] + ti * r[i]
         depth_a = float(da[i] + ti * (da[(i + 1) % na] - da[i]))

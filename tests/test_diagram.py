@@ -14,6 +14,7 @@ from trilink.diagram import (
     CIRCLE_RADIUS,
     SITES,
     CircleId,
+    CrossingAssignment,
     _circle_diagram,
     assignment_from_index,
     assignment_from_text,
@@ -175,6 +176,12 @@ class TestAssignments:
     def test_word_must_be_a_str(self, word):
         with pytest.raises(InputError, match=f"must be a str, got {word!r}"):
             assignment_from_text(word)
+
+    def test_index_reads_the_word_in_binary(self):
+        for i in range(64):
+            asg = assignment_from_index(i)
+            ints = CrossingAssignment(tuple(int(bit) for bit in asg.bits))
+            assert asg.index == ints.index == int(asg.word, 2) == int(ints.word, 2) == i
 
     @given(st.integers(min_value=0, max_value=63))
     def test_round_trip_through_text(self, index):

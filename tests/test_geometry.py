@@ -184,6 +184,19 @@ class TestDistanceCache:
         pairs = ["AB", "AC", "BC"]
         assert calls == [("decide", p) for p in pairs] + [("measure", p) for p in pairs]
 
+    @pytest.mark.parametrize("kind", G.REALIZE_KINDS)
+    def test_gauss_integrals_certify_every_pair(self, calls, kind):
+        # The integrals' midpoint tables certify a fresh realization's
+        # pairs, and the projection reads those verdicts.
+        r = G.realize(kind, segments=256)
+        pairs = list(itertools.combinations(r.curves, 2))
+        for a, b in pairs:
+            G.gauss_linking_integral(a, b)
+        assert calls == []
+        assert all(b in a.separated and a in b.separated for a, b in pairs)
+        G.diagram_from_curves(r)
+        assert calls == []
+
     def test_pair_within_reach_is_measured(self, calls, circle_pair):
         # Copies of a circle 1.5e-6 and 5e-7 above it: both are within the
         # decision's reach, so both are measured, and only the second fails.

@@ -9,6 +9,7 @@ blocked Gauss sum the same value to 1e-12.
 
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -504,6 +505,53 @@ def test_gauss_integral_is_exact_under_power_of_two_scaling(seed, n, m, k):
     assume(G.curve_distance(a, b) > 0.5)
     scaled = [G.PolyCurve3(c.label, np.ldexp(c.points, k)) for c in (a, b)]
     assert G.gauss_linking_integral(*scaled) == G.gauss_linking_integral(a, b)
+
+
+def moved_copy(rng, a, gap):
+    """``a`` turned about its centroid and shifted, no point moving more than 2 ``gap``."""
+    centre = a.mean(axis=0)
+    axis = rng.normal(size=3)
+    axis /= np.linalg.norm(axis)
+    angle = gap * rng.uniform(-1.0, 1.0) / np.linalg.norm(a - centre, axis=1).max()
+    turn = np.cross(np.eye(3), axis)  # turn @ v == axis x v
+    rotation = np.eye(3) + math.sin(angle) * turn + (1.0 - math.cos(angle)) * turn @ turn
+    shift = rng.normal(size=3)
+    shift *= gap * rng.random() / np.linalg.norm(shift)
+    return (a - centre) @ rotation.T + centre + shift
+
+
+# See above: no per-example deadline on a VM whose speed switches 1.6x.
+@settings(deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(8, 512),
+    st.one_of(st.just(0), st.integers(-16, 24), st.integers(25, 400)),
+)
+def test_gauss_integral_certifies_only_separated_pairs(seed, n, k):
+    # A curve and a copy moved by 1e-7..1e-2, scaled by 2^k.  The curve's
+    # longest segment is 1e-3..1e3 times the gap, so pairs range from
+    # measured ones to ones the integral certifies.  A pair the integral
+    # settles without a curve_distance call is farther apart than
+    # MIN_CURVE_SEPARATION on the dense segment table, and a pair that the
+    # separation check rejects raises the check's message.
+    rng = np.random.default_rng(seed)
+    a = polygon(rng, n, 3)
+    gap = 10.0 ** rng.uniform(-7, -2)
+    a *= gap * 10.0 ** rng.uniform(-3, 3) / np.linalg.norm(a - np.roll(a, 1, axis=0), axis=1).max()
+    b = moved_copy(rng, a, gap)
+    curves = [G.PolyCurve3(label, np.ldexp(p, k)) for label, p in zip("AB", (a, b))]
+    rejected = separation_outcome(*curves, False)
+    with mock.patch.object(G, "curve_distance", wraps=G.curve_distance) as measured:
+        try:
+            G.gauss_linking_integral(*curves)
+            raised = None
+        except InputError as exc:
+            raised = str(exc)
+    if rejected is not None:
+        assert raised == rejected
+    if not measured.called:
+        assert curves[1] in curves[0].separated
+        assert dense_curve_distance(*curves) > G.MIN_CURVE_SEPARATION
 
 
 def gauss_rounding_bound(a, b):
