@@ -554,6 +554,31 @@ def test_gauss_integral_certifies_only_separated_pairs(seed, n, k):
         assert dense_curve_distance(*curves) > G.MIN_CURVE_SEPARATION
 
 
+def needle(tip, direction, length, segments, half_angle):
+    """A closed needle: two sides of ``segments`` equal steps from ``tip``, from its far end."""
+    steps = np.arange(segments + 1)[:, None] * (length / segments)
+    up = tip + steps * [direction * math.cos(half_angle), math.sin(half_angle), 0.0]
+    down = tip + steps[::-1] * [direction * math.cos(half_angle), -math.sin(half_angle), 0.0]
+    return np.roll(np.concatenate((up, down[:-1])), -segments, axis=0)
+
+
+def test_gauss_certificate_keeps_a_rounding_margin():
+    # Needles tip to tip, 6e-7 apart along their common axis: A is 1e6
+    # long, so its tip's midpoints lie about 1e6 from A's first point, the
+    # point the integral moves both curves by, and B is four of A's
+    # 22-unit steps long.  The half-length bound is tight here, and the
+    # tips' squared midpoint distance can round up by about 1e-16 of the
+    # scaled |m|², which lifts the bound by several MIN_CURVE_SEPARATION
+    # (it certified the pair without the margin of ``floor``, with the
+    # OpenBLAS matmul this was written against).
+    step, half_angle = 1e6 / 45056, 0.25 / 45056
+    a = G.PolyCurve3("A", needle(np.zeros(3), -1.0, 1e6, 45056, half_angle))
+    b = G.PolyCurve3("B", needle(np.array([6e-7, 0.0, 0.0]), 1.0, 4 * step, 4, half_angle))
+    assert a.magnitude * G._DISTANCE_ROUNDING < G.MIN_CURVE_SEPARATION
+    with pytest.raises(InputError, match=r"too close to link \(distance 6e-07 <= 1e-06\)"):
+        G.gauss_linking_integral(a, b)
+
+
 def gauss_rounding_bound(a, b):
     """First-order bound on the Gram form's error: eps * sum |term| (|ma|² + |mb|²) / |ma - mb|².
 
