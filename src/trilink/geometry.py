@@ -47,7 +47,10 @@ class PolyCurve3(Polyline):
     """
 
     def __init__(self, label: str, points):
-        pts = np.array(points, dtype=float)
+        try:
+            pts = np.array(points, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"curve points form no numeric array: {exc}") from exc
         if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 8:
             raise InputError("a curve needs at least 8 points of dimension 3")
         if not np.all(np.isfinite(pts)):

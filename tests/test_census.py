@@ -1,6 +1,13 @@
 import csv
+import importlib.util
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from trilink import census, invariants
 from trilink.census import (
@@ -311,3 +318,72 @@ class TestCheckDetails:
         )
         for name in ("case-mapping", "brunnian-exactness", "classification-equivariance"):
             assert found[name] == (True, self.PASS_DETAILS[name])
+
+
+ROOT = Path(__file__).resolve().parents[1]
+CHECK_NAMES = [name for name, _check in census.CHECKS]
+#: The checks that build a realization, or a builtin from a ``PlanarStrand``, so import numpy.
+NUMPY_CHECKS = (
+    "twist-invariance",
+    "villarceau-roundtrip",
+    "ellipse-roundtrip",
+    "gauss-vs-combinatorial",
+)
+
+
+class TestCheckTable:
+    """``verify_claims`` runs the ``CHECKS`` table; each entry stands alone."""
+
+    def test_names_match_the_benchmark(self, monkeypatch):
+        # Load perfbench's known answers without writing its bytecode next to it.
+        monkeypatch.setattr(sys, "dont_write_bytecode", True)
+        source = ROOT / "perfbench" / "checks.py"
+        spec = importlib.util.spec_from_file_location("perfbench_checks", source)
+        checks = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, checks)
+        spec.loader.exec_module(checks)
+        assert tuple(CHECK_NAMES) == checks.VERIFY_CHECKS
+
+    def test_each_check_alone_gives_its_report_line(self, verification_report):
+        lines = {c.name: (c.passed, c.detail) for c in verification_report.checks}
+        assert [c.name for c in verification_report.checks] == CHECK_NAMES
+        for name, check in census.CHECKS:
+            assert check(census.Evidence()) == lines[name], name
+
+    @pytest.mark.parametrize("forced", CHECK_NAMES)
+    def test_a_forced_failure_fails_only_its_check(self, monkeypatch, verification_report, forced):
+        monkeypatch.setattr(
+            census,
+            "CHECKS",
+            tuple(
+                (name, (lambda ev: (False, "forced")) if name == forced else check)
+                for name, check in census.CHECKS
+            ),
+        )
+        report = census.verify_claims()
+        expected = [
+            f"{forced}: FAIL (forced)" if line.startswith(f"{forced}: ") else line
+            for line in verification_report.to_text().splitlines()[:-1]
+        ]
+        assert report.to_text().splitlines() == expected + ["SOME CHECKS FAILED"]
+        assert [c.name for c in report.checks if not c.passed] == [forced]
+
+    def test_checks_without_geometry_import_no_numpy(self):
+        # A fresh interpreter runs the other twelve checks on one Evidence.
+        probe = (
+            "import sys\n"
+            "from trilink import census\n"
+            "evidence = census.Evidence()\n"
+            "ran = [name for name, check in census.CHECKS\n"
+            "       if name not in sys.argv[1:] and check(evidence)[0]]\n"
+            "print(len(ran), 'numpy' in sys.modules, 'dataclasses' in sys.modules)\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", probe, *NUMPY_CHECKS],
+            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+            capture_output=True,
+            text=True,
+            timeout=120,
+            check=True,
+        )
+        assert done.stdout.split() == ["12", "False", "False"]

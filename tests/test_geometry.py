@@ -529,6 +529,15 @@ class TestPolyCurveValidation:
         with pytest.raises(InputError, match="segment too long to measure"):
             G.PolyCurve3("X", pts)
 
+    @pytest.mark.parametrize(
+        "points",
+        [[["a", 0, 0]] * 8, [[0, 0, 0], [1, 1]] * 4],
+        ids=["non-numeric", "ragged"],
+    )
+    def test_points_that_form_no_array(self, points):
+        with pytest.raises(InputError, match="form no numeric array"):
+            G.PolyCurve3("X", points)
+
 
 class TestOddCrossingGuard:
     """Two distinct closed strands must cross an even number of times."""
