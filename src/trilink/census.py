@@ -496,12 +496,15 @@ def _ellipse_roundtrip(ev: Evidence) -> tuple[bool, str]:
 
 
 def _gauss_vs_combinatorial(ev: Evidence) -> tuple[bool, str]:
+    import numpy as np
+
     from . import geometry
-    worst = 0.0
-    for realized in ev.realized.values():
-        for a, b in itertools.combinations(realized.realization.curves, 2):
-            combinatorial = realized.lks[frozenset((a.label, b.label))]
-            worst = max(worst, abs(geometry.gauss_linking_integral(a, b) - combinatorial))
+    residuals = [
+        abs(geometry.gauss_linking_integral(a, b) - realized.lks[frozenset((a.label, b.label))])
+        for realized in ev.realized.values()
+        for a, b in itertools.combinations(realized.realization.curves, 2)
+    ]
+    worst = float(np.max(residuals))  # nan when any residual is, unlike max()
     return (
         worst < 1e-3,
         f"largest |integral - crossing count/2| = {worst:.2e} "

@@ -1,5 +1,8 @@
 """3D curve realizations, linking numbers of space curves, scene generators.
 
+A gallery scene (``Scene3D``, a ``NamedTuple`` like ``Realization3D``) holds
+the sampled curves, spheres and markers that ``render.svg_scene`` draws.
+
 Two independent routes to the linking number are provided: a combinatorial
 one (signed crossings of a generic planar projection, halved) and a
 numeric one (midpoint-rule double sum over segment pairs approximating the
@@ -16,8 +19,7 @@ import itertools
 import math
 import numbers
 import weakref
-from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -77,63 +79,25 @@ class PolyCurve3(Polyline):
         return float(np.abs(self.points).max())
 
 
-@dataclass(frozen=True)
-class Realization3D:
-    """A set of closed space curves with construction metadata."""
+class Realization3D(NamedTuple):
+    """A set of closed space curves with construction metadata (``params`` is never written to)."""
 
     curves: tuple[PolyCurve3, ...]
     kind: str
-    params: dict[str, float] = field(default_factory=dict)
+    params: Mapping[str, float] = {}
 
 
-# -- scene primitives --------------------------------------------------------
+class Scene3D(NamedTuple):
+    """A gallery scene as drawn, sampled when it is built.
 
+    ``curves`` holds ``(tag, points (n, 3), closed)`` triples, ``spheres``
+    ``(center, radius)`` pairs and ``markers`` ``(tag, position)`` pairs.
+    """
 
-@dataclass(frozen=True)
-class CirclePrim:
-    center: tuple[float, float, float]
-    normal: tuple[float, float, float]
-    radius: float
-    tag: str = "circle"
-
-
-@dataclass(frozen=True)
-class SpherePrim:
-    center: tuple[float, float, float]
-    radius: float
-    tag: str = "sphere"
-
-
-@dataclass(frozen=True)
-class MarkerPrim:
-    position: tuple[float, float, float]
-    tag: str = "marker"
-
-
-@dataclass(frozen=True)
-class ArcPrim:
-    """Circular arc: part of the circle (center, normal, radius) between two angles."""
-
-    center: tuple[float, float, float]
-    normal: tuple[float, float, float]
-    radius: float
-    angle_start: float
-    angle_end: float
-    tag: str = "arc"
-
-
-@dataclass(frozen=True)
-class PatchPrim:
-    """Parametric surface sample grid, shape (nu, nv, 3)."""
-
-    grid: np.ndarray
-    tag: str = "patch"
-
-
-@dataclass(frozen=True)
-class Scene3D:
     kind: str
-    primitives: tuple[object, ...]
+    curves: tuple[tuple[str, np.ndarray, bool], ...]
+    spheres: tuple[tuple[tuple[float, float, float], float], ...] = ()
+    markers: tuple[tuple[str, tuple[float, float, float]], ...] = ()
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +186,7 @@ def realize(kind: str, segments: int = DEFAULT_SEGMENTS, **params: float) -> Rea
         PolyCurve3(label, pts)
         for label, pts in zip(("A", "B", "C"), build(big, small, segments))
     )
-    return Realization3D(curves=labeled, kind=kind, params=used)
+    return Realization3D(labeled, kind, used)
 
 
 # ---------------------------------------------------------------------------
@@ -230,50 +194,57 @@ def realize(kind: str, segments: int = DEFAULT_SEGMENTS, **params: float) -> Rea
 # ---------------------------------------------------------------------------
 
 
-def _triangle_centers(distance: float) -> list[tuple[float, float, float]]:
-    out = []
-    for angle_deg in (90.0, 210.0, 330.0):
-        a = math.radians(angle_deg)
-        out.append((distance * math.cos(a), distance * math.sin(a), 0.0))
-    return out
+def _triangle_centers() -> list[tuple[float, float, float]]:
+    """Centers, 2 apart about the origin, of three unit circles or spheres that touch."""
+    distance = 2.0 / math.sqrt(3.0)
+    angles = map(math.radians, (90.0, 210.0, 330.0))
+    return [(distance * math.cos(a), distance * math.sin(a), 0.0) for a in angles]
+
+
+def _circle(center, normal, radius: float, angles: np.ndarray) -> np.ndarray:
+    """Points at ``angles`` on the circle of ``center``, ``normal`` and ``radius``."""
+    n = np.asarray(normal, dtype=float)
+    n = n / np.linalg.norm(n)
+    helper = np.array([0.0, 0.0, 1.0]) if abs(n[2]) < 0.9 else np.array([1.0, 0.0, 0.0])
+    e1 = np.cross(helper, n)
+    e1 = e1 / np.linalg.norm(e1)
+    e2 = np.cross(n, e1)
+    return np.asarray(center) + radius * (
+        np.outer(np.cos(angles), e1) + np.outer(np.sin(angles), e2)
+    )
 
 
 def scene(kind: str) -> Scene3D:
-    """Build one of the fixed gallery scenes (see ``SCENE_KINDS``)."""
+    """Build one of the fixed gallery scenes (see ``SCENE_KINDS``), sampled as drawn.
+
+    Whole circles take 96 points and arcs 48, from their start to their
+    end angle; the horn torus's surface grid is drawn as every fourth
+    row, then every fourth column.
+    """
     z_axis = (0.0, 0.0, 1.0)
+    turn = np.linspace(0.0, 2.0 * math.pi, 96, endpoint=False)
     if kind == "tangent-circles":
-        centers = _triangle_centers(2.0 / math.sqrt(3.0))
-        prims: list[object] = [CirclePrim(c, z_axis, 1.0) for c in centers]
-        for i in range(3):
-            j = (i + 1) % 3
-            touch = tuple(
-                (centers[i][k] + centers[j][k]) / 2.0 for k in range(3)
-            )
-            prims.append(MarkerPrim(touch, tag="tangency"))
-        # The three arcs facing the centroid bound the central cusped region.
+        centers = _triangle_centers()
+        curves = [("circle", _circle(c, z_axis, 1.0, turn), True) for c in centers]
+        touches = [
+            tuple((p + q) / 2.0 for p, q in zip(c, c_next))
+            for c, c_next in zip(centers, centers[1:] + centers[:1])
+        ]
+        # Each arc is the span of its center's directions to its two tangency points,
+        # turned a quarter turn clockwise: ``_circle`` reads angles from (0, -1, 0) here.
         for i, center in enumerate(centers):
-            others = [centers[j] for j in range(3) if j != i]
-            angles = sorted(
-                math.atan2(
-                    (center[1] + other[1]) / 2.0 - center[1],
-                    (center[0] + other[0]) / 2.0 - center[0],
-                )
-                for other in others
+            lo, hi = sorted(
+                math.atan2(t[1] - center[1], t[0] - center[0]) for t in (touches[i], touches[i - 1])
             )
-            lo, hi = angles
             if hi - lo > math.pi:
                 lo, hi = hi, lo + 2.0 * math.pi
-            prims.append(ArcPrim(center, z_axis, 1.0, lo, hi))
-        return Scene3D(kind=kind, primitives=tuple(prims))
+            curves.append(("arc", _circle(center, z_axis, 1.0, np.linspace(lo, hi, 48)), False))
+        return Scene3D(kind, tuple(curves), markers=tuple(("tangency", t) for t in touches))
     if kind == "great-circles":
         center = (0.0, 0.0, 0.0)
-        prims = [
-            SpherePrim(center, 1.0),
-            CirclePrim(center, (0.0, 0.0, 1.0), 1.0),
-            CirclePrim(center, (1.0, 0.0, 0.0), 1.0),
-            CirclePrim(center, (0.0, 1.0, 0.0), 1.0),
-        ]
-        return Scene3D(kind=kind, primitives=tuple(prims))
+        normals = ((0.0, 0.0, 1.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0))
+        curves = tuple(("circle", _circle(center, n, 1.0, turn), True) for n in normals)
+        return Scene3D(kind, curves, spheres=((center, 1.0),))
     if kind == "horn-torus":
         # Tube radius equals center-circle radius: the hole shrinks to a point.
         R = r = 1.0
@@ -289,39 +260,18 @@ def scene(kind: str) -> Scene3D:
             ],
             axis=2,
         )
-        prims = [PatchPrim(grid)]
+        curves = [("patch", row, False) for row in grid[::4]]
+        curves += [("patch", grid[:, j], False) for j in range(0, nv, 4)]
         # Three sweep positions of the revolving circle, all through the origin.
         for k in range(3):
             phi = 2.0 * math.pi * k / 3.0
             center = (R * math.cos(phi), R * math.sin(phi), 0.0)
             normal = (-math.sin(phi), math.cos(phi), 0.0)
-            prims.append(CirclePrim(center, normal, r, tag="sweep"))
-        prims.append(MarkerPrim((0.0, 0.0, 0.0), tag="cusp"))
-        return Scene3D(kind=kind, primitives=tuple(prims))
+            curves.append(("sweep", _circle(center, normal, r, turn), True))
+        return Scene3D(kind, tuple(curves), markers=(("cusp", (0.0, 0.0, 0.0)),))
     if kind == "tangent-spheres":
-        centers = _triangle_centers(2.0 / math.sqrt(3.0))
-        prims = [SpherePrim(c, 1.0) for c in centers]
-        return Scene3D(kind=kind, primitives=tuple(prims))
+        return Scene3D(kind, (), spheres=tuple((c, 1.0) for c in _triangle_centers()))
     raise InputError(f"unknown scene {kind!r}; valid kinds: " + ", ".join(SCENE_KINDS))
-
-
-def _circle_frame(prim: CirclePrim | ArcPrim) -> tuple[np.ndarray, np.ndarray]:
-    n = np.asarray(prim.normal, dtype=float)
-    n = n / np.linalg.norm(n)
-    helper = np.array([0.0, 0.0, 1.0]) if abs(n[2]) < 0.9 else np.array([1.0, 0.0, 0.0])
-    e1 = np.cross(helper, n)
-    e1 = e1 / np.linalg.norm(e1)
-    e2 = np.cross(n, e1)
-    return e1, e2
-
-
-def _circle_points(prim: CirclePrim | ArcPrim, angles: np.ndarray) -> np.ndarray:
-    """Points at ``angles`` on the circle (center, normal, radius) of a circle or arc."""
-    e1, e2 = _circle_frame(prim)
-    return (
-        np.asarray(prim.center)
-        + prim.radius * (np.outer(np.cos(angles), e1) + np.outer(np.sin(angles), e2))
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,8 @@ coordinate.  What a drawing takes from its component paths alone
 (bounds, scale, arclengths, each vertex's pixel text) is computed on the
 first render of those paths and kept for the last set of paths drawn;
 all census depictions share the shadow's paths, so each of their renders
-formats only the points at its gap boundaries.  3D content is projected
-orthographically and painted back-to-front per segment.  Output is
+formats only the points at its gap boundaries.  Scenes and realizations are
+projected orthographically and painted back-to-front per segment.  Output is
 deterministic: fixed float formatting, fixed element order, and fixed
 measurements (gap, stroke, canvas, camera) below.
 """
@@ -28,8 +28,6 @@ from .diagram import LinkDiagram
 from .errors import InputError
 
 if TYPE_CHECKING:
-    import numpy as np
-
     from .geometry import Realization3D, Scene3D
 
     #: A closed polyline, its segment lengths, the arclength at each vertex
@@ -247,66 +245,25 @@ def svg_diagram(d: LinkDiagram, colors: Mapping[str, str] = DEFAULT_COLORS) -> s
 # ---------------------------------------------------------------------------
 
 
-def _sample_primitive(prim: object) -> list[tuple[str, np.ndarray]]:
-    """Turn a primitive into (tag, 3D polyline) pieces for projection."""
-    import numpy as np
-
-    from .geometry import ArcPrim, CirclePrim, PatchPrim, _circle_points
-    out: list[tuple[str, np.ndarray]] = []
-    if isinstance(prim, CirclePrim):
-        angles = np.linspace(0.0, 2.0 * math.pi, 96, endpoint=False)
-        out.append((prim.tag, _circle_points(prim, angles)))
-    elif isinstance(prim, ArcPrim):
-        angles = np.linspace(prim.angle_start, prim.angle_end, 48)
-        out.append((prim.tag, _circle_points(prim, angles)))
-    elif isinstance(prim, PatchPrim):
-        grid = prim.grid
-        for i in range(0, grid.shape[0], 4):
-            out.append((prim.tag, grid[i]))
-        for j in range(0, grid.shape[1], 4):
-            out.append((prim.tag, grid[:, j]))
-    return out
-
-
 def svg_scene(subject: Scene3D | Realization3D) -> str:
     """Orthographic projection of a scene or realization as SVG 1.1.
 
-    Polyline content is split into segments and painted back-to-front;
+    A realization is drawn as the scene of its closed curves, tagged
+    ``curve-<label>`` and colored by ``DEFAULT_COLORS`` (other tags are
+    ``#333333``).  Curves are split into segments and painted back-to-front;
     spheres become silhouette circles ordered by center depth; markers
     become dots.  The view is along the fixed camera direction.
     """
     import numpy as np
 
-    from .geometry import (
-        CirclePrim,
-        MarkerPrim,
-        Realization3D,
-        Scene3D,
-        SpherePrim,
-        _projection_frame,
-    )
-    u, v, d = _projection_frame(np.asarray(_CAMERA))
-
-    curves: list[tuple[str, np.ndarray, bool]] = []  # (tag, points, closed)
-    spheres: list[SpherePrim] = []
-    markers: list[MarkerPrim] = []
+    from .geometry import Realization3D, Scene3D, _projection_frame
     if isinstance(subject, Realization3D):
-        for curve in subject.curves:
-            curves.append((f"curve-{curve.label}", curve.points, True))
-        colors = DEFAULT_COLORS
-    elif isinstance(subject, Scene3D):
-        for prim in subject.primitives:
-            if isinstance(prim, SpherePrim):
-                spheres.append(prim)
-            elif isinstance(prim, MarkerPrim):
-                markers.append(prim)
-            else:
-                for tag, pts in _sample_primitive(prim):
-                    closed = isinstance(prim, CirclePrim)
-                    curves.append((tag, pts, closed))
-        colors = {}
-    else:
+        subject = Scene3D(
+            subject.kind, tuple((f"curve-{c.label}", c.points, True) for c in subject.curves)
+        )
+    elif not isinstance(subject, Scene3D):
         raise InputError(f"cannot render object of type {type(subject).__name__}")
+    u, v, d = _projection_frame(np.asarray(_CAMERA))
 
     # Per segment: its ends in the view plane (x1 y1 x2 y2), its mid-depth
     # and the index of its curve.
@@ -314,7 +271,7 @@ def svg_scene(subject: Scene3D | Realization3D) -> str:
     mids: list[np.ndarray] = [np.empty(0)]
     owners: list[np.ndarray] = [np.empty(0, dtype=int)]
     all_xy: list[np.ndarray] = []
-    for i, (tag, pts, closed) in enumerate(curves):
+    for i, (tag, pts, closed) in enumerate(subject.curves):
         xy = np.stack([pts @ u, pts @ v], axis=1)
         depth = pts @ d
         all_xy.append(xy)
@@ -324,22 +281,17 @@ def svg_scene(subject: Scene3D | Realization3D) -> str:
         mids.append((depth[:count] + depth[k2]) / 2.0)
         owners.append(np.full(count, i))
     sphere_records = []
-    for sphere in spheres:
-        c = np.asarray(sphere.center)
-        sphere_records.append(
-            (float(c @ d), (float(c @ u), float(c @ v)), sphere.radius)
-        )
+    for center, radius in subject.spheres:
+        c = np.asarray(center)
+        sphere_records.append((float(c @ d), (float(c @ u), float(c @ v)), radius))
         ring = np.linspace(0.0, 2.0 * math.pi, 8)
         all_xy.append(
-            np.stack(
-                [c @ u + sphere.radius * np.cos(ring), c @ v + sphere.radius * np.sin(ring)],
-                axis=1,
-            )
+            np.stack([c @ u + radius * np.cos(ring), c @ v + radius * np.sin(ring)], axis=1)
         )
     marker_records = []
-    for marker in markers:
-        p = np.asarray(marker.position)
-        marker_records.append((marker.tag, (float(p @ u), float(p @ v))))
+    for tag, position in subject.markers:
+        p = np.asarray(position)
+        marker_records.append((tag, (float(p @ u), float(p @ v))))
         all_xy.append(np.array([[float(p @ u), float(p @ v)]]))
 
     stacked = np.vstack(all_xy)
@@ -357,7 +309,10 @@ def svg_scene(subject: Scene3D | Realization3D) -> str:
     segment_px[:, 1::2] = _SCENE_PX - segment_px[:, 1::2]
     # Back to front; stable, so equal depths keep the curves' order.
     order = np.argsort(np.concatenate(mids), kind="stable")
-    styles = [(tag, colors.get(tag.removeprefix("curve-"), "#333333")) for tag, _, _ in curves]
+    styles = [
+        (tag, DEFAULT_COLORS.get(tag.removeprefix("curve-"), "#333333"))
+        for tag, _, _ in subject.curves
+    ]
     line = (
         '  <line class="%s" x1="%.4f" y1="%.4f" x2="%.4f" y2="%.4f" stroke="%s" '
         'stroke-width="2.4" stroke-linecap="round"/>'

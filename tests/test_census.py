@@ -2,6 +2,7 @@ import csv
 import importlib.util
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from trilink import census, invariants
+from trilink import census, geometry, invariants
 from trilink.census import (
     EXPECTED_ORBITS_PER_TYPE,
     census_summary,
@@ -273,6 +274,22 @@ class TestCheckDetails:
             "748 of 768 symmetry actions keep the embedding type (expected 768); "
             "first failure: rot120 maps 110011 (Trivial3) to 111100 (Borromean)",
         )
+
+    def test_gauss_failure_on_a_nan_integral(self, monkeypatch):
+        # One pair's integral is nan; max() would keep the other pairs' largest residual.
+        real = geometry.gauss_linking_integral
+        monkeypatch.setattr(
+            geometry,
+            "gauss_linking_integral",
+            lambda a, b: math.nan if (a.label, b.label) == ("B", "C") else real(a, b),
+        )
+        found = self.details(census.verify_claims())
+        assert found["gauss-vs-combinatorial"] == (
+            False,
+            "largest |integral - crossing count/2| = nan "
+            f"over 6 pairs at {census.VERIFY_SEGMENTS} segments (tolerance 1e-3)",
+        )
+        assert found["case-mapping"] == (True, self.PASS_DETAILS["case-mapping"])
 
     def test_determinism_failure_names_the_format(self, monkeypatch):
         # Every CSV export comes out different from the one before.

@@ -435,70 +435,83 @@ class TestDiagramFromCurves:
         assert diagram_to_text(d1) == diagram_to_text(d2)
 
 
+def _curves(scene, tag):
+    return [points for t, points, _ in scene.curves if t == tag]
+
+
+def _fitted_circle(points):
+    """(center, radius, unit normal) of sampled points that all lie on one circle."""
+    center = points.mean(axis=0)
+    radii = np.linalg.norm(points - center, axis=1)
+    assert radii.max() - radii.min() < 1e-9
+    normal = np.cross(points[1] - points[0], points[2] - points[0])
+    return center, float(radii.mean()), normal / np.linalg.norm(normal)
+
+
 class TestScenes:
     def test_tangent_circles_structure(self):
         s = G.scene("tangent-circles")
-        circles = [p for p in s.primitives if isinstance(p, G.CirclePrim)]
-        markers = [
-            p for p in s.primitives
-            if isinstance(p, G.MarkerPrim) and p.tag == "tangency"
-        ]
-        arcs = [p for p in s.primitives if isinstance(p, G.ArcPrim)]
+        circles = [_fitted_circle(pts) for pts in _curves(s, "circle")]
+        markers = [pos for tag, pos in s.markers if tag == "tangency"]
+        arcs = _curves(s, "arc")
         assert len(circles) == 3
         assert len(markers) == 3
         assert len(arcs) == 3
         for marker in markers:
             distances = sorted(
-                abs(
-                    math.dist(marker.position, c.center) - c.radius
-                )
-                for c in circles
+                abs(math.dist(marker, center) - radius) for center, radius, _ in circles
             )
             assert distances[0] < 1e-9 and distances[1] < 1e-9
+        for (center, radius, _), arc in zip(circles, arcs):
+            # Each arc lies on its own circle.
+            assert np.abs(np.linalg.norm(arc - center, axis=1) - radius).max() < 1e-9
+        samples = [(len(pts), closed) for _, pts, closed in s.curves]
+        assert samples == [(96, True)] * 3 + [(48, False)] * 3
 
     def test_tangent_circle_centers_at_distance_two(self):
         s = G.scene("tangent-circles")
-        circles = [p for p in s.primitives if isinstance(p, G.CirclePrim)]
+        circles = [_fitted_circle(pts) for pts in _curves(s, "circle")]
         for i in range(3):
             for j in range(i + 1, 3):
-                d = math.dist(circles[i].center, circles[j].center)
+                d = math.dist(circles[i][0], circles[j][0])
                 assert abs(d - 2.0) < 1e-9
 
     def test_great_circles_share_center(self):
         s = G.scene("great-circles")
-        sphere = next(p for p in s.primitives if isinstance(p, G.SpherePrim))
-        circles = [p for p in s.primitives if isinstance(p, G.CirclePrim)]
+        ((sphere_center, sphere_radius),) = s.spheres
+        circles = [_fitted_circle(pts) for pts in _curves(s, "circle")]
         assert len(circles) == 3
-        for c in circles:
-            assert c.center == sphere.center
-            assert abs(c.radius - sphere.radius) < 1e-12
-        normals = [np.asarray(c.normal) for c in circles]
+        for center, radius, _ in circles:
+            assert math.dist(center, sphere_center) < 1e-12
+            assert abs(radius - sphere_radius) < 1e-12
+        normals = [normal for _, _, normal in circles]
         for i in range(3):
             for j in range(i + 1, 3):
                 assert abs(float(normals[i] @ normals[j])) < 1e-12
 
     def test_horn_torus_hole_degenerates(self):
         s = G.scene("horn-torus")
-        patch = next(p for p in s.primitives if isinstance(p, G.PatchPrim))
-        radii = np.linalg.norm(patch.grid.reshape(-1, 3), axis=1)
+        patch = _curves(s, "patch")
+        # Every fourth of the grid's 48 rows (25 points), then of its 25 columns (48 points).
+        assert [len(pts) for pts in patch] == [25] * 12 + [48] * 7
+        radii = np.linalg.norm(np.concatenate(patch), axis=1)
         assert radii.min() < 1e-9  # the inner hole closes to a point
-        sweeps = [
-            p for p in s.primitives
-            if isinstance(p, G.CirclePrim) and p.tag == "sweep"
-        ]
+        assert s.markers == (("cusp", (0.0, 0.0, 0.0)),)
+        sweeps = [_fitted_circle(pts) for pts in _curves(s, "sweep")]
         assert len(sweeps) == 3
-        for circle in sweeps:
+        for center, radius, _ in sweeps:
             # Every sweep circle passes through the shared point.
-            assert abs(np.linalg.norm(np.asarray(circle.center)) - circle.radius) < 1e-9
+            assert abs(np.linalg.norm(center) - radius) < 1e-9
 
     def test_tangent_spheres(self):
         s = G.scene("tangent-spheres")
-        spheres = [p for p in s.primitives if isinstance(p, G.SpherePrim)]
+        assert s.curves == () and s.markers == ()
+        spheres = s.spheres
         assert len(spheres) == 3
         for i in range(3):
             for j in range(i + 1, 3):
-                d = math.dist(spheres[i].center, spheres[j].center)
-                assert abs(d - (spheres[i].radius + spheres[j].radius)) < 1e-9
+                d = math.dist(spheres[i][0], spheres[j][0])
+                assert abs(d - (spheres[i][1] + spheres[j][1])) < 1e-9
 
     def test_unknown_scene(self):
         with pytest.raises(InputError, match="unknown scene"):

@@ -168,6 +168,10 @@ class TestSvgScene:
         scene = G.scene("great-circles")
         assert svg_scene(scene) == svg_scene(scene)
 
+    def test_other_subjects_rejected(self):
+        with pytest.raises(InputError, match="cannot render object of type object"):
+            svg_scene(object())
+
 
 def reference_cut_closed_path(points, cut_params, gap):
     """Sweep of sorted window and vertex events; every point re-interpolated."""
@@ -280,20 +284,12 @@ def reference_svg_diagram(d, colors=DEFAULT_COLORS):
 def reference_svg_scene(subject):
     """Every 3D segment a Python tuple, sorted by mid-depth, formatted field by field."""
     u, v, d = G._projection_frame(np.asarray(R._CAMERA))
-    curves, spheres, markers = [], [], []
     if isinstance(subject, G.Realization3D):
-        for curve in subject.curves:
-            curves.append((f"curve-{curve.label}", curve.points, True))
+        curves = [(f"curve-{curve.label}", curve.points, True) for curve in subject.curves]
+        spheres, markers = [], []
         colors = DEFAULT_COLORS
     else:
-        for prim in subject.primitives:
-            if isinstance(prim, G.SpherePrim):
-                spheres.append(prim)
-            elif isinstance(prim, G.MarkerPrim):
-                markers.append(prim)
-            else:
-                for tag, pts in R._sample_primitive(prim):
-                    curves.append((tag, pts, isinstance(prim, G.CirclePrim)))
+        curves, spheres, markers = subject.curves, subject.spheres, subject.markers
         colors = {}
 
     segments, all_xy = [], []
@@ -313,20 +309,20 @@ def reference_svg_scene(subject):
                 )
             )
     sphere_records = []
-    for sphere in spheres:
-        c = np.asarray(sphere.center)
-        sphere_records.append((float(c @ d), (float(c @ u), float(c @ v)), sphere.radius))
+    for center, radius in spheres:
+        c = np.asarray(center)
+        sphere_records.append((float(c @ d), (float(c @ u), float(c @ v)), radius))
         ring = np.linspace(0.0, 2.0 * math.pi, 8)
         all_xy.append(
             np.stack(
-                [c @ u + sphere.radius * np.cos(ring), c @ v + sphere.radius * np.sin(ring)],
+                [c @ u + radius * np.cos(ring), c @ v + radius * np.sin(ring)],
                 axis=1,
             )
         )
     marker_records = []
-    for marker in markers:
-        p = np.asarray(marker.position)
-        marker_records.append((marker.tag, (float(p @ u), float(p @ v))))
+    for tag, position in markers:
+        p = np.asarray(position)
+        marker_records.append((tag, (float(p @ u), float(p @ v))))
         all_xy.append(np.array([[float(p @ u), float(p @ v)]]))
 
     stacked = np.vstack(all_xy)
@@ -423,15 +419,15 @@ class TestSameBytesAsReference:
             assert R._path_text(marks, close) == reference_path_from_points(points, close)
 
     def test_equal_depths_keep_the_primitive_order(self):
-        # Twin primitives give every segment an exact tie in mid-depth with a
+        # Twin curves give every segment an exact tie in mid-depth with a
         # segment of another class; the tied segments keep the scene's order.
+        turn = np.linspace(0.0, 2.0 * math.pi, 96, endpoint=False)
+        circle = G._circle((0.0, 0.0, 0.0), (1.0, 2.0, 3.0), 1.0, turn)
+        arc = G._circle((0.5, 0.0, 0.0), (0.3, -0.2, 0.9), 0.7, np.linspace(0.0, 2.0, 48))
         twins = tuple(
-            prim
+            curve
             for tag in ("a", "b")
-            for prim in (
-                G.CirclePrim((0.0, 0.0, 0.0), (1.0, 2.0, 3.0), 1.0, tag),
-                G.ArcPrim((0.5, 0.0, 0.0), (0.3, -0.2, 0.9), 0.7, 0.0, 2.0, f"{tag}-arc"),
-            )
+            for curve in ((tag, circle, True), (f"{tag}-arc", arc, False))
         )
         subject = G.Scene3D("twins", twins)
         assert svg_scene(subject) == reference_svg_scene(subject)
