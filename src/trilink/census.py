@@ -31,6 +31,7 @@ from collections.abc import Callable
 from typing import NamedTuple
 
 from .diagram import (
+    CENTERS,
     CrossingAssignment,
     LinkDiagram,
     all_assignments,
@@ -236,8 +237,9 @@ def census_table(records: tuple[CensusRecord, ...]) -> str:
         f"{t.value}={summary.per_type_orbit_counts[t]}" for t in _TYPE_ORDER
     )
     lines.append(f"patterns per type: {per_type}")
+    observed = sum(1 for count in summary.per_type_orbit_counts.values() if count)
     lines.append(
-        f"{summary.orbit_count} patterns in {len(_TYPE_ORDER)} embedding types; "
+        f"{summary.orbit_count} patterns in {observed} embedding types; "
         f"{summary.total_depictions} depictions"
     )
     return "\n".join(lines) + "\n"
@@ -392,7 +394,7 @@ def _cuts(ev: Evidence, kind: EmbeddingType, linked: int, verb: str) -> tuple[bo
     cuts = 3 * len(depictions)
     failures = []
     for member in depictions:
-        for label in ("A", "B", "C"):
+        for label in CENTERS:
             reduced = remove_component(ev.diagrams[member.index], label)
             lk = next(iter(linking_numbers(reduced).values()))
             if lk != linked:

@@ -18,6 +18,7 @@ from typing import TYPE_CHECKING
 from . import census as census_mod
 from .diagram import (
     BUILTIN_NAMES,
+    CENTERS,
     DEFAULT_SEGMENTS,
     REALIZE_KINDS,
     SCENE_KINDS,
@@ -59,7 +60,7 @@ def _parse_colors(spec: str) -> dict[str, str]:
         if not item:
             continue
         label, _, value = item.partition("=")
-        if label not in ("A", "B", "C") or not _COLOR.fullmatch(value):
+        if label not in CENTERS or not _COLOR.fullmatch(value):
             raise InputError(f"color overrides look like A=#11aa22,B=#abc,C=red; got {item!r}")
         colors[label] = value
     return colors

@@ -32,7 +32,6 @@ positive iff its over-entry slot is 1.
 
 from __future__ import annotations
 
-import enum
 import functools
 import itertools
 import math
@@ -49,20 +48,8 @@ EXPORT_SCHEMA = "trilink-diagram v1"
 _CIRCLE_PATH_POINTS = 240
 
 
-class CircleId(enum.Enum):
-    """Label of one of the three projected circles."""
-
-    A = 0
-    B = 1
-    C = 2
-
-
-#: Pairs in site order; the first entry of each pair is the bit-reference circle.
-SITE_PAIRS: tuple[tuple[CircleId, CircleId], ...] = (
-    (CircleId.A, CircleId.B),
-    (CircleId.B, CircleId.C),
-    (CircleId.C, CircleId.A),
-)
+#: Pairs of circle labels in site order; the first of each pair is the bit-reference circle.
+SITE_PAIRS = (("A", "B"), ("B", "C"), ("C", "A"))
 
 CENTER_DISTANCE = 1.0
 CIRCLE_RADIUS = 1.2
@@ -72,7 +59,7 @@ class CrossingSite(NamedTuple):
     """One of the six intersection points of the fixed projection."""
 
     site_index: int
-    pair: tuple[CircleId, CircleId]  # (lead, partner) in site-name order
+    pair: tuple[str, str]  # (lead, partner) in site-name order
     depth: str  # "inner" | "outer"
     position: tuple[float, float]
 
@@ -96,11 +83,11 @@ def _circle_intersections(
 
 _HALF_SQRT3 = math.sqrt(3.0) / 2.0
 
-#: Center of each circle of the fixed projection.
-CENTERS: dict[CircleId, tuple[float, float]] = {
-    CircleId.A: (0.0, CENTER_DISTANCE),
-    CircleId.B: (-_HALF_SQRT3 * CENTER_DISTANCE, -0.5 * CENTER_DISTANCE),
-    CircleId.C: (_HALF_SQRT3 * CENTER_DISTANCE, -0.5 * CENTER_DISTANCE),
+#: Center of each circle of the fixed projection, keyed by its label in A, B, C order.
+CENTERS: dict[str, tuple[float, float]] = {
+    "A": (0.0, CENTER_DISTANCE),
+    "B": (-_HALF_SQRT3 * CENTER_DISTANCE, -0.5 * CENTER_DISTANCE),
+    "C": (_HALF_SQRT3 * CENTER_DISTANCE, -0.5 * CENTER_DISTANCE),
 }
 
 
@@ -221,13 +208,12 @@ class LinkDiagram(NamedTuple):
     def component_labels(self) -> tuple[str, ...]:
         return tuple(c.label for c in self.components)
 
-    def component(self, label: str | CircleId) -> Component:
-        name = label.name if isinstance(label, CircleId) else str(label)
+    def component(self, label: str) -> Component:
         for comp in self.components:
-            if comp.label == name:
+            if comp.label == label:
                 return comp
         raise InputError(
-            f"no component labeled {name!r}; valid labels: "
+            f"no component labeled {label!r}; valid labels: "
             + ", ".join(self.component_labels())
         )
 
@@ -367,8 +353,8 @@ def _circle_diagram(
 @functools.cache
 def _shadow() -> LinkDiagram:
     """The depiction of word 000000, the partner circle over at every site; built once."""
-    meetings = [(x.pair[1].name, x.pair[0].name, x.position, x.site_index) for x in SITES]
-    circles = [(c.name, CENTERS[c], CIRCLE_RADIUS) for c in CircleId]
+    meetings = [(x.pair[1], x.pair[0], x.position, x.site_index) for x in SITES]
+    circles = [(label, center, CIRCLE_RADIUS) for label, center in CENTERS.items()]
     return _circle_diagram(circles, meetings)
 
 
@@ -488,6 +474,29 @@ _FREE_CIRCLES = {
     "unlink3": (("A", (-2.0, 0.0), 0.8), ("B", (0.0, 0.0), 0.8), ("C", (2.0, 0.0), 0.8)),
 }
 
+#: Sampled one-strand builtins as ``samples, t -> (x, y, depth)``; the strand
+#: ``K`` takes its vertices at ``t = 2 pi k / samples``.
+_STRANDS = {
+    # Single-kink unknot drawn as an inner-loop limacon.  Depth sin(t) puts the
+    # earlier passage through the crossing (t = 2pi/3, before 4pi/3) over; the
+    # resulting writhe is +1.
+    "twist-unknot": (
+        256,
+        lambda t: (
+            (0.5 + math.cos(t)) * math.cos(t), (0.5 + math.cos(t)) * math.sin(t), math.sin(t)
+        ),
+    ),
+    # Alternating 3-crossing trefoil from the standard parametric space curve.
+    "trefoil": (
+        240,
+        lambda t: (
+            math.sin(t) + 2.0 * math.sin(2.0 * t),
+            math.cos(t) - 2.0 * math.cos(2.0 * t),
+            -math.sin(3.0 * t),
+        ),
+    ),
+}
+
 
 def _hopf() -> LinkDiagram:
     # Circle A is over at the upper crossing, B at the lower one.
@@ -499,47 +508,16 @@ def _hopf() -> LinkDiagram:
     return _circle_diagram(circles, meetings)
 
 
-def _twist_unknot() -> LinkDiagram:
-    """Single-kink unknot drawn as an inner-loop limacon.
-
-    Depth ``sin(theta)`` puts the earlier passage through the crossing
-    (theta = 2pi/3, before 4pi/3) over; the resulting writhe is +1.
-    """
-    from .polyline import PlanarStrand
-
-    n = 256
-    pts = []
-    depths = []
-    for k in range(n):
-        theta = 2.0 * math.pi * k / n
-        r = 0.5 + math.cos(theta)
-        pts.append((r * math.cos(theta), r * math.sin(theta)))
-        depths.append(math.sin(theta))
-    return diagram_from_strands([PlanarStrand("K", pts, depths)])
-
-
-def _trefoil() -> LinkDiagram:
-    """Alternating 3-crossing trefoil from the standard parametric space curve."""
-    from .polyline import PlanarStrand
-
-    n = 240
-    pts = []
-    depths = []
-    for k in range(n):
-        t = 2.0 * math.pi * k / n
-        pts.append((math.sin(t) + 2.0 * math.sin(2.0 * t), math.cos(t) - 2.0 * math.cos(2.0 * t)))
-        depths.append(-math.sin(3.0 * t))
-    return diagram_from_strands([PlanarStrand("K", pts, depths)])
-
-
 def builtin_diagram(name: str) -> LinkDiagram:
     """A fixed fixture diagram by name (see ``BUILTIN_NAMES``)."""
     if name in _FREE_CIRCLES:
         return _circle_diagram(_FREE_CIRCLES[name], [])
-    if name == "twist-unknot":
-        return _twist_unknot()
-    if name == "trefoil":
-        return _trefoil()
+    if name in _STRANDS:
+        from .polyline import PlanarStrand
+
+        samples, curve = _STRANDS[name]
+        x, y, depth = zip(*(curve(2.0 * math.pi * k / samples) for k in range(samples)))
+        return diagram_from_strands([PlanarStrand("K", list(zip(x, y)), depth)])
     if name == "hopf":
         return _hopf()
     raise InputError(
@@ -552,7 +530,7 @@ def builtin_diagram(name: str) -> LinkDiagram:
 # ---------------------------------------------------------------------------
 
 
-def remove_component(d: LinkDiagram, label: str | CircleId) -> LinkDiagram:
+def remove_component(d: LinkDiagram, label: str) -> LinkDiagram:
     """Delete a component and every crossing it participates in.
 
     Strands that pass through a deleted crossing are re-joined simply by

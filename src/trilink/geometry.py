@@ -24,7 +24,7 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .diagram import GENERIC_TOL  # noqa: F401 (re-exported)
-from .diagram import DEFAULT_SEGMENTS, REALIZE_KINDS, SCENE_KINDS, LinkDiagram
+from .diagram import CENTERS, DEFAULT_SEGMENTS, REALIZE_KINDS, SCENE_KINDS, LinkDiagram
 from .diagram import diagram_from_strands
 from .errors import DegeneracyError, InputError
 from .invariants import signed_linking_numbers
@@ -184,7 +184,7 @@ def realize(kind: str, segments: int = DEFAULT_SEGMENTS, **params: float) -> Rea
     build = _villarceau_curves if kind == "torus-villarceau" else _ellipse_curves
     labeled = tuple(
         PolyCurve3(label, pts)
-        for label, pts in zip(("A", "B", "C"), build(big, small, segments))
+        for label, pts in zip(CENTERS, build(big, small, segments))
     )
     return Realization3D(labeled, kind, used)
 
@@ -230,14 +230,12 @@ def scene(kind: str) -> Scene3D:
             tuple((p + q) / 2.0 for p, q in zip(c, c_next))
             for c, c_next in zip(centers, centers[1:] + centers[:1])
         ]
-        # Each arc is the span of its center's directions to its two tangency points,
-        # turned a quarter turn clockwise: ``_circle`` reads angles from (0, -1, 0) here.
+        # Each arc spans its center's directions to its two tangency points, 60 degrees
+        # apart, measured in ``_circle``'s frame: from (0, -1, 0) towards (1, 0, 0).
         for i, center in enumerate(centers):
             lo, hi = sorted(
-                math.atan2(t[1] - center[1], t[0] - center[0]) for t in (touches[i], touches[i - 1])
+                math.atan2(t[0] - center[0], center[1] - t[1]) for t in (touches[i], touches[i - 1])
             )
-            if hi - lo > math.pi:
-                lo, hi = hi, lo + 2.0 * math.pi
             curves.append(("arc", _circle(center, z_axis, 1.0, np.linspace(lo, hi, 48)), False))
         return Scene3D(kind, tuple(curves), markers=tuple(("tangency", t) for t in touches))
     if kind == "great-circles":

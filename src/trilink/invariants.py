@@ -41,7 +41,7 @@ _A_SMOOTH_SLOT = (3, 2, 1, 0)
 _B_SMOOTH_SLOT = (1, 0, 3, 2)
 
 #: The linking profile's pair keys: AB, BC, CA.
-_SITE_PAIR_KEYS = tuple(frozenset((x.name, y.name)) for x, y in SITE_PAIRS)
+_SITE_PAIR_KEYS = tuple(map(frozenset, SITE_PAIRS))
 
 #: Bracket of the 2-component unlink.
 TWO_UNLINK_BRACKET = LOOP_FACTOR

@@ -21,19 +21,15 @@ from __future__ import annotations
 import functools
 from typing import NamedTuple
 
-from .diagram import SITE_PAIRS, CircleId, CrossingAssignment, all_assignments
+from .diagram import CENTERS, SITE_PAIRS, CrossingAssignment, all_assignments
 from .errors import InputError
 
 D3_NAMES = ("identity", "rot120", "rot240", "refl_A", "refl_B", "refl_C")
 
-#: Label permutation of each dihedral part, as a mapping CircleId -> CircleId.
-_D3_LABEL_MAPS: dict[str, dict[CircleId, CircleId]] = {
-    "identity": {CircleId.A: CircleId.A, CircleId.B: CircleId.B, CircleId.C: CircleId.C},
-    "rot120": {CircleId.A: CircleId.B, CircleId.B: CircleId.C, CircleId.C: CircleId.A},
-    "rot240": {CircleId.A: CircleId.C, CircleId.B: CircleId.A, CircleId.C: CircleId.B},
-    "refl_A": {CircleId.A: CircleId.A, CircleId.B: CircleId.C, CircleId.C: CircleId.B},
-    "refl_B": {CircleId.A: CircleId.C, CircleId.B: CircleId.B, CircleId.C: CircleId.A},
-    "refl_C": {CircleId.A: CircleId.B, CircleId.B: CircleId.A, CircleId.C: CircleId.C},
+#: Label permutation of each dihedral part, from the images of A, B and C.
+_D3_LABEL_MAPS: dict[str, dict[str, str]] = {
+    name: dict(zip(CENTERS, images))
+    for name, images in zip(D3_NAMES, ("ABC", "BCA", "CAB", "ACB", "CBA", "BAC"))
 }
 
 
@@ -43,7 +39,7 @@ class SymmetryElement(NamedTuple):
     d3_part: str
     mirror: bool
 
-    def label_map(self) -> dict[CircleId, CircleId]:
+    def label_map(self) -> dict[str, str]:
         return _D3_LABEL_MAPS[self.d3_part]
 
     def __str__(self) -> str:

@@ -171,6 +171,17 @@ class TestSerialization:
             "10 patterns in 5 embedding types; 64 depictions"
         )
 
+    def test_table_headline_counts_the_types_it_observed(self, census_records):
+        relabeled = tuple(
+            r._replace(embedding_type=EmbeddingType.Trivial3)
+            if r.embedding_type is EmbeddingType.Borromean
+            else r
+            for r in census_records
+        )
+        assert census_table(relabeled).rstrip().endswith(
+            "10 patterns in 4 embedding types; 64 depictions"
+        )
+
 
 class TestCutChecks:
     def test_cut_counts_are_exact(self, verification_report):

@@ -13,11 +13,12 @@ import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
-from trilink import cli, invariants, render
-from trilink.census import census_table, census_to_csv, census_to_json
+from trilink import cli, geometry, invariants, render
+from trilink.census import census_diagrams, census_table, census_to_csv, census_to_json
 from trilink.cli import _build_parser, _diagram_from_args, main
 from trilink.diagram import (
     BUILTIN_NAMES,
+    CENTERS,
     REALIZE_KINDS,
     SCENE_KINDS,
     assignment_from_text,
@@ -303,6 +304,25 @@ class TestRenderCommand:
         assert code == 2
         assert out == ""
         assert "--color" in err
+
+
+class TestOneLabelSet:
+    """Diagrams, realizations, colors and ``--color`` all use the labels of ``CENTERS``."""
+
+    def test_census_realizations_and_colors_share_the_labels(self):
+        labels = tuple(CENTERS)
+        assert {d.component_labels() for d in census_diagrams()} == {labels}
+        for kind in REALIZE_KINDS:
+            curves = geometry.realize(kind, segments=64).curves
+            assert tuple(curve.label for curve in curves) == labels
+        assert tuple(render.DEFAULT_COLORS) == labels
+
+    @pytest.mark.parametrize("label", [*CENTERS, "D", "K", "a", "AB", ""])
+    def test_color_accepts_exactly_the_labels(self, capsys, label):
+        code, out, _ = run_cli(capsys, "render", "111100", "--color", f"{label}=#101010")
+        accepted = label in CENTERS
+        assert code == (0 if accepted else 2)
+        assert ("#101010" in out) == accepted
 
 
 def reference_curves_table(r):

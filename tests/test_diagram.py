@@ -13,7 +13,6 @@ from trilink.diagram import (
     CENTERS,
     CIRCLE_RADIUS,
     SITES,
-    CircleId,
     CrossingAssignment,
     _circle_diagram,
     assignment_from_index,
@@ -78,7 +77,7 @@ class TestCanonicalProjection:
         for k, site in enumerate(SITES):
             assert site.site_index == k
             assert site.depth == ("inner" if k % 2 == 0 else "outer")
-        pairs = [tuple(c.name for c in s.pair) for s in SITES]
+        pairs = [s.pair for s in SITES]
         assert pairs == [
             ("A", "B"), ("A", "B"),
             ("B", "C"), ("B", "C"),
@@ -92,33 +91,33 @@ class TestCanonicalProjection:
             assert inner < outer
 
     def test_visit_orders_alternate_partners(self):
-        for c in CircleId:
+        for c in CENTERS:
             partners = []
             for idx in _visit_order(c):
                 site = SITES[idx]
-                partners.append(site.pair[0] if site.pair[1] is c else site.pair[1])
-            assert partners[0] is partners[2]
-            assert partners[1] is partners[3]
-            assert partners[0] is not partners[1]
+                partners.append(site.pair[0] if site.pair[1] == c else site.pair[1])
+            assert partners[0] == partners[2]
+            assert partners[1] == partners[3]
+            assert partners[0] != partners[1]
 
     def test_visit_order_matches_independent_root_finder(self):
         # Circle A meets B and C alternately; recover the order by scanning.
         angles = []
-        for other in (CircleId.B, CircleId.C):
-            for theta in _crossing_angles_oracle(CircleId.A, other):
+        for other in ("B", "C"):
+            for theta in _crossing_angles_oracle("A", other):
                 angles.append((theta, other))
         angles.sort()
         assert len(angles) == 4
         sequence = [other for _, other in angles]
         assert sequence in (
-            [CircleId.B, CircleId.C, CircleId.B, CircleId.C],
-            [CircleId.C, CircleId.B, CircleId.C, CircleId.B],
+            ["B", "C", "B", "C"],
+            ["C", "B", "C", "B"],
         )
         # The implementation's visit order agrees with the scan.
         expected = []
-        for idx in _visit_order(CircleId.A):
+        for idx in _visit_order("A"):
             site = SITES[idx]
-            expected.append(site.pair[0] if site.pair[1] is CircleId.A else site.pair[1])
+            expected.append(site.pair[0] if site.pair[1] == "A" else site.pair[1])
         assert sequence == expected
 
     def test_bc_sites_on_vertical_axis(self):
@@ -128,8 +127,7 @@ class TestCanonicalProjection:
     def test_no_triple_point(self):
         for site in SITES:
             on = 0
-            for c in CircleId:
-                cx, cy = CENTERS[c]
+            for cx, cy in CENTERS.values():
                 dist = math.hypot(site.position[0] - cx, site.position[1] - cy)
                 if abs(dist - CIRCLE_RADIUS) < 1e-9:
                     on += 1
@@ -234,8 +232,8 @@ def reference_to_diagram(asg):
     meetings = []
     for site in SITES:
         over, under = site.pair if asg.bits[site.site_index] else site.pair[::-1]
-        meetings.append((over.name, under.name, site.position, site.site_index))
-    circles = [(c.name, CENTERS[c], CIRCLE_RADIUS) for c in CircleId]
+        meetings.append((over, under, site.position, site.site_index))
+    circles = [(label, center, CIRCLE_RADIUS) for label, center in CENTERS.items()]
     return _circle_diagram(circles, meetings)
 
 
@@ -251,7 +249,7 @@ def _over_material(d):
 
 class TestRemoveComponent:
     def test_census_cut_leaves_bc_sites(self, all_diagrams):
-        d = remove_component(all_diagrams[0b111100], CircleId.A)
+        d = remove_component(all_diagrams[0b111100], "A")
         assert d.component_count == 2
         assert d.crossing_count == 2
         validate_diagram(d)

@@ -468,6 +468,25 @@ class TestScenes:
         samples = [(len(pts), closed) for _, pts, closed in s.curves]
         assert samples == [(96, True)] * 3 + [(48, False)] * 3
 
+    def test_tangent_circle_arcs_bound_the_cusped_region(self):
+        s = G.scene("tangent-circles")
+        centers = [center for center, _, _ in map(_fitted_circle, _curves(s, "circle"))]
+        markers = np.array([pos for tag, pos in s.markers if tag == "tangency"])
+        for center, arc in zip(centers, _curves(s, "arc")):
+            # The arc runs between the two tangency points on its circle.
+            on_circle = np.abs(np.linalg.norm(markers - center, axis=1) - 1.0) < 1e-9
+            ends = np.array([arc[0], arc[-1]])
+            gaps = np.linalg.norm(ends[:, None] - markers[on_circle][None], axis=2)
+            assert gaps.min(axis=1).max() < 1e-12
+            assert sorted(gaps.argmin(axis=1)) == [0, 1]
+            # Its middle lies inside the triangle of the centers.
+            middle = arc[len(arc) // 2]
+            sides = [
+                (q[0] - p[0]) * (middle[1] - p[1]) - (q[1] - p[1]) * (middle[0] - p[0])
+                for p, q in zip(centers, centers[1:] + centers[:1])
+            ]
+            assert all(side > 0 for side in sides) or all(side < 0 for side in sides)
+
     def test_tangent_circle_centers_at_distance_two(self):
         s = G.scene("tangent-circles")
         circles = [_fitted_circle(pts) for pts in _curves(s, "circle")]

@@ -11,7 +11,7 @@ and verify's roundness and Gauss residual print floats, so those digests
 hold on the platform that wrote them.
 
 Regenerate the files (only when an output change is intended) with
-``python tests/test_golden.py``.
+``PYTHONPATH=src python tests/test_golden.py``.
 """
 
 import contextlib

@@ -96,9 +96,7 @@ class TestSvgDiagram:
             for visit in comp.visits:
                 site = d.crossings[visit.crossing].site_index
                 pair = SITES[site].pair
-                partner = (
-                    pair[0] if pair[1].name == comp.label else pair[1]
-                ).name
+                partner = pair[0] if pair[1] == comp.label else pair[1]
                 if visit.role == "over":
                     over_partners[comp.label].append(partner)
         for label, partners in over_partners.items():

@@ -5,7 +5,6 @@ import pytest
 
 from trilink.diagram import (
     SITES,
-    CircleId,
     CrossingAssignment,
     all_assignments,
     assignment_from_index,
@@ -151,11 +150,11 @@ class TestSiteAction:
                 to_diagram(apply_action(action, asg))
             )
             for i in range(6):
-                source = CircleId[base_over[i]]
+                source = base_over[i]
                 if g.mirror:
                     pair = SITES[i].pair
-                    source = pair[0] if pair[1] is source else pair[1]
-                assert image_over[action.site_perm[i]] == labels[source].name
+                    source = pair[0] if pair[1] == source else pair[1]
+                assert image_over[action.site_perm[i]] == labels[source]
 
 
 class TestApplyAction:
