@@ -58,11 +58,11 @@ from .invariants import (
 )
 from .laurent import LaurentPoly, equal_up_to_inversion
 from .symmetry import (
+    _group_actions,
     apply_action,
     burnside_count,
     group_elements,
     orbit_partition,
-    site_action,
 )
 
 CENSUS_SCHEMA_VERSION = 1
@@ -286,11 +286,16 @@ VERIFY_SEGMENTS = 512
 
 
 class Realized:
-    """A realization at ``VERIFY_SEGMENTS``; its projection's diagram, linking numbers, type."""
+    """A realization at ``VERIFY_SEGMENTS``; Gauss integrals, projection diagram, lks, type."""
 
     def __init__(self, kind: str) -> None:
         from . import geometry  # numpy; only the realization checks need it
         self.realization = geometry.realize(kind, segments=VERIFY_SEGMENTS)
+        # The integrals certify their pairs, so the projection measures no distance.
+        self.integrals = {
+            frozenset((a.label, b.label)): geometry.gauss_linking_integral(a, b)
+            for a, b in itertools.combinations(self.realization.curves, 2)
+        }
         self.diagram = geometry.diagram_from_curves(self.realization)
         self.lks = signed_linking_numbers(self.diagram)
         self.type = classify(self.diagram)
@@ -455,8 +460,7 @@ def _mirror_relation(ev: Evidence) -> tuple[bool, str]:
 
 def _classification_equivariance(ev: Evidence) -> tuple[bool, str]:
     failures = []
-    for g in group_elements():
-        action = site_action(g)
+    for g, action in zip(group_elements(), _group_actions()):
         for r in ev.records:
             image = ev.records[apply_action(action, r.assignment).index]
             if r.embedding_type is not image.embedding_type:
@@ -500,11 +504,10 @@ def _ellipse_roundtrip(ev: Evidence) -> tuple[bool, str]:
 def _gauss_vs_combinatorial(ev: Evidence) -> tuple[bool, str]:
     import numpy as np
 
-    from . import geometry
     residuals = [
-        abs(geometry.gauss_linking_integral(a, b) - realized.lks[frozenset((a.label, b.label))])
+        abs(integral - realized.lks[pair])
         for realized in ev.realized.values()
-        for a, b in itertools.combinations(realized.realization.curves, 2)
+        for pair, integral in realized.integrals.items()
     ]
     worst = float(np.max(residuals))  # nan when any residual is, unlike max()
     return (

@@ -310,6 +310,18 @@ def _circle_path(center: tuple[float, float], radius: float) -> tuple[tuple[floa
     return tuple(pts)
 
 
+#: Tolerance of the genericity tests of a projected picture (vertex hits,
+#: tangency, coincident crossings, equal depths).
+GENERIC_TOL = 1e-9
+
+
+def _reject_coincident(points) -> None:
+    """Raise :class:`DegeneracyError` if two crossings nearly coincide: a triple point or tangency."""
+    for p, q in itertools.combinations(points, 2):
+        if math.dist(p, q) < GENERIC_TOL:
+            raise DegeneracyError("two crossings nearly coincide")
+
+
 def _circle_diagram(
     circles: Sequence[tuple[str, tuple[float, float], float]],
     meetings: Sequence[tuple[str, str, tuple[float, float], int | None]],
@@ -319,6 +331,7 @@ def _circle_diagram(
     ``meetings`` lists ``(over, under, point, site)`` per crossing; crossing
     ids follow its order.
     """
+    _reject_coincident(point for _, _, point, _ in meetings)
     centers = {label: center for label, center, _ in circles}
     crossings = [
         Crossing(
@@ -372,11 +385,6 @@ def to_diagram(asg: CrossingAssignment) -> LinkDiagram:
 # ---------------------------------------------------------------------------
 
 
-#: Tolerance of the genericity tests of a projected picture (vertex hits,
-#: tangency, coincident crossings, equal depths).
-GENERIC_TOL = 1e-9
-
-
 class Meeting(NamedTuple):
     strand_i: int
     param_i: float  # arclength along strand_i
@@ -419,10 +427,7 @@ def diagram_from_strands(strands: Sequence[PlanarStrand]) -> LinkDiagram:
                     )
                 )
 
-    # Near-coincident crossing points mean a triple point or tangency.
-    for first, second in itertools.combinations(meetings, 2):
-        if math.dist(first.point, second.point) < GENERIC_TOL:
-            raise DegeneracyError("two crossings nearly coincide")
+    _reject_coincident(m.point for m in meetings)
 
     meetings.sort(key=lambda m: (m.strand_i, m.param_i, m.strand_j, m.param_j))
 

@@ -42,10 +42,9 @@ class PolyCurve3(Polyline):
     """A closed polygonal curve in 3-space (last point connects to first), finite throughout.
 
     Curves compare by identity and their points are read-only, so each
-    curve keeps the distances measured to other curves in ``distances``,
-    and the curves it was decided to be farther than
-    ``MIN_CURVE_SEPARATION`` from in ``separated``, both keyed weakly by
-    the other curve.
+    curve keeps the curves it is known to be farther than
+    ``MIN_CURVE_SEPARATION`` from, measured or certified by a Gauss
+    integral, in ``separated``, keyed weakly by the other curve.
     """
 
     def __init__(self, label: str, points):
@@ -66,7 +65,6 @@ class PolyCurve3(Polyline):
         if not np.all(np.isfinite(lengths)):
             raise InputError("curve has a segment too long to measure")
         self.label = label
-        self.distances: weakref.WeakKeyDictionary[PolyCurve3, float] = weakref.WeakKeyDictionary()
         self.separated: weakref.WeakSet[PolyCurve3] = weakref.WeakSet()
 
     @property
@@ -318,24 +316,20 @@ def _scale_exponent(a: PolyCurve3, b: PolyCurve3) -> int:
 _DISTANCE_CHUNK = 16384
 
 
-def curve_distance(a: PolyCurve3, b: PolyCurve3, reach: float | None = None) -> float:
-    """Minimum distance between two closed polygonal curves, or a value above ``reach``.
+def curve_distance(a: PolyCurve3, b: PolyCurve3) -> float:
+    """Minimum distance between two closed polygonal curves.
 
-    Without ``reach``, the closest pair of vertices that start 4-segment
-    leaves, among the 64-segment groups whose boxes come close, bounds
-    the answer from above, so only segment pairs whose leaves' boxes lie
-    within that bound are measured (:func:`~trilink.polyline.near_segment_pairs`),
-    in chunks of ``_DISTANCE_CHUNK`` pairs; the minimum equals the full
-    table's.  With ``reach``, only pairs whose leaves' boxes lie within
-    ``reach`` are measured: the result is that same minimum when it is at
-    most ``reach``, and otherwise some value above ``reach`` (``inf`` when
-    no leaves are that close).  Distances are measured at the common
-    power-of-two scale of :func:`_scale_exponent`, so they scale exactly
-    with the curves; only curves farther apart than the largest float
-    give ``inf`` without ``reach``.
+    The closest pair of vertices that start 4-segment leaves, among the
+    64-segment groups whose boxes come close, bounds the answer from
+    above, so only segment pairs whose leaves' boxes lie within that
+    bound are measured (:func:`~trilink.polyline.near_segment_pairs`), in
+    chunks of ``_DISTANCE_CHUNK`` pairs; the minimum equals the full
+    table's.  Distances are measured at the common power-of-two scale of
+    :func:`_scale_exponent`, so they scale exactly with the curves; only
+    curves farther apart than the largest float give ``inf``.
     """
     with np.errstate(over="ignore"):
-        I, J = near_segment_pairs(a, b, reach)
+        I, J = near_segment_pairs(a, b, None)
         if not len(I):
             return math.inf
         k = _scale_exponent(a, b)
@@ -353,65 +347,40 @@ def _finite_distance(a: PolyCurve3, b: PolyCurve3) -> float:
     """:func:`curve_distance`, raising :class:`InputError` when it is not finite.
 
     A distance is not finite only for curves farther apart than the
-    largest float.  Kept on both curves (``PolyCurve3.distances``), so a
-    pair is measured once, by whichever check needs its distance first,
-    and a curve's partners die with it.
+    largest float.  A distance above ``MIN_CURVE_SEPARATION`` adds the
+    pair to both curves' ``separated``, so later checks read the verdict.
     """
-    if b in a.distances:
-        return a.distances[b]
     dist = curve_distance(a, b)
     if not math.isfinite(dist):
         raise InputError(
             f"distance of curves {a.label!r} and {b.label!r} is not finite ({dist})"
         )
-    a.distances[b] = b.distances[a] = dist
+    if dist > MIN_CURVE_SEPARATION:
+        a.separated.add(b)
+        b.separated.add(a)
     return dist
 
 
 #: Bound on a measured segment distance's rounding error, relative to the
 #: curves' largest |coordinate| (at most about 20 eps, so 2^12 times that).
+#: A bound above 2 ``MIN_CURVE_SEPARATION`` on the curves' true distance
+#: certifies them while this times their largest |coordinate| stays below
+#: ``MIN_CURVE_SEPARATION``, the margin between that bound and the
+#: threshold: their measured distance would exceed the threshold.
 _DISTANCE_ROUNDING = 2.0**-40
-
-
-def _decided_apart(a: PolyCurve3, b: PolyCurve3) -> bool:
-    """Whether the curves are certified farther apart than ``MIN_CURVE_SEPARATION``.
-
-    ``curve_distance`` with ``reach=2 * MIN_CURVE_SEPARATION`` measures
-    only the segment pairs within that reach, usually none.  A result
-    above the reach certifies the pair: each measured pair is farther
-    than the reach, and each pair left out is farther than the reach
-    before rounding, so its measured distance would exceed the threshold
-    as long as rounding stays below the margin of ``MIN_CURVE_SEPARATION``
-    between the threshold and the reach.  For curves too large for that
-    margin, or a result within the reach, nothing is certified.  The
-    verdict is kept on both curves (``PolyCurve3.separated``).
-    """
-    if b in a.separated:
-        return True
-    if max(a.magnitude, b.magnitude) * _DISTANCE_ROUNDING >= MIN_CURVE_SEPARATION:
-        return False
-    reach = 2.0 * MIN_CURVE_SEPARATION
-    if not curve_distance(a, b, reach=reach) > reach:
-        return False
-    a.separated.add(b)
-    b.separated.add(a)
-    return True
 
 
 def _check_separation(a: PolyCurve3, b: PolyCurve3) -> None:
     """Raise :class:`InputError` unless the curves are farther apart than ``MIN_CURVE_SEPARATION``.
 
-    A measured distance answers at once.  Otherwise the pair is decided
-    (:func:`_decided_apart`), and only a pair that is not certified is
-    measured, so the errors and their messages are the measured distance's.
+    A pair in ``separated`` passes at once; any other pair is measured,
+    so the errors and their messages are the measured distance's.
     """
-    if b in a.distances or not _decided_apart(a, b):
-        dist = _finite_distance(a, b)
-        if dist <= MIN_CURVE_SEPARATION:
-            raise InputError(
-                f"curves {a.label!r} and {b.label!r} are too close to link "
-                f"(distance {dist:.3g} <= {MIN_CURVE_SEPARATION})"
-            )
+    if b not in a.separated and (dist := _finite_distance(a, b)) <= MIN_CURVE_SEPARATION:
+        raise InputError(
+            f"curves {a.label!r} and {b.label!r} are too close to link "
+            f"(distance {dist:.3g} <= {MIN_CURVE_SEPARATION})"
+        )
 
 
 def validate_disjoint(r: Realization3D) -> float:
@@ -539,13 +508,11 @@ def gauss_linking_integral(a: PolyCurve3, b: PolyCurve3) -> float:
     its length of its midpoint, so the scaled curves are at least
     sqrt(min |mᵃ - mᵇ|² - floor) - (max |dᵃ| + max |dᵇ|) / 2 apart.  If that,
     scaled back, exceeds 2 ``MIN_CURVE_SEPARATION`` and the magnitude guard
-    of :func:`_decided_apart` holds, a measured distance would exceed
+    of ``_DISTANCE_ROUNDING`` holds, a measured distance would exceed
     ``MIN_CURVE_SEPARATION``: the pair joins ``separated``, unmeasured.  A
-    pair with a kept distance or verdict is checked (:func:`_check_separation`)
-    before the sum, any other uncertified pair after it, both before its errors.
+    pair that was neither in ``separated`` nor certified is then measured
+    (:func:`_check_separation`), before the sum's own errors.
     """
-    if known := b in a.distances or b in a.separated:
-        _check_separation(a, b)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         origin = a.points[0]
         ma = (a.points + a.ends) / 2.0 - origin
@@ -580,11 +547,10 @@ def gauss_linking_integral(a: PolyCurve3, b: PolyCurve3) -> float:
             total += float(numer.sum())
         apart = np.ldexp(np.sqrt(closest - floor), -k) - (a.lengths.max() + b.lengths.max()) / 2
     guard = max(a.magnitude, b.magnitude) * _DISTANCE_ROUNDING < MIN_CURVE_SEPARATION
-    if not known and closest > floor and guard and apart > 2.0 * MIN_CURVE_SEPARATION:
+    if closest > floor and guard and apart > 2.0 * MIN_CURVE_SEPARATION:
         a.separated.add(b)
         b.separated.add(a)
-    elif not known:
-        _check_separation(a, b)
+    _check_separation(a, b)  # measures only a pair neither known nor certified
     if not math.isfinite(total):
         raise InputError(
             f"Gauss integral of curves {a.label!r} and {b.label!r} is not finite ({total}): "

@@ -149,8 +149,7 @@ def burnside_count() -> tuple[int, dict[SymmetryElement, int]]:
     count must agree with ``len(orbit_partition())``.
     """
     table: dict[SymmetryElement, int] = {}
-    for g in group_elements():
-        action = site_action(g)
+    for g, action in zip(group_elements(), _group_actions()):
         fixed = sum(
             1 for asg in all_assignments() if apply_action(action, asg) == asg
         )

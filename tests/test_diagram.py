@@ -12,9 +12,11 @@ from trilink.diagram import (
     BUILTIN_NAMES,
     CENTERS,
     CIRCLE_RADIUS,
+    SITE_PAIRS,
     SITES,
     CrossingAssignment,
     _circle_diagram,
+    _circle_intersections,
     assignment_from_index,
     assignment_from_text,
     builtin_diagram,
@@ -27,7 +29,7 @@ from trilink.diagram import (
     to_diagram,
     validate_diagram,
 )
-from trilink.errors import InputError
+from trilink.errors import DegeneracyError, InputError
 from trilink.polyline import PlanarStrand
 
 
@@ -132,6 +134,17 @@ class TestCanonicalProjection:
                 if abs(dist - CIRCLE_RADIUS) < 1e-9:
                     on += 1
             assert on == 2
+
+    def test_triple_point_layout_raises(self):
+        # Radius 1.0 = CENTER_DISTANCE: all three circles pass through the origin.
+        circles = [(label, center, 1.0) for label, center in CENTERS.items()]
+        meetings = [
+            (partner, lead, point, None)
+            for lead, partner in SITE_PAIRS
+            for point in _circle_intersections(CENTERS[lead], CENTERS[partner], 1.0)
+        ]
+        with pytest.raises(DegeneracyError, match="two crossings nearly coincide"):
+            _circle_diagram(circles, meetings)
 
     def test_threefold_rotation_maps_sites_to_sites(self):
         cos120, sin120 = math.cos(2 * math.pi / 3), math.sin(2 * math.pi / 3)

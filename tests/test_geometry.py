@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from trilink import census
 from trilink import diagram as D
 from trilink import geometry as G
 from trilink import polyline as P
@@ -153,36 +154,36 @@ class TestRealize:
 class TestDistanceCache:
     @pytest.fixture
     def calls(self, monkeypatch):
-        """Every ``curve_distance`` call: ("decide", pair) with a reach, ("measure", pair) without."""
+        """The pair of every ``curve_distance`` call, as its two labels."""
         made = []
         original = G.curve_distance
 
-        def recording(a, b, reach=None):
-            made.append(("measure" if reach is None else "decide", a.label + b.label))
-            return original(a, b, reach)
+        def recording(a, b):
+            made.append(a.label + b.label)
+            return original(a, b)
 
         monkeypatch.setattr(G, "curve_distance", recording)
         return made
 
     def test_each_pair_measured_once(self, calls):
-        # A measured pair is never decided: the distances that
-        # validate_disjoint measures answer every later check.
+        # The verdicts of the distances that validate_disjoint measures
+        # answer every later check.
         r = G.realize("torus-villarceau", segments=64)
         G.validate_disjoint(r)
         G.diagram_from_curves(r)
         for a, b in itertools.combinations(r.curves, 2):
             G.gauss_linking_integral(b, a)
-        assert calls == [("measure", "AB"), ("measure", "AC"), ("measure", "BC")]
+        assert calls == ["AB", "AC", "BC"]
 
-    def test_each_pair_decided_once_and_measured_once(self, calls):
+    def test_fresh_projection_measures_each_pair_once(self, calls):
+        # Later projections and integrals read the projection's verdicts.
         r = G.realize("torus-villarceau", segments=64)
         G.diagram_from_curves(r)
-        G.gauss_linking_integral(r.curves[1], r.curves[0])
-        G.validate_disjoint(r)
+        assert calls == ["AB", "AC", "BC"]
         G.diagram_from_curves(r)
-        G.validate_disjoint(r)
-        pairs = ["AB", "AC", "BC"]
-        assert calls == [("decide", p) for p in pairs] + [("measure", p) for p in pairs]
+        for a, b in itertools.combinations(r.curves, 2):
+            G.gauss_linking_integral(b, a)
+        assert calls == ["AB", "AC", "BC"]
 
     @pytest.mark.parametrize("kind", G.REALIZE_KINDS)
     def test_gauss_integrals_certify_every_pair(self, calls, kind):
@@ -197,9 +198,10 @@ class TestDistanceCache:
         G.diagram_from_curves(r)
         assert calls == []
 
-    def test_pair_within_reach_is_measured(self, calls, circle_pair):
-        # Copies of a circle 1.5e-6 and 5e-7 above it: both are within the
-        # decision's reach, so both are measured, and only the second fails.
+    def test_close_pairs_are_measured(self, calls, circle_pair):
+        # Copies of a circle 1.5e-6 and 5e-7 above it: the first is measured
+        # once and kept as separated; the second is too close, so it has no
+        # verdict and every check measures it again and raises.
         a = circle_pair("hopf", 64).curves[0]
         near = G.PolyCurve3("B", a.points + [0.0, 0.0, 1.5e-6])
         close = G.PolyCurve3("C", a.points + [0.0, 0.0, 5e-7])
@@ -207,7 +209,14 @@ class TestDistanceCache:
             G._check_separation(a, near)
             with pytest.raises(InputError, match="too close to link"):
                 G._check_separation(a, close)
-        assert calls == [("decide", "AB"), ("measure", "AB"), ("decide", "AC"), ("measure", "AC")]
+        assert calls == ["AB", "AC", "AC"]
+        assert near in a.separated and close not in a.separated
+
+    def test_verify_measures_no_distance(self, calls):
+        # Verify's Gauss integrals certify its realizations' pairs before
+        # it projects them, and the projections read those verdicts.
+        assert census.verify_claims().all_passed
+        assert calls == []
 
     def test_curves_die_with_their_realization(self):
         r = G.realize("torus-villarceau", segments=64)
@@ -220,13 +229,14 @@ class TestDistanceCache:
     def test_long_lived_curve_keeps_no_partner_alive(self, villarceau):
         kept = villarceau.curves[0]
         partner = G.PolyCurve3("T", kept.points + 10.0)
-        known = len(kept.distances)
+        known = len(kept.separated)
         assert G.validate_disjoint(G.Realization3D((kept, partner), "pair")) > 1.0
+        assert partner in kept.separated
         gone = weakref.ref(partner)
         del partner
         gc.collect()
         assert gone() is None
-        assert len(kept.distances) == known
+        assert len(kept.separated) == known
 
 
 class TestLinkingNumbers3D:

@@ -214,47 +214,14 @@ def test_huge_torus_measures_as_the_default():
         assert G.curve_distance(huge[i], huge[j]) == expected
 
 
-def separation_outcome(a, b, measure_first):
-    """The message of the InputError that the separation check raises on fresh copies, or None.
-
-    With ``measure_first`` the pair's distance is measured before the
-    check, so the check reads it instead of deciding: the exact route.
-    """
+def separation_outcome(a, b):
+    """The message of the InputError that the separation check raises on fresh copies, or None."""
     a, b = (G.PolyCurve3(c.label, c.points) for c in (a, b))
     try:
-        if measure_first:
-            G._finite_distance(a, b)
         G._check_separation(a, b)
     except InputError as exc:
         return str(exc)
     return None
-
-
-# See above: no per-example deadline on a VM whose speed switches 1.6x.
-@settings(deadline=None)
-@given(
-    st.integers(0, 2**32 - 1),
-    sizes,
-    sizes,
-    st.sampled_from(["separated", "touching", "near"]),
-    st.one_of(st.just(0), st.integers(-24, 24), st.integers(25, 400)),
-)
-def test_decided_separation_raises_as_the_measured_one(seed, n, m, placement, k):
-    # Pairs far apart, touching, or 1e-7..1e-5 apart near a point, scaled
-    # by 2^k: deciding within reach raises exactly when measuring raises.
-    rng = np.random.default_rng(seed)
-    a = polygon(rng, n, 3)
-    if placement == "separated":
-        b = polygon(rng, m, 3) + rng.normal(size=3) * rng.uniform(0.0, 6.0)
-    else:
-        b = polygon(rng, m, 3)
-        i = int(rng.integers(len(a)))
-        target = a[i] + rng.random() * (a[(i + 1) % len(a)] - a[i])
-        direction = rng.normal(size=3)
-        gap = 0.0 if placement == "touching" else 10.0 ** rng.uniform(-7, -5)
-        b = b - b[0] + target + gap * direction / np.linalg.norm(direction)
-    curves = [G.PolyCurve3(label, np.ldexp(p, k)) for label, p in zip("AB", (a, b))]
-    assert separation_outcome(*curves, False) == separation_outcome(*curves, True)
 
 
 # See above: no per-example deadline on a VM whose speed switches 1.6x.
@@ -540,7 +507,7 @@ def test_gauss_integral_certifies_only_separated_pairs(seed, n, k):
     a *= gap * 10.0 ** rng.uniform(-3, 3) / np.linalg.norm(a - np.roll(a, 1, axis=0), axis=1).max()
     b = moved_copy(rng, a, gap)
     curves = [G.PolyCurve3(label, np.ldexp(p, k)) for label, p in zip("AB", (a, b))]
-    rejected = separation_outcome(*curves, False)
+    rejected = separation_outcome(*curves)
     with mock.patch.object(G, "curve_distance", wraps=G.curve_distance) as measured:
         try:
             G.gauss_linking_integral(*curves)
