@@ -221,14 +221,7 @@ def _cmd_render(args) -> int:
 
 def _cmd_realize(args) -> int:
     from . import geometry
-    own, other = ("R", "r"), ("a", "b")
-    if args.kind == "borromean-ellipses":
-        own, other = other, own
-    if any(getattr(args, name) is not None for name in other):
-        raise InputError(
-            f"{args.kind} takes --{own[0]} and --{own[1]}, not --{other[0]}/--{other[1]}"
-        )
-    params = {name: getattr(args, name) for name in own if getattr(args, name) is not None}
+    params = {n: getattr(args, n) for n in ("R", "r", "a", "b") if getattr(args, n) is not None}
     realization = geometry.realize(args.kind, segments=args.segments, **params)
     # Measure and project before writing, so a failed realization leaves no
     # table; the measurements' verdicts answer the projection's separation checks.

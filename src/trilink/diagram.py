@@ -290,24 +290,28 @@ def _over_entry_slot(t_under: tuple[float, float], t_over: tuple[float, float]) 
     return 1 if cross > 0 else 3
 
 
-# ---------------------------------------------------------------------------
-# Census diagrams (analytic construction from the fixed projection)
-# ---------------------------------------------------------------------------
+def _assemble(
+    strands: Sequence[tuple[str, tuple[tuple[float, float], ...]]],
+    meetings: Sequence[tuple],
+) -> LinkDiagram:
+    """The crossings and visits of closed ``(label, path)`` strands; the only builder from geometry.
 
-
-def _ccw_tangent(point: tuple[float, float], center: tuple[float, float]) -> tuple[float, float]:
-    rx, ry = point[0] - center[0], point[1] - center[1]
-    return (-ry, rx)
-
-
-@functools.cache
-def _circle_path(center: tuple[float, float], radius: float) -> tuple[tuple[float, float], ...]:
-    """Draw path of a round circle, counterclockwise from angle -pi; built once per circle."""
-    pts = []
-    for k in range(_CIRCLE_PATH_POINTS):
-        a = -math.pi + 2.0 * math.pi * k / _CIRCLE_PATH_POINTS
-        pts.append((center[0] + radius * math.cos(a), center[1] + radius * math.sin(a)))
-    return tuple(pts)
+    ``meetings`` lists ``(over, over_param, over_tangent, under, under_param,
+    under_tangent, point, site)`` per crossing in crossing-id order: strand
+    indices, arclengths and travel directions.  Visits follow arclength.
+    """
+    crossings: list[Crossing] = []
+    passages: list[list[Visit]] = [[] for _ in strands]
+    for idx, (over, p_over, t_over, under, p_under, t_under, point, site) in enumerate(meetings):
+        slot = _over_entry_slot(t_under, t_over)
+        crossings.append(Crossing(slot, point, site))
+        passages[over].append(Visit(idx, slot, p_over))
+        passages[under].append(Visit(idx, 0, p_under))
+    components = tuple(
+        Component(label, tuple(sorted(visits, key=lambda v: v.path_param)), path)
+        for (label, path), visits in zip(strands, passages)
+    )
+    return LinkDiagram(components=components, crossings=tuple(crossings))
 
 
 #: Tolerance of the genericity tests of a projected picture (vertex hits,
@@ -322,6 +326,21 @@ def _reject_coincident(points) -> None:
             raise DegeneracyError("two crossings nearly coincide")
 
 
+# ---------------------------------------------------------------------------
+# Round-circle diagrams: the census shadow and the circle builtins
+# ---------------------------------------------------------------------------
+
+
+@functools.cache
+def _circle_path(center: tuple[float, float], radius: float) -> tuple[tuple[float, float], ...]:
+    """Draw path of a round circle, counterclockwise from angle -pi; built once per circle."""
+    pts = []
+    for k in range(_CIRCLE_PATH_POINTS):
+        a = -math.pi + 2.0 * math.pi * k / _CIRCLE_PATH_POINTS
+        pts.append((center[0] + radius * math.cos(a), center[1] + radius * math.sin(a)))
+    return tuple(pts)
+
+
 def _circle_diagram(
     circles: Sequence[tuple[str, tuple[float, float], float]],
     meetings: Sequence[tuple[str, str, tuple[float, float], int | None]],
@@ -332,35 +351,18 @@ def _circle_diagram(
     ids follow its order.
     """
     _reject_coincident(point for _, _, point, _ in meetings)
-    centers = {label: center for label, center, _ in circles}
-    crossings = [
-        Crossing(
-            over_entry_slot=_over_entry_slot(
-                _ccw_tangent(point, centers[under]), _ccw_tangent(point, centers[over])
-            ),
-            position=point,
-            site_index=site,
-        )
-        for over, under, point, site in meetings
-    ]
-    components: list[Component] = []
-    for label, center, radius in circles:
-        passages = []
-        for idx, (over, under, point, _) in enumerate(meetings):
-            if label in (over, under):
-                angle = math.atan2(point[1] - center[1], point[0] - center[0])
-                slot = crossings[idx].over_entry_slot if over == label else 0
-                param = radius * ((angle + math.pi) % (2.0 * math.pi))
-                passages.append((angle, Visit(idx, slot, param)))
-        passages.sort(key=lambda item: item[0])
-        components.append(
-            Component(
-                label=label,
-                visits=tuple(visit for _, visit in passages),
-                path=_circle_path(center, radius),
-            )
-        )
-    return LinkDiagram(components=tuple(components), crossings=tuple(crossings))
+    index = {label: k for k, (label, _, _) in enumerate(circles)}
+
+    def passage(label, point):
+        """Circle index, arclength from angle -pi and counterclockwise tangent at ``point``."""
+        _, (cx, cy), radius = circles[index[label]]
+        rx, ry = point[0] - cx, point[1] - cy
+        return index[label], radius * ((math.atan2(ry, rx) + math.pi) % (2.0 * math.pi)), (-ry, rx)
+
+    return _assemble(
+        [(label, _circle_path(center, radius)) for label, center, radius in circles],
+        [(*passage(over, p), *passage(under, p), p, site) for over, under, p, site in meetings],
+    )
 
 
 @functools.cache
@@ -381,35 +383,24 @@ def to_diagram(asg: CrossingAssignment) -> LinkDiagram:
 
 
 # ---------------------------------------------------------------------------
-# Generic polyline construction (self-crossings allowed)
+# Projected diagrams: closed planar polylines (self-crossings allowed)
 # ---------------------------------------------------------------------------
-
-
-class Meeting(NamedTuple):
-    strand_i: int
-    param_i: float  # arclength along strand_i
-    tangent_i: tuple[float, float]
-    depth_i: float
-    strand_j: int
-    param_j: float
-    tangent_j: tuple[float, float]
-    depth_j: float
-    point: tuple[float, float]
 
 
 def diagram_from_strands(strands: Sequence[PlanarStrand]) -> LinkDiagram:
     """Assemble a diagram from closed planar polylines.
 
     At each meeting the passage of larger depth, interpolated along its
-    segment, goes over.  Raises :class:`DegeneracyError` for non-generic
-    pictures (tangency, vertex hits, near-coincident crossings, depths
-    equal within ``GENERIC_TOL``, two distinct strands crossing an odd
-    number of times).  The strands were checked when they were built
-    (:class:`~trilink.polyline.PlanarStrand`).
+    segment, goes over; crossing ids follow strand and arclength.  Raises
+    :class:`DegeneracyError` for non-generic pictures (tangency, vertex
+    hits, near-coincident crossings, depths equal within ``GENERIC_TOL``,
+    two distinct strands crossing an odd number of times).  The strands
+    were checked when they were built (:class:`~trilink.polyline.PlanarStrand`).
     """
     from .polyline import segment_meetings
 
-    meetings: list[Meeting] = []
+    # Per meeting: (strand, arclength, tangent) of both passages, the point and both depths.
+    found = []
     for i, a in enumerate(strands):
         for j, b in enumerate(strands[i:], start=i):
             recs = segment_meetings(a, b, GENERIC_TOL)
@@ -419,42 +410,21 @@ def diagram_from_strands(strands: Sequence[PlanarStrand]) -> LinkDiagram:
                     f"strands {a.label!r} and {b.label!r} cross {len(recs)} times, an odd number"
                 )
             for seg_a, t_a, seg_b, t_b, point, depth_a, depth_b in recs:
-                ta, tb = a.steps[seg_a].tolist(), b.steps[seg_b].tolist()
-                meetings.append(
-                    Meeting(
-                        i, a.arclength(seg_a, t_a), tuple(ta), depth_a,
-                        j, b.arclength(seg_b, t_b), tuple(tb), depth_b, point,
-                    )
-                )
-
-    _reject_coincident(m.point for m in meetings)
-
-    meetings.sort(key=lambda m: (m.strand_i, m.param_i, m.strand_j, m.param_j))
-
-    crossings: list[Crossing] = []
-    passages: list[list[tuple[float, int, int]]] = [[] for _ in strands]
-    for idx, m in enumerate(meetings):
-        if abs(m.depth_i - m.depth_j) < GENERIC_TOL:
+                found.append((
+                    (i, a.arclength(seg_a, t_a), tuple(a.steps[seg_a].tolist())),
+                    (j, b.arclength(seg_b, t_b), tuple(b.steps[seg_b].tolist())),
+                    point, depth_a, depth_b,
+                ))
+    _reject_coincident(m[2] for m in found)
+    found.sort(key=lambda m: (m[0][:2], m[1][:2]))
+    meetings = []
+    for pass_a, pass_b, point, depth_a, depth_b in found:
+        if abs(depth_a - depth_b) < GENERIC_TOL:
             raise DegeneracyError("ambiguous depth at a crossing")
-        first_over = m.depth_i > m.depth_j
-        if first_over:
-            t_over, t_under = m.tangent_i, m.tangent_j
-        else:
-            t_over, t_under = m.tangent_j, m.tangent_i
-        over_slot = _over_entry_slot(t_under, t_over)
-        crossings.append(Crossing(over_entry_slot=over_slot, position=m.point))
-        passages[m.strand_i].append((m.param_i, idx, over_slot if first_over else 0))
-        passages[m.strand_j].append((m.param_j, idx, 0 if first_over else over_slot))
-
-    components = []
-    for i, strand in enumerate(strands):
-        visits = tuple(
-            Visit(crossing, slot, param)
-            for param, crossing, slot in sorted(passages[i])
-        )
-        path = tuple(map(tuple, strand.points.tolist()))
-        components.append(Component(label=strand.label, visits=visits, path=path))
-    diagram = LinkDiagram(components=tuple(components), crossings=tuple(crossings))
+        over, under = (pass_a, pass_b) if depth_a > depth_b else (pass_b, pass_a)
+        meetings.append((*over, *under, point, None))
+    paths = [(s.label, tuple(map(tuple, s.points.tolist()))) for s in strands]
+    diagram = _assemble(paths, meetings)
     validate_diagram(diagram)
     return diagram
 

@@ -23,7 +23,6 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .diagram import GENERIC_TOL  # noqa: F401 (re-exported)
 from .diagram import CENTERS, DEFAULT_SEGMENTS, REALIZE_KINDS, SCENE_KINDS, LinkDiagram
 from .diagram import diagram_from_strands
 from .errors import DegeneracyError, InputError
@@ -166,7 +165,10 @@ def realize(kind: str, segments: int = DEFAULT_SEGMENTS, **params: float) -> Rea
         )
     defaults = _REALIZE_PARAMS[kind]
     if set(params) - set(defaults):
-        raise InputError(f"unknown parameters: {sorted(set(params) - set(defaults))}")
+        raise InputError(
+            f"unknown parameters: {sorted(set(params) - set(defaults))}; "
+            f"{kind} takes " + " and ".join(defaults)
+        )
     for name, value in params.items():
         if isinstance(value, bool) or not isinstance(value, numbers.Real):
             raise InputError(f"parameter {name} must be a real number, got {value!r}")

@@ -404,6 +404,7 @@ class TestRealizeCommand:
             capsys, "realize", "torus-villarceau", "--a", "1.0"
         )
         assert code == 2
+        assert "unknown parameters: ['a']; torus-villarceau takes R and r" in err
 
     @pytest.mark.parametrize(
         "argv, message",

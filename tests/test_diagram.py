@@ -30,6 +30,7 @@ from trilink.diagram import (
     validate_diagram,
 )
 from trilink.errors import DegeneracyError, InputError
+from trilink.invariants import kauffman_bracket, signed_linking_numbers, writhe
 from trilink.polyline import PlanarStrand
 
 
@@ -389,6 +390,32 @@ class TestDiagramFromStrands:
 
         with pytest.raises(InputError, match="component labels repeat: B, B"):
             diagram_from_strands([circle(0.0), circle(3.0)])
+
+
+    def test_round_circles_agree_with_their_sampled_strands(self):
+        # hopf's circles, sampled from angle -pi with depth +y on A and -y on B,
+        # so A is over at the upper crossing and B at the lower one, as in hopf.
+        circles = builtin_diagram("hopf")
+        thetas = [-math.pi + 2.0 * math.pi * k / 240 for k in range(240)]
+        strands = []
+        for label, cx, sign in (("A", -0.5, 1.0), ("B", 0.5, -1.0)):
+            points = [(cx + 0.8 * math.cos(t), 0.8 * math.sin(t)) for t in thetas]
+            strands.append(PlanarStrand(label, points, [sign * y for _, y in points]))
+        sampled = diagram_from_strands(strands)
+        assert kauffman_bracket(sampled) == kauffman_bracket(circles)
+        assert signed_linking_numbers(sampled) == signed_linking_numbers(circles)
+        assert writhe(sampled) == writhe(circles)
+        # Crossing ids differ: the circle builder numbers crossings in the order
+        # it is given them, the strand builder by arclength.
+        for round_comp, sampled_comp in zip(circles.components, sampled.components):
+            assert round_comp.label == sampled_comp.label
+            passes = [
+                [(v.role, d.crossings[v.crossing].sign) for v in comp.visits]
+                for d, comp in ((circles, round_comp), (sampled, sampled_comp))
+            ]
+            assert passes[0] == passes[1]
+            for v, w in zip(round_comp.visits, sampled_comp.visits):
+                assert v.path_param == pytest.approx(w.path_param, abs=1e-2)
 
 
 class TestFlipAllCrossings:

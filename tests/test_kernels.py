@@ -265,12 +265,12 @@ def test_far_apart_polygons_prune_whole_group_pairs():
     pa, pb = a[:, :2], b[:, :2]
     I, J = P.near_segment_pairs(P.Polyline(a), P.Polyline(b), reach=None)
     assert len(np.unique(I // 64)) <= 2 and len(np.unique(J // 64)) <= 2
-    near = P.near_segment_pairs(P.Polyline(pa), P.Polyline(pb), 0.0, widen=G.GENERIC_TOL)
+    near = P.near_segment_pairs(P.Polyline(pa), P.Polyline(pb), 0.0, widen=D.GENERIC_TOL)
     assert near[0].size == 0
     curve_a, curve_b = G.PolyCurve3("A", a), G.PolyCurve3("B", b)
     assert G.curve_distance(curve_a, curve_b) == dense_curve_distance(curve_a, curve_b)
     da, db = rng.normal(size=len(a)), rng.normal(size=len(b))
-    args = (pa, da, pb, db, False, G.GENERIC_TOL)
+    args = (pa, da, pb, db, False, D.GENERIC_TOL)
     assert outcome(pruned_segment_meetings, *args) == outcome(dense_segment_meetings, *args) == (
         "records", []
     )
@@ -285,7 +285,7 @@ def test_pruned_meetings_match_dense_on_realizations():
             arrays = [(np.asarray(s.points), np.asarray(s.depths)) for s in strands]
             for i, (pa, da) in enumerate(arrays):
                 for j, (pb, db) in enumerate(arrays[i:], start=i):
-                    args = (pa, da, pb, db, i == j, G.GENERIC_TOL)
+                    args = (pa, da, pb, db, i == j, D.GENERIC_TOL)
                     assert outcome(pruned_segment_meetings, *args) == outcome(
                         dense_segment_meetings, *args
                     )
@@ -343,7 +343,7 @@ def test_realized_strands_are_certified_convex():
             r = G.realize(kind, segments=segments)
             for _ in range(4):
                 for strand in G._project_curves(r.curves, next(directions)):
-                    assert P._certified_convex(strand, G.GENERIC_TOL)
+                    assert P._certified_convex(strand, D.GENERIC_TOL)
 
 
 def test_inner_loop_limacon_is_swept():
@@ -354,8 +354,8 @@ def test_inner_loop_limacon_is_swept():
     strand = P.PlanarStrand("K", np.stack([r * np.cos(theta), r * np.sin(theta)], axis=1), np.sin(theta))
     s, following = strand.steps, np.roll(strand.steps, -1, axis=0)
     assert np.all(s[:, 0] * following[:, 1] - s[:, 1] * following[:, 0] > 0.0)
-    assert not P._certified_convex(strand, G.GENERIC_TOL)
-    assert len(P.segment_meetings(strand, strand, G.GENERIC_TOL)) == 1
+    assert not P._certified_convex(strand, D.GENERIC_TOL)
+    assert len(P.segment_meetings(strand, strand, D.GENERIC_TOL)) == 1
     assert builtin_diagram("twist-unknot").crossing_count == 1
 
 
