@@ -6,7 +6,9 @@ sha256 of the SVG of each orbit representative, each builtin, each gallery
 scene and each default-parameter realization, and the sha256 of the
 stdout of ``trilink realize`` (both kinds at 64 and 256 segments, with the
 defaults and with one benchmark-style parameter set, and one ``--obj``
-export) and of ``trilink verify`` as text and JSON.  The realize tables
+export) and of ``trilink verify`` as text and JSON, and one sha256 each
+over the stdout of ``trilink classify WORD`` and of ``trilink invariants
+WORD`` for all 64 words, concatenated in word order.  The realize tables
 and verify's roundness and Gauss residual print floats, so those digests
 hold on the platform that wrote them.
 
@@ -74,15 +76,24 @@ CLI_COMMANDS = tuple(
     ["verify", "--format", "json"],
 )
 
+#: Word commands whose stdout over all 64 words, in word order, is pinned by one digest each.
+WORD_COMMANDS = ("classify", "invariants")
+
 
 def _cli_digests() -> str:
+    runs = [(" ".join(argv), [argv]) for argv in CLI_COMMANDS]
+    runs += [
+        (f"{command} WORD (all 64 words)", [[command, asg.word] for asg in all_assignments()])
+        for command in WORD_COMMANDS
+    ]
     lines = []
-    for argv in CLI_COMMANDS:
+    for name, argvs in runs:
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
-            assert main(list(argv)) == 0, argv
+            for argv in argvs:
+                assert main(list(argv)) == 0, argv
         digest = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
-        lines.append(f"{digest}  {' '.join(argv)}\n")
+        lines.append(f"{digest}  {name}\n")
     return "".join(lines)
 
 
