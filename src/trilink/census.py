@@ -27,13 +27,16 @@ import functools
 import io
 import itertools
 import json
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from typing import NamedTuple
 
 from .diagram import (
     CENTERS,
+    SITE_PAIRS,
+    SITES,
     CrossingAssignment,
     LinkDiagram,
+    _shadow,
     all_assignments,
     builtin_diagram,
     flip_all_crossings,
@@ -53,8 +56,8 @@ from .invariants import (
     kauffman_bracket,
     linking_numbers,
     normalized_invariant,
-    pairwise_linking,
     signed_linking_numbers,
+    writhe,
 )
 from .laurent import LaurentPoly, equal_up_to_inversion
 from .symmetry import (
@@ -110,22 +113,43 @@ def census_diagrams() -> tuple[LinkDiagram, ...]:
     return tuple(map(to_diagram, all_assignments()))
 
 
+@functools.cache
+def word_brackets() -> tuple[LaurentPoly, ...]:
+    """The 64 depictions' brackets, indexed by assignment index; folded once per process."""
+    return _flip_brackets(_shadow())
+
+
+def _flip_signs(shadow: LinkDiagram) -> Iterator[tuple[LinkingProfile, int]]:
+    """Each word's linking profile and writhe, in word order, read off the shadow's signs.
+
+    A flip negates its crossings' signs; a pair links half its two crossings' signed sum.
+    """
+    pairs = [SITE_PAIRS.index(SITES[x.site_index].pair) for x in shadow.crossings]
+    for asg in all_assignments():
+        sums = [0] * len(SITE_PAIRS)
+        for pair, x, flipped in zip(pairs, shadow.crossings, asg.bits):
+            sums[pair] += -x.sign if flipped else x.sign
+        yield LinkingProfile(*(abs(s) // 2 for s in sums)), sum(sums)
+
+
 def run_census() -> tuple[CensusRecord, ...]:
     """Classify all 64 depictions; the records are indexed by assignment index.
 
     A word's diagram is the shadow, word 000000's diagram, flipped at the
-    word's index, so the shadow's one table of flip brackets gives all 64.
+    word's index, so each call folds the shadow's one state table into all
+    64 brackets and reads the profiles and writhes off the shadow's signs.
     """
     orbit_of_word = {
         member: (orbit_id, orbit.size)
         for orbit_id, orbit in enumerate(orbit_partition())
         for member in orbit.members
     }
-    diagrams = census_diagrams()
+    shadow = _shadow()
     records = []
-    for asg, d, bracket in zip(all_assignments(), diagrams, _flip_brackets(diagrams[0])):
-        profile = pairwise_linking(d)
-        kind = embedding_type(profile, functools.partial(_normalized, bracket, d))
+    for asg, bracket, (profile, w) in zip(
+        all_assignments(), _flip_brackets(shadow), _flip_signs(shadow)
+    ):
+        kind = embedding_type(profile, functools.partial(_normalized, bracket, w))
         records.append(CensusRecord(asg, *orbit_of_word[asg], kind, profile, bracket))
     return tuple(records)
 
@@ -360,7 +384,7 @@ def _case_mapping(ev: Evidence) -> tuple[bool, str]:
             )
         if lp == 0:
             zero_linked += 1
-            trivial = equal_up_to_inversion(_normalized(r.bracket, d), THREE_UNLINK_BRACKET)
+            trivial = equal_up_to_inversion(_normalized(r.bracket, writhe(d)), THREE_UNLINK_BRACKET)
             if trivial != (r.embedding_type is EmbeddingType.Trivial3):
                 split_failures.append(
                     f"{r.assignment.word} is zero-linked with type {r.embedding_type}, "

@@ -166,10 +166,11 @@ def _cmd_classify(args) -> int:
     d = to_diagram(asg)
     orbit = orbit_of(asg)
     profile = pairwise_linking(d)
-    bracket = kauffman_bracket(d)
+    bracket = census_mod.word_brackets()[asg.index]
+    kind = embedding_type(profile, lambda: _normalized(bracket, writhe(d)))
     lines = [
         f"bitword          {asg.word}",
-        f"embedding type   {embedding_type(profile, lambda: _normalized(bracket, d)).value}",
+        f"embedding type   {kind.value}",
         f"orbit rep        {orbit.representative.word} (size {orbit.size})",
         f"linking profile  {profile}",
         f"bracket          {bracket.to_text()}",
@@ -194,10 +195,14 @@ def _cmd_invariants(args) -> int:
             for pair, value in sorted(linking_numbers(d).items(), key=lambda kv: sorted(kv[0]))
         )
         lines.append(f"linking          {pair_text} (profile {profile})")
-    bracket = kauffman_bracket(d)
-    lines.append(f"writhe           {writhe(d)}")
+    if args.builtin:
+        bracket = kauffman_bracket(d)
+    else:
+        bracket = census_mod.word_brackets()[assignment_from_text(args.bitword).index]
+    w = writhe(d)
+    lines.append(f"writhe           {w}")
     lines.append(f"bracket          {bracket.to_text()}")
-    lines.append(f"normalized       {_normalized(bracket, d).to_text()}")
+    lines.append(f"normalized       {_normalized(bracket, w).to_text()}")
     sys.stdout.write("\n".join(lines) + "\n")
     return 0
 

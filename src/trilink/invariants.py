@@ -272,12 +272,11 @@ def _contraction_order(arc_mate: list[int]) -> Iterator[int]:
 
 def normalized_invariant(d: LinkDiagram) -> LaurentPoly:
     """Writhe-normalized bracket: (-A^3)^(-w) times the bracket."""
-    return _normalized(kauffman_bracket(d), d)
+    return _normalized(kauffman_bracket(d), writhe(d))
 
 
-def _normalized(bracket: LaurentPoly, d: LinkDiagram) -> LaurentPoly:
-    """``bracket``, the bracket of ``d``, times (-A^3)^(-w) for the writhe w of ``d``."""
-    w = writhe(d)
+def _normalized(bracket: LaurentPoly, w: int) -> LaurentPoly:
+    """``bracket``, the bracket of a diagram of writhe ``w``, times (-A^3)^(-w)."""
     return bracket * LaurentPoly.monomial(-1 if w % 2 else 1, -3 * w)
 
 

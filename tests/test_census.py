@@ -128,7 +128,7 @@ def layout_records(radius):
         d = flip_crossings(shadow, asg.index)
         profile = invariants.pairwise_linking(d)
         kind = invariants.embedding_type(
-            profile, functools.partial(invariants._normalized, bracket, d)
+            profile, functools.partial(invariants._normalized, bracket, invariants.writhe(d))
         )
         records.append(CensusRecord(asg, *orbit_of_word[asg], kind, profile, bracket))
     return records
@@ -157,6 +157,29 @@ class TestLayout:
         passed, detail = census._pattern_counts_by_type(evidence)
         assert not passed
         assert detail == "TorusLink33=2, Chain3=3, HopfWithSplit=3, Trivial3=2, Borromean=0"
+
+
+class TestShadowTables:
+    """Each word's profile, writhe and bracket, read off the shadow, are its diagram's."""
+
+    @pytest.mark.parametrize("asg", all_assignments(), ids=str)
+    def test_equal_the_word_diagram(self, asg):
+        d = to_diagram(asg)
+        signs = list(census._flip_signs(diagram._shadow()))[asg.index]
+        assert signs == (invariants.pairwise_linking(d), invariants.writhe(d))
+        assert census.word_brackets()[asg.index] == invariants.kauffman_bracket(d)
+
+    def test_run_census_builds_no_word_diagram(self, monkeypatch):
+        calls = []
+        for name in ("to_diagram", "flip_crossings", "pairwise_linking", "writhe"):
+            for module in (census, diagram, invariants):
+                if hasattr(module, name):
+                    real = getattr(module, name)
+                    monkeypatch.setattr(
+                        module, name, lambda *args, real=real: calls.append(real) or real(*args)
+                    )
+        run_census()
+        assert calls == []
 
 
 class TestStateTable:

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
-from trilink import cli, geometry, invariants, render
+from trilink import census, cli, geometry, invariants, render
 from trilink.census import census_diagrams, census_table, census_to_csv, census_to_json
 from trilink.cli import _build_parser, _diagram_from_args, main
 from trilink.diagram import (
@@ -33,6 +33,22 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def count_calls(monkeypatch, *names):
+    """The list that records each call of the ``invariants`` functions ``names`` by name."""
+    calls = []
+    for name in names:
+        real = getattr(invariants, name)
+
+        def call(*args, real=real):
+            calls.append(real.__name__)
+            return real(*args)
+
+        for module in (cli, invariants):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, call)
+    return calls
 
 
 def run_in_fresh_interpreter(*argv):
@@ -184,24 +200,16 @@ class TestClassifyCommand:
 
     @pytest.mark.parametrize("word", ["000000", "111100", "010101"])
     def test_brackets_and_links_once(self, capsys, monkeypatch, word):
+        # The first word command folds the shadow's state table; later ones read it.
         bracket = kauffman_bracket(to_diagram(assignment_from_text(word))).to_text()
-        calls = []
-
-        def counted(real):
-            def call(diagram):
-                calls.append(real.__name__)
-                return real(diagram)
-
-            return call
-
-        for name in ("kauffman_bracket", "pairwise_linking"):
-            wrapper = counted(getattr(invariants, name))
-            for module in (cli, invariants):
-                monkeypatch.setattr(module, name, wrapper)
-        code, out, _ = run_cli(capsys, "classify", word)
-        assert code == 0
-        assert sorted(calls) == ["kauffman_bracket", "pairwise_linking"]
-        assert out.endswith(f"bracket          {bracket}\n")
+        census.word_brackets.cache_clear()
+        calls = count_calls(monkeypatch, "kauffman_bracket", "pairwise_linking", "_smoothing_tally")
+        for expected in (["_smoothing_tally", "pairwise_linking"], ["pairwise_linking"]):
+            calls.clear()
+            code, out, _ = run_cli(capsys, "classify", word)
+            assert code == 0
+            assert sorted(calls) == expected
+            assert out.endswith(f"bracket          {bracket}\n")
 
     def test_bad_word_exits_2(self, capsys):
         code, out, err = run_cli(capsys, "classify", "0101019")
@@ -227,22 +235,30 @@ class TestInvariantsCommand:
         assert code == 0
         assert "profile 1,1,1" in out
 
-    @pytest.mark.parametrize("argv", [("000000",), ("010101",), ("--builtin", "trefoil")])
-    def test_brackets_once(self, capsys, monkeypatch, argv):
+    @pytest.mark.parametrize(
+        "argv, first, again",
+        [
+            (("000000",), ["_smoothing_tally"], []),
+            (("010101",), ["_smoothing_tally"], []),
+            (
+                ("--builtin", "trefoil"),
+                ["kauffman_bracket", "_smoothing_tally"],
+                ["kauffman_bracket", "_smoothing_tally"],
+            ),
+        ],
+    )
+    def test_brackets_once(self, capsys, monkeypatch, argv, first, again):
+        # A word's bracket comes from the shadow's table, folded on the first word command.
         d = _diagram_from_args(_build_parser().parse_args(["invariants", *argv]))
         bracket, normalized = kauffman_bracket(d).to_text(), normalized_invariant(d).to_text()
-        calls = []
-
-        def counted(diagram):
-            calls.append(diagram)
-            return kauffman_bracket(diagram)
-
-        for module in (cli, invariants):
-            monkeypatch.setattr(module, "kauffman_bracket", counted)
-        code, out, _ = run_cli(capsys, "invariants", *argv)
-        assert code == 0
-        assert len(calls) == 1
-        assert out.endswith(f"bracket          {bracket}\nnormalized       {normalized}\n")
+        census.word_brackets.cache_clear()
+        calls = count_calls(monkeypatch, "kauffman_bracket", "_smoothing_tally")
+        for expected in (first, again):
+            calls.clear()
+            code, out, _ = run_cli(capsys, "invariants", *argv)
+            assert code == 0
+            assert calls == expected
+            assert out.endswith(f"bracket          {bracket}\nnormalized       {normalized}\n")
 
 
 class TestRenderCommand:

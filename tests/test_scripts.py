@@ -113,7 +113,9 @@ def test_bench_series(tmp_path):
         p50 = series["op_p50_ms"]
         assert len(p50["values"]) == 1
         assert p50["q1"] <= p50["median"] <= p50["q3"]
-        assert entry["traced"][workload]["invariants.kauffman_bracket.calls"] > 0
+        # Each workload reaches a layer below the CLI: a census word's diagram, or a bracket.
+        layer = "diagram.to_diagram" if workload == "queries" else "invariants.kauffman_bracket"
+        assert entry["traced"][workload][f"{layer}.calls"] > 0
     # The CLI measures the three pairs; the Gauss integrals certify them.
     assert entry["traced"]["realize"]["geometry.curve_distance.calls"] == 3
     assert "comparison" not in report
