@@ -408,8 +408,8 @@ def _hopf_linking(ev: Evidence) -> tuple[bool, str]:
     )
 
 
-def _cuts(ev: Evidence, kind: EmbeddingType, linked: int, verb: str) -> tuple[bool, str]:
-    """Cut every ring of every depiction of ``kind``, three cuts per depiction in the summary.
+def _cuts(ev: Evidence, kind: EmbeddingType, n: int, linked: int, verb: str) -> tuple[bool, str]:
+    """Cut every ring of every depiction of ``kind``, of which the census must have ``n``.
 
     Each remaining pair must link ``linked`` times; an unlinked pair must be the 2-unlink.
     """
@@ -419,7 +419,7 @@ def _cuts(ev: Evidence, kind: EmbeddingType, linked: int, verb: str) -> tuple[bo
         if ev.records[orbit.representative.index].embedding_type is kind
         for member in orbit.members
     ]
-    expected = 3 * ev.summary.per_type_depiction_counts[kind]
+    expected = 3 * n
     cuts = 3 * len(depictions)
     failures = []
     for member in depictions:
@@ -439,11 +439,11 @@ def _cuts(ev: Evidence, kind: EmbeddingType, linked: int, verb: str) -> tuple[bo
 
 
 def _brunnian_cut_property(ev: Evidence) -> tuple[bool, str]:
-    return _cuts(ev, EmbeddingType.Borromean, 0, "split cleanly")
+    return _cuts(ev, EmbeddingType.Borromean, 2, 0, "split cleanly")
 
 
 def _torus_pair_persistence(ev: Evidence) -> tuple[bool, str]:
-    return _cuts(ev, EmbeddingType.TorusLink33, 1, "leave a linked pair")
+    return _cuts(ev, EmbeddingType.TorusLink33, 8, 1, "leave a linked pair")
 
 
 def _brunnian_exactness(ev: Evidence) -> tuple[bool, str]:

@@ -158,6 +158,14 @@ class TestLayout:
         assert not passed
         assert detail == "TorusLink33=2, Chain3=3, HopfWithSplit=3, Trivial3=2, Borromean=0"
 
+    def test_wrong_figure_fails_the_brunnian_cuts(self):
+        # That census has no Borromean depiction to cut, where the paper's has two.
+        evidence = types.SimpleNamespace(records=layout_records(0.9), orbits=orbit_partition())
+        assert census._brunnian_cut_property(evidence) == (
+            False,
+            "0 of 6 expected cuts split cleanly (0 cuts made)",
+        )
+
 
 class TestShadowTables:
     """Each word's profile, writhe and bracket, read off the shadow, are its diagram's."""
