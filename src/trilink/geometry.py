@@ -201,14 +201,20 @@ def _triangle_centers() -> list[tuple[float, float, float]]:
     return [(distance * math.cos(a), distance * math.sin(a), 0.0) for a in angles]
 
 
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.cross`` of two 3-vectors, bit for bit, without its cost on tiny arrays."""
+    (a0, a1, a2), (b0, b1, b2) = a.tolist(), b.tolist()
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+
+
 def _circle(center, normal, radius: float, angles: np.ndarray) -> np.ndarray:
     """Points at ``angles`` on the circle of ``center``, ``normal`` and ``radius``."""
     n = np.asarray(normal, dtype=float)
     n = n / np.linalg.norm(n)
     helper = np.array([0.0, 0.0, 1.0]) if abs(n[2]) < 0.9 else np.array([1.0, 0.0, 0.0])
-    e1 = np.cross(helper, n)
+    e1 = _cross(helper, n)
     e1 = e1 / np.linalg.norm(e1)
-    e2 = np.cross(n, e1)
+    e2 = _cross(n, e1)
     return np.asarray(center) + radius * (
         np.outer(np.cos(angles), e1) + np.outer(np.sin(angles), e2)
     )
@@ -445,9 +451,9 @@ def _projection_frame(direction: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
         raise InputError(f"direction must be a nonzero finite 3-vector, got {d.tolist()}")
     d = d / norm
     helper = np.array([1.0, 0.0, 0.0]) if abs(d[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
-    u = np.cross(helper, d)
+    u = _cross(helper, d)
     u = u / np.linalg.norm(u)
-    v = np.cross(u, d)
+    v = _cross(u, d)
     return u, v, d
 
 

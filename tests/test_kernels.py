@@ -359,6 +359,16 @@ def test_inner_loop_limacon_is_swept():
     assert builtin_diagram("twist-unknot").crossing_count == 1
 
 
+def test_cross_is_np_cross_bit_for_bit():
+    # Signed zeros and entries 2^±100 apart, which no product over- or underflows.
+    rng = np.random.default_rng(34)
+    vectors = rng.normal(size=(10000, 2, 3)) * 2.0 ** rng.integers(-100, 100, size=(10000, 2, 3))
+    vectors[rng.random(vectors.shape) < 0.1] = 0.0
+    vectors[rng.random(vectors.shape) < 0.05] = -0.0
+    for a, b in vectors:
+        assert np.array_equal(G._cross(a, b).view(np.int64), np.cross(a, b).view(np.int64))
+
+
 def _word_diagram(word):
     return to_diagram(assignment_from_text(word))
 
