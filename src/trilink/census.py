@@ -15,8 +15,11 @@ detail)`` and add its pair to ``CHECKS``; the same commit must extend
 perfbench's ``VERIFY_CHECKS`` and the check count in its README.  The 64
 diagrams (``census_diagrams``, each a flip of one shadow), the orbit
 partition (``symmetry.orbit_partition``) and the shadow are computed
-once per process and shared by every run; invariants (the 64 brackets
-from the shadow's state table) and realizations are derived anew on each call.
+once per process and shared by every run.  So are the 64 brackets that
+``classify`` and ``invariants`` read for a word (``word_brackets``), but
+no census run reads them: each ``run_census`` call folds the shadow's
+state table afresh and reads the profiles and writhes off the shadow's
+crossing signs.  Realizations are derived anew on each call.
 """
 
 from __future__ import annotations
@@ -580,7 +583,8 @@ def verify_claims() -> VerificationReport:
     """Re-derive and check every headline property: run ``CHECKS`` in order on one ``Evidence``.
 
     Only the 64 diagrams, the orbit partition and the shadow are shared
-    with earlier runs in the process; the rest is derived anew.
+    with earlier runs in the process.  The rest is derived anew: both
+    census runs fold their own brackets, not ``word_brackets``.
     """
     evidence = Evidence()
     results = []
